@@ -6,8 +6,7 @@ Subcommands: solve-edge, solve-junction, flux-limited, viscous-sweep,
 fatten2d, verify, convergence. Each run writes report.json plus the CSV
 series it produced (and a gnuplot script for the main series) into the
 output directory. Exit codes: 0 success, 2 solver non-convergence or failed
-verification checks, 3 validation failure. The environment variable
-HJJ_THREADS caps per-edge parallelism.
+verification checks, 3 validation failure.
 """
 
 from __future__ import annotations
@@ -33,6 +32,10 @@ EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
 EXIT_VALIDATION = 3
 
+# a fallback changes the scheme mid-solve and a cap or stall leaves it
+# unfinished: each makes the run fail even when the residual test passed
+_FAILURE_FLAGS = frozenset({"newton_fallback", "max_iters", "sweep_stalled"})
+
 
 def _base_report(args, sub):
     return {
@@ -49,6 +52,10 @@ def _base_report(args, sub):
 
 def _solver_params(args):
     return ed.SolverParams(tol=args.tol, max_iters=args.max_iters)
+
+
+def _solved(rep):
+    return rep.converged and not _FAILURE_FLAGS.intersection(rep.flags)
 
 
 def _diag_dict(d):
@@ -78,12 +85,12 @@ def cmd_solve_edge(args, pf, out_dir, t0):
     report["solve"] = {
         "edge": args.edge, "node_value": g.node_value, "role": g.role,
         "iterations": rep.iterations, "final_residual": rep.final_residual,
-        "converged": rep.converged, "method": rep.method,
+        "converged": rep.converged, "method": rep.method, "flux": rep.flux,
         "node_slope": ed.node_slope(g, order=2),
     }
     report["flags"].extend(rep.flags)
     rp.emit_plot_script(report, "profiles", out_dir)
-    code = EXIT_OK if rep.converged else EXIT_NOT_CONVERGED
+    code = EXIT_OK if _solved(rep) else EXIT_NOT_CONVERGED
     return _finish(report, out_dir, t0, code)
 
 
@@ -101,7 +108,7 @@ def cmd_solve_junction(args, pf, out_dir, t0):
     report["direct"] = {
         "node_value": sol.node_value, "iterations": rep.iterations,
         "final_residual": rep.final_residual, "converged": rep.converged,
-        "method": rep.method,
+        "method": rep.method, "flux": rep.flux,
     }
     report["constructive"] = {
         "node_value": solc.node_value, "converged": repc.converged,
@@ -110,7 +117,7 @@ def cmd_solve_junction(args, pf, out_dir, t0):
     report["diagnostics"] = _diag_dict(jn.node_diagnostics(sol, pf.problem))
     report["flags"].extend(rep.flags + repc.flags)
     rp.emit_plot_script(report, "profiles", out_dir)
-    ok = rep.converged and repc.converged
+    ok = _solved(rep) and _solved(repc)
     return _finish(report, out_dir, t0, EXIT_OK if ok else EXIT_NOT_CONVERGED)
 
 
@@ -129,11 +136,12 @@ def cmd_flux_limited(args, pf, out_dir, t0):
         "A": A, "node_value": sol.node_value,
         "bound_minus_A_ok": bool(sol.node_value <= -A + 2e-2),
         "iterations": rep.iterations, "converged": rep.converged,
-        "method": rep.method,
+        "method": rep.method, "flux": rep.flux,
     }
     report["diagnostics"] = _diag_dict(jn.node_diagnostics(sol, pf.problem))
+    report["flags"].extend(rep.flags)
     rp.emit_plot_script(report, "profiles", out_dir)
-    code = EXIT_OK if rep.converged else EXIT_NOT_CONVERGED
+    code = EXIT_OK if _solved(rep) else EXIT_NOT_CONVERGED
     return _finish(report, out_dir, t0, code)
 
 
@@ -274,7 +282,7 @@ def build_parser():
         sp.add_argument("--tol", type=float, default=1e-8,
                         help="solver residual tolerance")
         sp.add_argument("--max-iters", type=int, default=200_000,
-                        help="relaxation iteration cap")
+                        help="cap on Newton steps or Jacobi iterations")
         sp.add_argument("--seed", type=int, default=0,
                         help="seed for randomized checks")
         if name == "solve-edge":

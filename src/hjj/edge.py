@@ -3,27 +3,30 @@
 The scheme is Lax-Friedrichs with a per-point dissipation coefficient
 theta_j bounding |dH/dp| over the locally encountered slope range:
 
-    R_j = u_j + H((p- + p+)/2, x_j) - (theta_j / 2)(p+ - p-),
+    R_j = u_j + H((p- + p+)/2, x_j) - (theta_j / 2)(p+ - p-).
 
-driven to zero by pseudo-time relaxation u_j <- u_j - dt_j R_j with the
-monotonicity step restriction dt_j = cfl * h / (theta_j + h). Boundary rows
-replace the flux with the binding-test-slope construction: at the junction
-end x = 0 the admissible test slopes are q >= p_in = (u_n - u_{n-1})/h and
-the residual uses min over q in [p_in, P] of H(q, 0); at the far end the
-mirrored prefix envelope is used. Dirichlet rows pin the value; a Neumann
-row supplies a ghost slope.
+Boundary rows replace the flux with the binding-test-slope construction: at
+the junction end x = 0 the admissible test slopes are q >= p_in =
+(u_n - u_{n-1})/h and the residual uses min over q in [p_in, P] of H(q, 0);
+at the far end the mirrored prefix envelope is used. Dirichlet rows pin the
+value; a Neumann row supplies a ghost slope. pseudo_time_step, the explicit
+relaxation u <- u - dt R with dt_j = cfl * h / (theta_j + h), defines the
+scheme's monotonicity.
 
-Pseudo-time is a solver device only. When its step restriction makes the
-iteration impractically long (stiff Hamiltonians with large |dH/dp|), the
-driver switches to nonlinear Gauss-Seidel sweeps that solve each nodal
-equation exactly; the nodal equations, and hence the fixed point, are
-identical for both drivers.
+This module holds the edge block of that system: its residual, the
+tridiagonal linearization the Newton driver needs, and the nonlinear
+Gauss-Seidel sweep with a sampled-Godunov flux. The Godunov flux is a
+different monotone scheme with its own fixed point; it agrees with
+Lax-Friedrichs to O(h) in the interior but not inside boundary layers, so
+every report names the flux that produced its answer. The driver itself
+lives in junction.py: an edge solve is a K = 1 junction whose node row is
+the state-constraint envelope or a pinned Dirichlet value.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -102,37 +105,46 @@ class GridFunction1D:
 
 @dataclass
 class SolveReport:
+    """What one solve did.
+
+    iterations counts Newton steps over every cascade level, Jacobi
+    iterations and Gauss-Seidel sweeps together; method names the driver
+    ("newton", "jacobi", "godunov_sweep", "newton+godunov_sweep" after a
+    Newton breakdown, "constructive", "jacobi_2d") and flux the scheme whose
+    fixed point was reached. flags lists every cap, stall and fallback:
+    "max_iters", "sweep_stalled", "newton_fallback", "lipschitz_exceeded",
+    "dirichlet_not_attained".
+    """
+
     iterations: int
     final_residual: float
-    dt: float
     converged: bool
     wall_time: float
-    method: str = "jacobi"
-    flags: tuple = ()
-    # dissipation coefficients of the converged Lax-Friedrichs scheme, or
-    # None when the Godunov flux finished the solve
-    theta: Optional[np.ndarray] = None
+    method: str
     flux: str = "lax_friedrichs"
+    flags: tuple = ()
+    # per-edge dissipation coefficients of the converged Lax-Friedrichs
+    # scheme, or None when the Godunov flux finished the solve
+    theta: Optional[list] = None
+    # (cells of the first edge, Newton steps) per coarse-to-fine level
+    levels: tuple = ()
 
 
 @dataclass(frozen=True)
 class SolverParams:
     """Driver configuration.
 
-    method "jacobi" runs the Lax-Friedrichs pseudo-time iteration as is;
-    "sweep" runs nonlinear Gauss-Seidel with the sampled-Godunov flux;
-    "auto" starts with Jacobi and falls back to sweeps when the projected
-    iteration count exceeds projected_budget (stiff Hamiltonians whose
-    |dH/dp| forces a tiny pseudo-time step).
+    method "auto" runs semismooth Newton on the Lax-Friedrichs scheme when
+    every Hamiltonian is convex and Gauss-Seidel sweeps with the Godunov
+    flux otherwise; "jacobi" runs Lax-Friedrichs pseudo-time (the reference
+    the tests compare Newton against); "sweep" forces the Godunov sweeps.
+    max_iters caps Newton steps or Jacobi iterations, max_sweeps the sweeps.
     """
 
     tol: float = 1e-8
     max_iters: int = 200_000
     cfl: float = 0.9
     method: str = "auto"  # auto | jacobi | sweep
-    flux: str = "lax_friedrichs"  # flux of the Jacobi phase
-    switch_after: int = 2000
-    projected_budget: int = 40_000
     max_sweeps: int = 3000
 
 
@@ -165,6 +177,13 @@ def boundary_supersolution_residual(H, u0, u_in, h):
 # ---------------------------------------------------------------------------
 # discretization context
 # ---------------------------------------------------------------------------
+
+def _pinned_rows(edge, node_bc):
+    pinned = np.zeros(edge.n_cells + 1, dtype=bool)
+    pinned[0] = isinstance(edge.far_bc, Dirichlet)
+    pinned[-1] = isinstance(node_bc, Dirichlet) or node_bc == "external"
+    return pinned
+
 
 class EdgeDiscretization:
     """Precomputed tables and residual evaluation for one edge.
@@ -199,20 +218,36 @@ class EdgeDiscretization:
         self.env_far = None
         if isinstance(edge.far_bc, StateConstraint):
             self.env_far = SlopeEnvelope(H, x0=float(self.x[0]), side="left")
-        self.pinned = np.zeros(n + 1, dtype=bool)
-        if isinstance(edge.far_bc, Dirichlet):
-            self.pinned[0] = True
-        if isinstance(node_bc, Dirichlet) or node_bc == "external":
-            self.pinned[-1] = True
+        self.pinned = _pinned_rows(edge, node_bc)
+
+    def coarsened(self, n_cells):
+        """The same edge on n_cells cells. The slope tables, envelopes and
+        the super-solution level do not depend on the grid and are shared,
+        so the coarse levels of the Newton cascade cost no set-up."""
+        c = copy.copy(self)
+        c.edge = replace(self.edge, n_cells=n_cells)
+        c.x = c.edge.grid()
+        c.h = c.edge.h
+        c.pinned = _pinned_rows(c.edge, self.node_bc)
+        return c
 
     # -- vectorized residual ------------------------------------------------
 
-    def local_theta(self, p):
-        """Dissipation coefficients: theta at grid point j bounds |dH/dp|
-        over [min(p-, p+) - pad, max(p-, p+) + pad]."""
-        lo = np.minimum(p[:-1], p[1:]) - THETA_PAD
-        hi = np.maximum(p[:-1], p[1:]) + THETA_PAD
-        return self.theta_tab.range_max(lo, hi)
+    def required_theta(self, u):
+        """Smallest admissible dissipation per row: theta_j bounds |dH/dp|
+        over [min(p-, p+) - pad, max(p-, p+) + pad] at the state u."""
+        p = np.diff(u) / self.h
+        n = self.edge.n_cells
+        far = self.edge.far_bc
+        lo = np.empty(n + 1)
+        hi = np.empty(n + 1)
+        lo[1:-1] = np.minimum(p[:-1], p[1:])
+        hi[1:-1] = np.maximum(p[:-1], p[1:])
+        g = far.slope if isinstance(far, Neumann) else p[0]
+        lo[0] = min(g, p[0])
+        hi[0] = max(g, p[0])
+        lo[n] = hi[n] = p[-1]
+        return self.theta_tab.range_max(lo - THETA_PAD, hi + THETA_PAD)
 
     def godunov_flux(self, pm, pp, x):
         """Sampled-Godunov numerical Hamiltonian: min of H over [p-, p+]
@@ -244,15 +279,8 @@ class EdgeDiscretization:
         R = np.zeros(n + 1)
 
         far = self.edge.far_bc
-        lo = np.empty(n + 1)
-        hi = np.empty(n + 1)
-        lo[1:-1] = np.minimum(p[:-1], p[1:])
-        hi[1:-1] = np.maximum(p[:-1], p[1:])
         g = far.slope if isinstance(far, Neumann) else 0.0
-        lo[0] = min(g, p[0]) if isinstance(far, Neumann) else p[0]
-        hi[0] = max(g, p[0]) if isinstance(far, Neumann) else p[0]
-        lo[n] = hi[n] = p[-1]
-        th = self.theta_tab.range_max(lo - THETA_PAD, hi + THETA_PAD)
+        th = self.required_theta(u)
         if theta is not None:
             th = np.broadcast_to(np.asarray(theta, dtype=float), (n + 1,)).copy()
 
@@ -289,77 +317,90 @@ class EdgeDiscretization:
         active = ~self.pinned
         return u_new, R, float(dt[active].min()) if active.any() else 0.0
 
+    # -- Newton linearization -------------------------------------------------
+
+    def lf_linearization(self, u, theta):
+        """Lax-Friedrichs residual of rows 0..n-1 at fixed theta, with
+        unclamped slopes, and its tridiagonal Jacobian (sub, diag, sup):
+        row j couples to u_{j-1}, u_j and u_{j+1} (u_n is the node value).
+
+        dH/dp comes from one central difference at each row's averaged
+        slope, so at a kink the entries form a subgradient. With theta >=
+        |dH/dp| every row is an M-matrix row. Pinned rows are identity rows
+        with zero residual."""
+        h = self.h
+        n = self.edge.n_cells
+        p = np.diff(u) / h
+        R = np.zeros(n)
+        sub = np.zeros(n)
+        diag = np.ones(n)
+        sup = np.zeros(n)
+
+        th = theta[1:n]
+        Ha, dH = _value_and_slope(self.H, 0.5 * (p[:-1] + p[1:]), self.x[1:-1])
+        R[1:] = u[1:n] + Ha - 0.5 * th * (p[1:] - p[:-1])
+        sub[1:] = -(dH + th) / (2.0 * h)
+        diag[1:] = 1.0 + th / h
+        sup[1:] = (dH - th) / (2.0 * h)
+
+        far = self.edge.far_bc
+        if isinstance(far, Neumann):
+            th0 = theta[0]
+            H0, d0 = _value_and_slope(self.H, 0.5 * (far.slope + p[0]),
+                                      self.x[0])
+            R[0] = u[0] + H0 - 0.5 * th0 * (p[0] - far.slope)
+            diag[0] = 1.0 + (th0 - d0) / (2.0 * h)
+            sup[0] = (d0 - th0) / (2.0 * h)
+        elif isinstance(far, StateConstraint):
+            e0, d0 = _value_and_slope(lambda q, x: self.env_far(q), p[0], 0.0)
+            R[0] = u[0] + e0
+            diag[0] = 1.0 - d0 / h
+            sup[0] = d0 / h
+        return R, sub, diag, sup
+
     # -- scalar nodal equations (Gauss-Seidel driver) -------------------------
 
-    def nodal_residual(self, u, j, v, th_j, flux="lax_friedrichs"):
-        """Residual of row j with the center value replaced by v.
+    def nodal_residual(self, u, j, v):
+        """Godunov residual of row j with the center value replaced by v.
 
         Slope arguments of H are clamped to the tabulated span; linear
         penalty terms keep the map strictly increasing in v (slope >= 1)
         and finite for any candidate value."""
         h = self.h
-        n = self.edge.n_cells
         S = self.theta_tab.span
         clamp = lambda q: min(max(q, -S), S)
         if j == 0:
             far = self.edge.far_bc
             pp = (u[1] - v) / h
             if isinstance(far, Neumann):
-                g = far.slope
-                if flux == "godunov":
-                    return v + float(self.godunov_flux(g, clamp(pp), self.x[0])) \
-                        + max(-pp - S, 0.0)
-                return v + float(self.H(clamp(0.5 * (g + pp)), self.x[0])) \
-                    - 0.5 * th_j * (pp - g)
-            if isinstance(far, StateConstraint):
-                return v + self.env_far(clamp(pp)) + max(-pp - S, 0.0)
-            return 0.0
-        if j == n:
-            if isinstance(self.node_bc, StateConstraint):
-                p_in = (v - u[n - 1]) / h
-                return v + self.env_node(clamp(p_in)) + max(p_in - S, 0.0)
-            return 0.0
+                return v + float(self.godunov_flux(far.slope, clamp(pp),
+                                                   self.x[0])) \
+                    + max(-pp - S, 0.0)
+            return v + self.env_far(clamp(pp)) + max(-pp - S, 0.0)
         pm = (v - u[j - 1]) / h
         pp = (u[j + 1] - v) / h
-        if flux == "godunov":
-            return v + float(self.godunov_flux(clamp(pm), clamp(pp), self.x[j])) \
-                + max(pm - S, 0.0) + max(-pp - S, 0.0)
-        return v + float(self.H(clamp(0.5 * (pm + pp)), self.x[j])) \
-            - 0.5 * th_j * (pp - pm)
+        return v + float(self.godunov_flux(clamp(pm), clamp(pp), self.x[j])) \
+            + max(pm - S, 0.0) + max(-pp - S, 0.0)
 
-    def theta_at(self, u, j):
-        h = self.h
+    def gauss_seidel_sweep(self, u, tol):
+        """One forward+backward Godunov sweep solving each free row's nodal
+        equation exactly; the junction solver owns the node row."""
         n = self.edge.n_cells
-        if j == 0:
-            pm = self.edge.far_bc.slope if isinstance(self.edge.far_bc, Neumann) \
-                else (u[1] - u[0]) / h
-            pp = (u[1] - u[0]) / h
-        elif j == n:
-            pm = pp = (u[n] - u[n - 1]) / h
-        else:
-            pm = (u[j] - u[j - 1]) / h
-            pp = (u[j + 1] - u[j]) / h
-        return float(self.theta_tab.range_max(min(pm, pp) - THETA_PAD,
-                                              max(pm, pp) + THETA_PAD))
-
-    def gauss_seidel_sweep(self, u, tol, flux="godunov"):
-        """One forward+backward sweep solving each nodal equation exactly."""
-        n = self.edge.n_cells
-        order = list(range(n + 1)) + list(range(n, -1, -1))
-        lf = flux != "godunov"
-        for j in order:
-            if self.pinned[j]:
-                continue
-            for _ in range(3):
-                th_j = self.theta_at(u, j) if lf else 0.0
-                v = _solve_increasing(
-                    lambda w: self.nodal_residual(u, j, w, th_j, flux),
-                    u[j], 0.1 * tol, scale=self.h)
-                moved = abs(v - u[j])
-                u[j] = v
-                if not lf or moved <= self.h * THETA_PAD:
-                    break
+        for j in list(range(n)) + list(range(n - 1, -1, -1)):
+            if not self.pinned[j]:
+                u[j] = _solve_increasing(
+                    lambda w: self.nodal_residual(u, j, w), u[j], 0.1 * tol,
+                    scale=self.h)
         return u
+
+
+def _value_and_slope(f, p, x):
+    """f(p, x) and a central difference in p with step 1e-7 (1 + |p|), from
+    one vectorized evaluation."""
+    p = np.asarray(p, dtype=float)
+    d = 1e-7 * (1.0 + np.abs(p))
+    v = np.asarray(f(np.stack([p, p + d, p - d]), x), dtype=float)
+    return v[0], (v[1] - v[2]) / (2.0 * d)
 
 
 def _solve_increasing(f, v0, tol, scale):
@@ -412,96 +453,8 @@ def _solve_increasing(f, v0, tol, scale):
 
 
 # ---------------------------------------------------------------------------
-# driver
+# single-edge solve
 # ---------------------------------------------------------------------------
-
-def _default_init(H, x):
-    return float(-np.max(np.asarray(H(np.zeros_like(x), x))) - 0.5)
-
-
-def _run_solver(disc: EdgeDiscretization, u, params: SolverParams):
-    """Shared driver: Jacobi pseudo-time with optional Gauss-Seidel phase."""
-    t0 = time.perf_counter()
-    method = params.method
-    flags = []
-    it = 0
-    dt_min = 0.0
-    res = np.inf
-    last_check = (0, np.inf)
-    use_sweeps = method == "sweep"
-
-    # once the residual is small, freeze theta so the update becomes a fixed
-    # map (state-dependent theta can limit-cycle just above the tolerance)
-    frozen_th = None
-    if not use_sweeps:
-        active = ~disc.pinned
-        while it < params.max_iters:
-            R, th = disc.residual(u, theta=frozen_th)
-            res = float(np.max(np.abs(R)))
-            if res <= params.tol:
-                ok = True
-                if frozen_th is not None:
-                    _, th_req = disc.residual(u)
-                    ok = bool(np.all(frozen_th >= th_req - 1e-9))
-                if ok:
-                    rep = SolveReport(it, res, dt_min, True,
-                                      time.perf_counter() - t0, "jacobi",
-                                      tuple(flags), theta=th.copy())
-                    return u, rep
-                frozen_th = None
-                continue
-            dt = params.cfl * disc.h / (th + disc.h)
-            u = u - dt * R  # pinned rows carry zero residual
-            dt_min = float(dt[active].min()) if active.any() else 0.0
-            it += 1
-            if frozen_th is None and res < 1e-3:
-                frozen_th = th * 1.02 + 0.01
-            elif frozen_th is not None and res > 1e-2:
-                frozen_th = None
-            if method == "auto" and it % params.switch_after == 0:
-                it0, res0 = last_check
-                last_check = (it, res)
-                if not np.isfinite(res0):
-                    continue
-                rate = (res / res0) ** (1.0 / (it - it0))
-                if rate >= 1.0 - 1e-12:
-                    projected = np.inf
-                else:
-                    projected = it + np.log(params.tol / res) / np.log(rate)
-                if projected > params.projected_budget:
-                    use_sweeps = True
-                    break
-        if not use_sweeps:
-            rep = SolveReport(it, res, dt_min, res <= params.tol,
-                              time.perf_counter() - t0, "jacobi",
-                              ("max_iters",), theta=th.copy())
-            return u, rep
-
-    # sweeps descend fast from a super-solution; lift the state above one
-    u = np.where(disc.pinned, u, np.maximum(u, disc.super_level))
-    sweeps = 0
-    best = np.inf
-    stall = 0
-    while sweeps < params.max_sweeps:
-        u = disc.gauss_seidel_sweep(u, params.tol, flux="godunov")
-        sweeps += 1
-        R, th = disc.residual(u, flux="godunov")
-        res = float(np.max(np.abs(R)))
-        if res <= params.tol:
-            break
-        if res < 0.999 * best:
-            best, stall = res, 0
-        else:
-            stall += 1
-            if stall >= 60:
-                flags.append("sweep_stalled")
-                break
-    name = "godunov_sweep" if it == 0 else "jacobi+godunov_sweep"
-    rep = SolveReport(it + sweeps, res, dt_min, res <= params.tol,
-                      time.perf_counter() - t0, name, tuple(flags),
-                      flux="godunov")
-    return u, rep
-
 
 def solve_edge(H, edge, node_bc, params=None, init=None, sc_value=None):
     """Solve u + H(u_x, x) = 0 on the edge with the given junction-end
@@ -512,45 +465,26 @@ def solve_edge(H, edge, node_bc, params=None, init=None, sc_value=None):
     returned and the report carries the flag "dirichlet_not_attained".
     Pass sc_value (the state-constraint node value) to skip its recomputation.
     """
+    # the edge is a K = 1 junction system; junction.py imports this module
+    from .junction import JunctionProblem, solve_system
+
     params = params or SolverParams()
     if isinstance(node_bc, Dirichlet):
+        sc = None
         if sc_value is None:
-            u_sc, _ = solve_edge(H, edge, StateConstraint(), params, init=init)
-            sc_value = u_sc.node_value
-            sc_grid = u_sc
-        else:
-            sc_grid = None
+            sc = solve_edge(H, edge, StateConstraint(), params)
+            sc_value = sc[0].node_value
         if node_bc.value > sc_value:
-            if sc_grid is None:
-                sc_grid, rep = solve_edge(H, edge, StateConstraint(), params,
-                                          init=init)
-            else:
-                rep = SolveReport(0, 0.0, 0.0, True, 0.0, "jacobi")
+            g, rep = sc or solve_edge(H, edge, StateConstraint(), params)
             rep.flags = rep.flags + ("dirichlet_not_attained",)
-            sc_grid.role = "state_constraint"
-            return sc_grid, rep
+            return g, rep
 
-    disc = EdgeDiscretization(H, edge, node_bc, cfl=params.cfl)
-    x = disc.x
-    if init is None:
-        start = _default_init(H, x)
-        if isinstance(node_bc, Dirichlet):
-            start = min(start, node_bc.value)
-        if isinstance(edge.far_bc, Dirichlet):
-            start = min(start, edge.far_bc.value)
-        u = np.full(edge.n_cells + 1, start)
-    else:
-        u = np.array(init, dtype=float, copy=True)
-    if isinstance(edge.far_bc, Dirichlet):
-        u[0] = edge.far_bc.value
-    if isinstance(node_bc, Dirichlet):
-        u[-1] = node_bc.value
-
-    u, rep = _run_solver(disc, u, params)
-    role = "state_constraint" if isinstance(node_bc, StateConstraint) else "dirichlet"
-    g = GridFunction1D(u, edge, role)
-    if g.discrete_lipschitz() > 2.0 * H.coercivity_bound + 1e-6:
-        rep.flags = rep.flags + ("lipschitz_exceeded",)
+    inits = None if init is None else [np.asarray(init, dtype=float)]
+    sol, rep = solve_system(JunctionProblem([edge], [H], node_bc), params,
+                            init=inits)
+    g = sol.per_edge[0]
+    g.role = "state_constraint" if isinstance(node_bc, StateConstraint) \
+        else "dirichlet"
     return g, rep
 
 
@@ -615,11 +549,9 @@ def check_dirichlet_structure(H, edge, c_list, params=None, slope_tol=1e-3,
         raise ValueError(
             f"every c must lie below the state-constraint value {sc0:.6g}")
     slopes, values, residuals, fds = [], [], [], []
-    prev = None
     for c in c_arr:
         g, rep = solve_edge(H, edge, Dirichlet(float(c)), params,
-                            init=prev, sc_value=sc0)
-        prev = g.values
+                            sc_value=sc0)
         s = node_slope(g, order=2)
         slopes.append(s)
         values.append(g.node_value)

@@ -344,7 +344,6 @@ def solve_fat_state_constraint(H2, dom, params=None, init=None):
     res = np.inf
     frozen = None
     it = 0
-    dt_rep = 0.0
     while it < params.max_iters:
         R, ths = sys_.residual(u, theta=frozen)
         res = float(np.max(np.abs(R)))
@@ -354,13 +353,12 @@ def solve_fat_state_constraint(H2, dom, params=None, init=None):
         th2 = np.where(np.isfinite(ths[1]), ths[1], 0.0)
         dt = params.cfl * dom.h2 / (th1 + th2 + dom.h2)
         u = u - dt * R
-        dt_rep = float(dt.min())
         it += 1
         if frozen is None and res < 1e-3:
             frozen = (th1 * 1.02 + 0.01, th2 * 1.02 + 0.01)
         elif frozen is not None and res > 1e-2:
             frozen = None
-    rep = SolveReport(it, res, dt_rep, res <= params.tol,
+    rep = SolveReport(it, res, res <= params.tol,
                       time.perf_counter() - t0, "jacobi_2d")
     return sys_.to_grid(u), rep
 

@@ -647,13 +647,3 @@ class SlopeLipschitzTable:
         out = np.maximum(self.L[k, i], self.L[k, j2])
         return float(out) if scalar else out
 
-
-def slope_lipschitz_bound(H, lo, hi, x_samples=DEFAULT_X_SAMPLES, samples=4096):
-    """Global sampled bound on |dH/dp| over the slope interval [lo, hi]."""
-    s = np.linspace(lo, hi, samples + 1)
-    ds = s[1] - s[0]
-    best = 0.0
-    for x in np.atleast_1d(np.asarray(x_samples, dtype=float)):
-        v = np.asarray(H(s, x), dtype=float)
-        best = max(best, float(np.max(np.abs(np.diff(v)) / ds)))
-    return best

@@ -1,46 +1,62 @@
-"""K-edge junction problems glued at x = 0.
+"""K-edge junction problems glued at x = 0, and the one driver that solves
+every first-order system of the package.
 
-Three junction conditions are solved with the same per-edge interior
-machinery:
+The junction system has K edge blocks (edge.EdgeDiscretization) and one
+node row. Its junction conditions:
 
-  * state constraint, directly: the node value carries the residual
+  * state constraint: the node value carries the residual
     R0 = u0 + max_i min over q in [p_in_i, P_i] of H_i(q, 0),
     the binding-test-slope form of the junction supersolution inequality
     (the minimum over independent per-edge test slopes of max_i H_i equals
     the max over i of the per-edge envelope minima);
-  * state constraint, constructively: each edge's own constrained solution
-    is computed, the node value is the smallest of their node values, and
-    the remaining edges are re-solved with that value as Dirichlet data;
   * flux-limited with limiter A: the node residual gains the floor A,
     R0 = u0 + max(A, max_i min over q >= p_in_i of H_i(q, 0)), which is the
     monotone discretization of the junction condition
-    u + max(A, max_i H_i^-(u_{x_i}, 0)) = 0 built from nonincreasing parts.
+    u + max(A, max_i H_i^-(u_{x_i}, 0)) = 0 built from nonincreasing parts;
+  * Dirichlet: the node row is pinned. With K = 1 this and the state
+    constraint are the single-edge problems of edge.solve_edge.
 
 R0 is nondecreasing in u0 and nonincreasing in each neighbor value, so the
-node update fits the same monotone relaxation as the interior scheme.
+system is monotone. The constructive solver assembles the state-constraint
+solution from per-edge solves instead: each edge's own constrained solution
+is computed, the node value is the smallest of their node values, and the
+remaining edges are re-solved with that value as Dirichlet data.
+
+solve_system picks the driver. When every Hamiltonian is convex, the
+Lax-Friedrichs residual with theta held fixed is a maximum of affine maps
+whose Jacobians are M-matrices (K tridiagonal blocks bordered by the node
+row), and semismooth Newton -- Howard's policy iteration -- reaches its
+fixed point in a few sparse solves. A coarse-to-fine cascade (n/8, n/4,
+n/2, n) supplies the start, because from a constant the policy switch
+moves about two cells per step. theta is raised inside the iteration
+whenever the iterate needs more (theta <- 1.02 theta_req + 0.01, never
+lowered), so every linear system stays an M-matrix, and the report records
+it. A problem with a non-convex Hamiltonian goes to Gauss-Seidel sweeps
+with the Godunov flux, which is also where a Newton breakdown ends
+(flagged "newton_fallback"). Jacobi pseudo-time remains as the reference
+driver for explicit requests.
 """
 
 from __future__ import annotations
 
-import os
+import copy
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .edge import (
     Dirichlet,
     EdgeDiscretization,
-    EdgeSpec,
     GridFunction1D,
-    Neumann,
     SolveReport,
     SolverParams,
     StateConstraint,
-    _default_init,
     _solve_increasing,
+    _value_and_slope,
     node_slope,
     one_sided_quotients,
     solve_edge,
@@ -51,6 +67,12 @@ from .hamiltonians import (
     make_flux_limiter,
     rightward_min_threshold,
 )
+
+# Newton levels below the finest only seed the next one
+COARSE_TOL = 1e-6
+# a residual this many times above its value at the level start (or 1) is
+# a Newton breakdown
+BREAKDOWN_GROWTH = 1e6
 
 
 @dataclass(frozen=True)
@@ -69,7 +91,8 @@ class JunctionProblem:
     def __post_init__(self):
         if len(self.edges) != len(self.hamiltonians) or not self.edges:
             raise ValueError("need one Hamiltonian per edge (K >= 1)")
-        if not isinstance(self.junction_condition, (StateConstraint, FluxLimited)):
+        if not isinstance(self.junction_condition,
+                          (StateConstraint, FluxLimited, Dirichlet)):
             raise ValueError(
                 f"unsupported junction condition {self.junction_condition!r}")
 
@@ -131,50 +154,70 @@ class NodeDiagnostics:
     p_under_list: tuple
 
 
-@dataclass
-class JunctionSolveReport:
-    iterations: int
-    final_residual: float
-    dt: float
-    converged: bool
-    wall_time: float
-    method: str
-    flux: str = "lax_friedrichs"
-    flags: tuple = ()
-    per_edge_theta: Optional[list] = None
-
-
-def _thread_count():
-    try:
-        return max(1, int(os.environ.get("HJJ_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_edges(fn, items):
-    n = _thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(*args) for args in items]
-    with ThreadPoolExecutor(max_workers=min(n, len(items))) as pool:
-        return list(pool.map(lambda args: fn(*args), items))
-
-
 # ---------------------------------------------------------------------------
 # coupled discretization
 # ---------------------------------------------------------------------------
 
 class JunctionDiscretization:
+    """K edge blocks and the node row of one junction problem.
+
+    The flat state z holds edge i's values u_{i,0..n_i-1} at
+    z[offsets[i]:offsets[i+1]] and the shared node value last."""
+
     def __init__(self, problem: JunctionProblem, cfl=0.9):
         self.problem = problem
         self.discs = [EdgeDiscretization(H, e, "external", cfl=cfl)
                       for H, e in zip(problem.hamiltonians, problem.edges)]
         self.cfl = cfl
-        self.h_min = min(e.h for e in problem.edges)
-        self.floor = problem.junction_condition.A \
-            if isinstance(problem.junction_condition, FluxLimited) else -np.inf
+        cond = problem.junction_condition
+        self.floor = cond.A if isinstance(cond, FluxLimited) else -np.inf
+        self.node_pin = cond.value if isinstance(cond, Dirichlet) else None
+        self._index()
+
+    def _index(self):
+        self.h_min = min(d.h for d in self.discs)
+        self.offsets = np.cumsum([0] + [d.edge.n_cells for d in self.discs])
+        self.size = int(self.offsets[-1]) + 1
+
+    def coarsened(self, factor):
+        """The same junction with every edge's cell count divided by factor."""
+        c = copy.copy(self)
+        c.discs = [d.coarsened(d.edge.n_cells // factor) for d in self.discs]
+        c._index()
+        return c
+
+    # -- flat state -----------------------------------------------------------
+
+    def split(self, z):
+        """Per-edge value arrays, each ending with the node value."""
+        return [np.append(z[a:b], z[-1])
+                for a, b in zip(self.offsets[:-1], self.offsets[1:])]
+
+    def join(self, us, u0):
+        return np.concatenate([u[:-1] for u in us] + [[u0]])
+
+    def pin(self, z):
+        """Assign the pinned values (Dirichlet far ends and node) in place."""
+        for d, a in zip(self.discs, self.offsets):
+            if isinstance(d.edge.far_bc, Dirichlet):
+                z[a] = d.edge.far_bc.value
+        if self.node_pin is not None:
+            z[-1] = self.node_pin
+        return z
+
+    def interpolate(self, coarse, zc):
+        """A state of the coarser system carried to this one's grids."""
+        us = [np.interp(d.x, dc.x, u) for d, dc, u in
+              zip(self.discs, coarse.discs, coarse.split(zc))]
+        return self.pin(self.join(us, zc[-1]))
+
+    # -- residuals --------------------------------------------------------------
 
     def node_residual(self, us, u0):
-        """R0 = u0 + max(A, max_i envelope-min_i(p_in_i)) and the node theta."""
+        """R0 = u0 + max(A, max_i envelope-min_i(p_in_i)) and the node theta;
+        a pinned node reports zero for both."""
+        if self.node_pin is not None:
+            return 0.0, 0.0
         worst = self.floor
         th0 = 0.0
         for d, u in zip(self.discs, us):
@@ -198,134 +241,257 @@ class JunctionDiscretization:
     def max_residual(self, Rs, r0):
         return max(abs(r0), max(float(np.max(np.abs(R))) for R in Rs))
 
+    def linearization(self, z, thetas):
+        """Lax-Friedrichs residual of the flat state at fixed thetas, with
+        unclamped slopes, and its sparse arrowhead Jacobian. The node row
+        differentiates the active edge's envelope; when the limiter A binds
+        only its diagonal remains."""
+        us = self.split(z)
+        N = self.size - 1
+        R = np.zeros(self.size)
+        slope, active = 0.0, None
+        if self.node_pin is None:
+            best = self.floor
+            for i, (d, u) in enumerate(zip(self.discs, us)):
+                e, de = _value_and_slope(lambda q, x: d.env_node(q),
+                                         (z[-1] - u[-2]) / d.h, 0.0)
+                if e > best:
+                    best, active, slope = float(e), i, float(de) / d.h
+            R[N] = z[-1] + best
+        rows, cols, vals = [[N]], [[N]], [[1.0 + slope]]
+        if active is not None:
+            rows.append([N])
+            cols.append([self.offsets[active + 1] - 1])
+            vals.append([-slope])
+        for d, u, th, a in zip(self.discs, us, thetas, self.offsets):
+            Ri, sub, diag, sup = d.lf_linearization(u, th)
+            idx = a + np.arange(len(Ri))
+            R[idx] = Ri
+            up = idx + 1
+            up[-1] = N
+            rows += [idx[1:], idx, idx]
+            cols += [idx[1:] - 1, idx, up]
+            vals += [sub[1:], diag, sup]
+        J = sp.csc_matrix((np.concatenate(vals),
+                           (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(self.size, self.size))
+        return R, J
 
-def _junction_driver(problem, params, init=None):
-    """Jacobi relaxation over all edges plus the node row, with the same
-    stiffness fallback to Godunov Gauss-Seidel sweeps as the edge driver."""
-    t0 = time.perf_counter()
-    jd = JunctionDiscretization(problem, cfl=params.cfl)
-    K = problem.k
 
-    if init is None:
-        start = min(_default_init(H, d.x)
-                    for H, d in zip(problem.hamiltonians, jd.discs))
-        if isinstance(problem.junction_condition, FluxLimited):
-            start = min(start, -problem.junction_condition.A - 0.5)
-        for e in problem.edges:
-            if isinstance(e.far_bc, Dirichlet):
-                start = min(start, e.far_bc.value)
-        us = [np.full(e.n_cells + 1, start) for e in problem.edges]
-        u0 = start
-    else:
-        us = [g.values.copy() for g in init.per_edge]
-        u0 = init.node_value
-    for e, d, u in zip(problem.edges, jd.discs, us):
+# ---------------------------------------------------------------------------
+# the driver
+# ---------------------------------------------------------------------------
+
+def _default_init(H, x):
+    return float(-np.max(np.asarray(H(np.zeros_like(x), x))) - 0.5)
+
+
+def _start_state(jd, problem, init):
+    """init (per-edge value arrays) or a constant below the solution, with
+    the pinned values assigned."""
+    if init is not None:
+        return jd.pin(jd.join(init, float(init[0][-1])))
+    start = min(_default_init(H, d.x)
+                for H, d in zip(problem.hamiltonians, jd.discs))
+    start = min(start, -jd.floor - 0.5)
+    for e in problem.edges:
         if isinstance(e.far_bc, Dirichlet):
-            u[0] = e.far_bc.value
-        u[-1] = u0
+            start = min(start, e.far_bc.value)
+    if jd.node_pin is not None:
+        start = min(start, jd.node_pin)
+    return jd.pin(np.full(jd.size, start))
 
-    it = 0
-    dt_min = 0.0
-    res = np.inf
-    ths = None
-    frozen = None
-    last_check = (0, np.inf)
-    use_sweeps = params.method == "sweep"
-    flux_used = "lax_friedrichs"
 
-    if not use_sweeps:
-        while it < params.max_iters:
-            th_list = None if frozen is None else frozen[0]
-            Rs, r0, ths, th0 = jd.residuals(us, u0, thetas=th_list)
-            if frozen is not None:
-                th0 = frozen[1]
-            res = jd.max_residual(Rs, r0)
-            if res <= params.tol:
-                break
-            dts = []
-            for d, u, R, th in zip(jd.discs, us, Rs, ths):
-                dt = params.cfl * d.h / (th + d.h)
-                u -= dt * R
-                active = ~d.pinned
-                dts.append(float(dt[active].min()) if active.any() else 1.0)
-            dt0 = params.cfl * jd.h_min / (th0 + jd.h_min)
-            u0 = u0 - dt0 * r0
-            for u in us:
-                u[-1] = u0
-            dt_min = min(min(dts), dt0)
-            it += 1
-            if frozen is None and res < 1e-3:
-                frozen = ([t * 1.02 + 0.01 for t in ths], th0 * 1.02 + 0.01)
-            elif frozen is not None and res > 1e-2:
-                frozen = None
-            if params.method == "auto" and it % params.switch_after == 0:
-                it0, res0 = last_check
-                last_check = (it, res)
-                if not np.isfinite(res0):
-                    continue
-                rate = (res / res0) ** (1.0 / (it - it0))
-                projected = np.inf if rate >= 1.0 - 1e-12 else \
-                    it + np.log(params.tol / res) / np.log(rate)
-                if projected > params.projected_budget:
-                    use_sweeps = True
-                    break
-        if res <= params.tol and frozen is not None:
-            _, _, th_req, th0_req = jd.residuals(us, u0)
-            ok = all(np.all(f >= r - 1e-9)
-                     for f, r in zip(frozen[0], th_req))
-            if not ok or frozen[1] < th0_req - 1e-9:
-                frozen = None
-                use_sweeps = True  # rare; finish with the sweep phase
+def _newton(jd, z, tol, budget):
+    """Howard iterations on one system; returns (z, thetas, steps, status)
+    with status "converged", "max_iters" or "breakdown"."""
+    thetas = None
+    res_start = None
+    steps = 0
+    while True:
+        req = [d.required_theta(u) for d, u in zip(jd.discs, jd.split(z))]
+        if thetas is None:
+            thetas = [1.02 * r + 0.01 for r in req]
+        else:
+            thetas = [np.where(r > t, 1.02 * r + 0.01, t)
+                      for t, r in zip(thetas, req)]
+        R, J = jd.linearization(z, thetas)
+        res = float(np.max(np.abs(R)))
+        if res_start is None:
+            res_start = res
+        if not np.isfinite(res) or \
+                res > BREAKDOWN_GROWTH * max(res_start, 1.0):
+            return z, thetas, steps, "breakdown"
+        if res <= tol:
+            return z, thetas, steps, "converged"
+        if steps >= budget:
+            return z, thetas, steps, "max_iters"
+        z = jd.pin(z + spla.spsolve(J, -R))
+        steps += 1
 
-    sweeps = 0
-    if params.method != "jacobi" and (use_sweeps or res > params.tol):
-        flux_used = "godunov"
+
+def _newton_cascade(jd, init, params):
+    """Newton on n/8, n/4, n/2 (levels with at least 8 cells per edge) and
+    n, each level started from the previous one's solution; a cold start
+    begins at the constant super-solution, a warm start (init) on the finest
+    grid. Returns (z, thetas, steps, levels, status)."""
+    factors = [] if init is not None else [
+        f for f in (8, 4, 2)
+        if all(d.edge.n_cells // f >= 8 for d in jd.discs)]
+    systems = [jd.coarsened(f) for f in factors] + [jd]
+    if init is None:
         lift = max(d.super_level for d in jd.discs)
-        for d, u in zip(jd.discs, us):
-            u[:] = np.where(d.pinned, u, np.maximum(u, lift))
-        u0 = max(u0, lift)
+        z = systems[0].pin(np.full(systems[0].size, lift))
+    else:
+        z = _start_state(jd, jd.problem, init)
+    levels = []
+    total = 0
+    for k, s in enumerate(systems):
+        if k:
+            z = s.interpolate(systems[k - 1], z)
+        tol = params.tol if s is jd else max(params.tol, COARSE_TOL)
+        z, thetas, steps, status = _newton(s, z, tol, params.max_iters - total)
+        total += steps
+        levels.append((s.discs[0].edge.n_cells, steps))
+        if status == "breakdown":
+            break
+    return z, thetas, total, tuple(levels), status
+
+
+def _jacobi(jd, us, u0, params):
+    """Lax-Friedrichs pseudo-time over every edge and the node row. Once the
+    residual is small theta is frozen, so the update becomes a fixed map
+    (state-dependent theta can limit-cycle just above the tolerance); the
+    frozen values stand only if they cover the required theta. Returns
+    (us, u0, thetas, iterations, residual)."""
+    it = 0
+    frozen = None
+    while True:
+        Rs, r0, ths, th0 = jd.residuals(
+            us, u0, thetas=None if frozen is None else frozen[0])
+        if frozen is not None:
+            ths, th0 = frozen
+        res = jd.max_residual(Rs, r0)
+        if res <= params.tol:
+            if frozen is None:
+                return us, u0, ths, it, res
+            _, _, req, req0 = jd.residuals(us, u0)
+            if frozen[1] >= req0 - 1e-9 and all(
+                    np.all(f >= r - 1e-9) for f, r in zip(frozen[0], req)):
+                return us, u0, frozen[0], it, res
+            frozen = None
+            continue
+        if it >= params.max_iters:
+            return us, u0, ths, it, res
+        for d, u, R, th in zip(jd.discs, us, Rs, ths):
+            u -= params.cfl * d.h / (th + d.h) * R  # pinned rows carry R = 0
+        u0 -= params.cfl * jd.h_min / (th0 + jd.h_min) * r0
         for u in us:
             u[-1] = u0
-        best = np.inf
-        stall = 0
-        while sweeps < params.max_sweeps:
-            for d, u in zip(jd.discs, us):
-                d.gauss_seidel_sweep(u, params.tol, flux="godunov")
+        it += 1
+        if frozen is None and res < 1e-3:
+            frozen = ([t * 1.02 + 0.01 for t in ths], th0 * 1.02 + 0.01)
+        elif frozen is not None and res > 1e-2:
+            frozen = None
+
+
+def _sweeps(jd, us, u0, params):
+    """Godunov Gauss-Seidel sweeps from above the constant super-solution,
+    which they descend from. Returns (us, u0, sweeps, residual, flag) with
+    flag None, "sweep_stalled" or "max_iters" (max_sweeps reached)."""
+    lift = max(d.super_level for d in jd.discs)
+    z = jd.pin(np.maximum(jd.join(us, u0), lift))
+    us, u0 = jd.split(z), float(z[-1])
+    sweeps = 0
+    res = np.inf
+    best = np.inf
+    stall = 0
+    while sweeps < params.max_sweeps:
+        for d, u in zip(jd.discs, us):
+            d.gauss_seidel_sweep(u, params.tol)
+        if jd.node_pin is None:
             u0 = _solve_increasing(
                 lambda v: jd.node_residual(us, v)[0], u0, 0.1 * params.tol,
                 scale=jd.h_min)
             for u in us:
                 u[-1] = u0
-            sweeps += 1
-            Rs, r0, ths, _ = jd.residuals(us, u0, flux="godunov")
+        sweeps += 1
+        Rs, r0, _, _ = jd.residuals(us, u0, flux="godunov")
+        res = jd.max_residual(Rs, r0)
+        if res <= params.tol:
+            return us, u0, sweeps, res, None
+        if res < 0.999 * best:
+            best, stall = res, 0
+        else:
+            stall += 1
+            if stall >= 60:
+                return us, u0, sweeps, res, "sweep_stalled"
+    return us, u0, sweeps, res, "max_iters"
+
+
+def solve_system(problem, params=None, init=None):
+    """Solve the junction system of problem -- state-constraint,
+    flux-limited or Dirichlet node -- and report what was done.
+
+    method "auto" runs the Newton cascade when every Hamiltonian is convex
+    and the Godunov sweeps otherwise. A Newton breakdown (non-finite values,
+    a residual that grows by BREAKDOWN_GROWTH, or an answer whose clamped
+    residual misses the tolerance) hands the solve to the sweeps and flags
+    "newton_fallback". init, per-edge value arrays, warm-starts Newton on
+    the finest grid."""
+    params = params or SolverParams()
+    t0 = time.perf_counter()
+    jd = JunctionDiscretization(problem, cfl=params.cfl)
+    method = params.method
+    if method == "auto":
+        convex = all(H.flags.convex for H in problem.hamiltonians)
+        method = "newton" if convex else "godunov_sweep"
+    elif method == "sweep":
+        method = "godunov_sweep"
+    z = _start_state(jd, problem, init)
+    us, u0 = jd.split(z), float(z[-1])
+    flags = []
+    thetas = None
+    levels = ()
+    it = 0
+    res = np.inf
+    if method == "newton":
+        zn, thetas, it, levels, status = _newton_cascade(jd, init, params)
+        if status != "breakdown":
+            us_n, u0_n = jd.split(zn), float(zn[-1])
+            Rs, r0, _, _ = jd.residuals(us_n, u0_n, thetas=thetas)
             res = jd.max_residual(Rs, r0)
-            if res <= params.tol:
-                break
-            if res < 0.999 * best:
-                best, stall = res, 0
-            else:
-                stall += 1
-                if stall >= 60:
-                    break
+            if status == "max_iters":
+                flags.append("max_iters")
+            elif res > params.tol:
+                status = "breakdown"
+        if status == "breakdown":
+            flags.append("newton_fallback")
+            method = "newton+godunov_sweep"
+        else:
+            us, u0 = us_n, u0_n
+    elif method == "jacobi":
+        us, u0, thetas, it, res = _jacobi(jd, us, u0, params)
+        if res > params.tol:
+            flags.append("max_iters")
+    if method.endswith("godunov_sweep"):
+        us, u0, sweeps, res, flag = _sweeps(jd, us, u0, params)
+        it += sweeps
+        thetas = None
+        if flag:
+            flags.append(flag)
 
     grids = [GridFunction1D(u, e, "generic")
              for u, e in zip(us, problem.edges)]
-    sol = JunctionGridFunction(grids, float(u0))
-    name = "jacobi" if sweeps == 0 else (
-        "godunov_sweep" if it == 0 else "jacobi+godunov_sweep")
-    theta_rec = None
-    if flux_used == "lax_friedrichs":
-        theta_rec = frozen[0] if frozen is not None else ths
-    rep = JunctionSolveReport(
-        iterations=it + sweeps, final_residual=res, dt=dt_min,
-        converged=res <= params.tol, wall_time=time.perf_counter() - t0,
-        method=name, flux=flux_used, per_edge_theta=theta_rec)
-    flags = []
-    for g, H in zip(sol.per_edge, problem.hamiltonians):
+    for g, H in zip(grids, problem.hamiltonians):
         if g.discrete_lipschitz() > 2.0 * H.coercivity_bound + 1e-6:
             flags.append("lipschitz_exceeded")
-    rep.flags = tuple(flags)
-    return sol, rep
+    rep = SolveReport(
+        iterations=it, final_residual=res, converged=res <= params.tol,
+        wall_time=time.perf_counter() - t0, method=method,
+        flux="lax_friedrichs" if thetas is not None else "godunov",
+        flags=tuple(flags), theta=thetas, levels=levels)
+    return JunctionGridFunction(grids, float(u0)), rep
 
 
 def junction_scheme_residuals(sol, problem, report, cfl=0.9):
@@ -333,8 +499,7 @@ def junction_scheme_residuals(sol, problem, report, cfl=0.9):
     flux and dissipation coefficients recorded in its report."""
     jd = JunctionDiscretization(problem, cfl=cfl)
     us = [g.values for g in sol.per_edge]
-    Rs, r0, _, _ = jd.residuals(us, sol.node_value,
-                                thetas=report.per_edge_theta,
+    Rs, r0, _, _ = jd.residuals(us, sol.node_value, thetas=report.theta,
                                 flux=report.flux)
     return Rs, r0
 
@@ -349,7 +514,7 @@ def solve_junction_direct(problem, params=None):
     if not isinstance(problem.junction_condition, StateConstraint):
         raise ValueError("solve_junction_direct expects a state-constraint "
                          "junction condition")
-    return _junction_driver(problem, params or SolverParams())
+    return solve_system(problem, params)
 
 
 def solve_junction_constructive(problem, params=None, tie_tol=None):
@@ -358,15 +523,17 @@ def solve_junction_constructive(problem, params=None, tie_tol=None):
     Each edge's own constrained solution is computed first; the junction
     value is the smallest of their node values; edges whose node value
     exceeds it by more than tie_tol (default 2h) are re-solved with the
-    junction value as Dirichlet data."""
+    junction value as Dirichlet data. The re-solves start cold: from the
+    state-constraint solution Newton would move the policy switch a cell or
+    two per step."""
     if not isinstance(problem.junction_condition, StateConstraint):
         raise ValueError("solve_junction_constructive expects a "
                          "state-constraint junction condition")
+    t0 = time.perf_counter()
     params = params or SolverParams()
 
-    sc = _map_edges(
-        lambda H, e: solve_edge(H, e, StateConstraint(), params),
-        [(H, e) for H, e in zip(problem.hamiltonians, problem.edges)])
+    sc = [solve_edge(H, e, StateConstraint(), params)
+          for H, e in zip(problem.hamiltonians, problem.edges)]
     sc_values = [g.node_value for g, _ in sc]
     c_star = min(sc_values)
 
@@ -380,21 +547,19 @@ def solve_junction_constructive(problem, params=None, tie_tol=None):
             kept.values[-1] = c_star
             grids.append(kept)
         else:
-            gd, rd = solve_edge(H, e, Dirichlet(c_star), params,
-                                init=g.values, sc_value=v)
+            gd, rd = solve_edge(H, e, Dirichlet(c_star), params, sc_value=v)
             gd.values[-1] = c_star
             grids.append(gd)
             reports.append(rd)
 
     sol = JunctionGridFunction(grids, c_star)
-    rep = JunctionSolveReport(
+    rep = SolveReport(
         iterations=sum(r.iterations for r in reports),
         final_residual=max(r.final_residual for r in reports),
-        dt=min((r.dt for r in reports if r.dt), default=0.0),
         converged=all(r.converged for r in reports),
-        wall_time=sum(r.wall_time for r in reports),
+        wall_time=time.perf_counter() - t0,
         method="constructive",
-        flux=reports[0].flux,
+        flux="+".join(dict.fromkeys(r.flux for r in reports)),
         flags=tuple(f for r in reports for f in r.flags),
     )
     return sol, rep
@@ -411,7 +576,7 @@ def solve_flux_limited(problem, params=None):
             raise ValueError(
                 "flux-limited junction requires quasiconvex Hamiltonians "
                 f"with no flat parts, got {H.source}")
-    return _junction_driver(problem, params or SolverParams())
+    return solve_system(problem, params)
 
 
 # ---------------------------------------------------------------------------

@@ -304,3 +304,76 @@ class TestStiffJunction:
         solc, repc = jn.solve_junction_constructive(prob)
         assert repc.converged
         assert abs(jn.compare_grid_functions(sol, solc)) <= 5e-2
+
+
+class TestNewtonDriver:
+    """Newton on the Lax-Friedrichs scheme against the Jacobi reference;
+    abs_shift keeps theta constant, so both reach the same fixed point."""
+
+    @pytest.mark.parametrize("cs, far, cond", [
+        ((1.0,), ed.Neumann(0.0), ed.StateConstraint()),
+        ((1.0,), ed.Neumann(0.0), ed.Dirichlet(0.0)),
+        ((1.0,), ed.Dirichlet(0.5), ed.StateConstraint()),
+        ((1.0, 1.0), ed.StateConstraint(), ed.StateConstraint()),
+        ((1.0, 1.5), ed.Neumann(0.0), jn.FluxLimited(-0.5)),
+        ((1.0, 2.0, 3.0), ed.Neumann(0.0), ed.StateConstraint()),
+    ], ids=["k1-state-constraint", "k1-dirichlet-node", "k1-dirichlet-far",
+            "k2-state-constraint-far", "k2-flux-limited", "k3"])
+    def test_matches_jacobi(self, cs, far, cond):
+        e = ed.EdgeSpec(1.0, 100, far_bc=far)
+        hams = [hm.make_builtin("abs_shift", b=0.1 * i, c=c)
+                for i, c in enumerate(cs)]
+        prob = jn.JunctionProblem([e] * len(cs), hams, cond)
+        sol_n, rep_n = jn.solve_system(prob)
+        sol_j, rep_j = jn.solve_system(prob, ed.SolverParams(method="jacobi"))
+        assert rep_n.method == "newton" and rep_j.method == "jacobi"
+        assert rep_n.converged and rep_j.converged
+        assert rep_n.flux == rep_j.flux == "lax_friedrichs"
+        gap = max(float(np.max(np.abs(a.values - b.values)))
+                  for a, b in zip(sol_n.per_edge, sol_j.per_edge))
+        assert gap <= 1e-7
+
+    def test_cascade_leaves_little_to_the_finest_level(self, h_abs2, e400):
+        prob = jn.make_junction_problem(
+            [e400, e400], [hm.make_builtin("abs_shift", b=0.2, c=1.0),
+                           h_abs2], jn.FluxLimited(-0.7))
+        sol, rep = jn.solve_flux_limited(prob)
+        assert rep.converged
+        assert [n for n, _ in rep.levels] == [50, 100, 200, 400]
+        assert rep.levels[-1][1] <= 3
+        assert rep.iterations == sum(s for _, s in rep.levels)
+
+    def test_nonconvex_goes_straight_to_sweeps(self, monkeypatch):
+        def no_lax_friedrichs(*args, **kwargs):
+            raise AssertionError("a Lax-Friedrichs iteration ran")
+
+        residual = ed.EdgeDiscretization.residual
+
+        def godunov_only(self, u, theta=None, flux="lax_friedrichs"):
+            if flux != "godunov":
+                no_lax_friedrichs()
+            return residual(self, u, theta, flux)
+
+        monkeypatch.setattr(ed.EdgeDiscretization, "lf_linearization",
+                            no_lax_friedrichs)
+        monkeypatch.setattr(ed.EdgeDiscretization, "residual", godunov_only)
+        e = ed.EdgeSpec(1.0, 48, far_bc=ed.StateConstraint())
+        prob = jn.make_junction_problem(
+            [e, e], [hm.make_builtin("double_well", b=-2.0, c=0.0),
+                     hm.make_builtin("abs_shift", c=1.0)])
+        sol, rep = jn.solve_junction_direct(prob)
+        assert rep.converged
+        assert rep.flux == "godunov" and rep.method == "godunov_sweep"
+        assert rep.theta is None and rep.levels == ()
+
+    def test_breakdown_falls_back_to_sweeps(self, h_abs1, h_abs2,
+                                            monkeypatch):
+        monkeypatch.setattr(jn.spla, "spsolve",
+                            lambda J, b: np.full(len(b), np.nan))
+        e = ed.EdgeSpec(1.0, 32)
+        prob = jn.make_junction_problem([e, e], [h_abs1, h_abs2])
+        sol, rep = jn.solve_junction_direct(prob)
+        assert "newton_fallback" in rep.flags
+        assert rep.method == "newton+godunov_sweep"
+        assert rep.flux == "godunov" and rep.converged
+        assert sol.node_value == pytest.approx(1.0, abs=5e-2)
