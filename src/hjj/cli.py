@@ -165,30 +165,29 @@ def cmd_fatten2d(args, pf, out_dir, t0):
         raise ProblemValidationError(
             "fatten", "fatten2d run needs a fatten block")
     spacing = pf.fatten_h2_spacing
-    a1 = pf.problem.edges[0].length
-    a2 = pf.problem.edges[1].length
-    n_1d = max(e.n_cells for e in pf.problem.edges)
+    kw = dict(a1=pf.problem.edges[0].length, a2=pf.problem.edges[1].length,
+              n_1d=max(e.n_cells for e in pf.problem.edges),
+              params=ft.FatSolverParams(tol=args.tol,
+                                        max_iters=args.max_iters),
+              solver_params=_solver_params(args))
     if isinstance(spacing, tuple):
-        study = ft.fattening_study(pf.fatten_h2, pf.fatten_eps, a1=a1, a2=a2,
-                                   h2_over_eps=spacing[1], n_1d=n_1d)
+        kw["h2_over_eps"] = spacing[1]
     else:
         if spacing > min(pf.fatten_eps) / 4.0 + 1e-12:
             raise ProblemValidationError(
                 "fatten.h2", "too coarse for the smallest eps (need <= eps/4)")
-        # fixed spacing for every eps: run the study one eps at a time
-        recs = []
-        study = None
-        for eps in pf.fatten_eps:
-            part = ft.fattening_study(pf.fatten_h2, [eps], a1=a1, a2=a2,
-                                      h2_over_eps=spacing / eps, n_1d=n_1d)
-            recs.extend(part.records)
-            study = part
-        study.records = recs
+        kw["h2"] = spacing
+    study = ft.fattening_study(pf.fatten_h2, pf.fatten_eps, **kw)
     csv = os.path.join(out_dir, "fatten.csv")
     rp.write_fatten_csv(csv, study.records)
     report["csv_files"].append(os.path.basename(csv))
     report["fatten"] = rp.jsonable(study)
-    ok = all(r.converged for r in study.records)
+    report["flags"].extend(study.reference_flags)
+    for r in study.records:
+        report["flags"].extend(r.flags)
+    ok = (study.reference_converged
+          and all(r.converged for r in study.records)
+          and not _FAILURE_FLAGS.intersection(report["flags"]))
     return _finish(report, out_dir, t0, EXIT_OK if ok else EXIT_NOT_CONVERGED)
 
 

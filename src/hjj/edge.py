@@ -110,10 +110,11 @@ class SolveReport:
     iterations counts Newton steps over every cascade level, Jacobi
     iterations and Gauss-Seidel sweeps together; method names the driver
     ("newton", "jacobi", "godunov_sweep", "newton+godunov_sweep" after a
-    Newton breakdown, "constructive", "jacobi_2d") and flux the scheme whose
-    fixed point was reached. flags lists every cap, stall and fallback:
-    "max_iters", "sweep_stalled", "newton_fallback", "lipschitz_exceeded",
-    "dirichlet_not_attained".
+    Newton breakdown, "constructive", and for the 2-D tube "newton_2d" or
+    "newton_2d+jacobi_2d" after a Newton breakdown) and flux the scheme
+    whose fixed point was reached. flags lists every cap, stall and
+    fallback: "max_iters", "sweep_stalled", "newton_fallback",
+    "lipschitz_exceeded", "dirichlet_not_attained".
     """
 
     iterations: int
@@ -123,8 +124,9 @@ class SolveReport:
     method: str
     flux: str = "lax_friedrichs"
     flags: tuple = ()
-    # per-edge dissipation coefficients of the converged Lax-Friedrichs
-    # scheme, or None when the Godunov flux finished the solve
+    # dissipation coefficients of the converged Lax-Friedrichs scheme: one
+    # array per edge, or per slope direction for the 2-D tube; None when
+    # the Godunov flux finished the solve
     theta: Optional[list] = None
     # (cells of the first edge, Newton steps) per coarse-to-fine level
     levels: tuple = ()

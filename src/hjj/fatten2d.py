@@ -6,7 +6,21 @@ at the origin), and the pure state-constraint problem u + H(Du, x) = 0 is
 solved on the tube with a monotone scheme: 2-D Lax-Friedrichs inside, and at
 boundary cells each slope component whose outward neighbor is missing is
 replaced by the binding-test-slope minimization over the inward-admissible
-slope interval, exactly as in the 1-D boundary rows.
+slope interval, exactly as in the 1-D boundary rows. FatSystem.residual is
+the scheme's one definition.
+
+solve_fat_state_constraint reaches the scheme's fixed point by damped
+semismooth Newton (Howard's algorithm) at fixed theta. The 5-point Jacobian
+comes from 5-coloured central differences of the residual, projected onto
+M-matrices (positive off-diagonal entries dropped, the diagonal raised to
+1 + the sum of the off-diagonal magnitudes), because differences taken
+across a kink of H can otherwise leave negative diagonals. Each step
+backtracks on max|R|, measured against the largest of the last few
+residuals. theta is raised inside the loop whenever the iterate
+needs more (theta <- 1.02 theta_req + 0.01, never lowered) and recorded in
+the report. A breakdown -- non-finite residual, a line search that cannot
+decrease the residual, or NEWTON_STEPS_2D steps -- hands the solve to
+Jacobi pseudo-time from the constant start and flags "newton_fallback".
 
 Traces along the two axis gridlines approximate the 1-D junction solution
 built from the reduced Hamiltonians H1(p1, x1) = min_p2 H(p1, p2, x1, 0) and
@@ -20,6 +34,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy import ndimage
 
 from .edge import EdgeDiscretization, EdgeSpec, GridFunction1D, SolveReport
@@ -28,6 +44,17 @@ from .junction import make_junction_problem, solve_junction_direct
 
 N_RANGE_SAMPLES = 33
 N_CORNER_SAMPLES = 21
+# Newton steps before a 2-D solve counts as broken down
+NEWTON_STEPS_2D = 150
+# the line search halves the step down to this fraction, then gives up
+MIN_DAMPING = 1e-3
+# a step is accepted when it takes max|R| below the largest of the last
+# LINE_SEARCH_WINDOW residuals: the sampled ranged minima of boundary and
+# corner rows are sawtooth functions of the slopes, and requiring a strict
+# decrease at every step stalls a few cells short of the fixed point
+LINE_SEARCH_WINDOW = 8
+# central-difference step of the Jacobian columns
+FD_STEP = 1e-5
 
 
 @dataclass
@@ -140,7 +167,7 @@ class GridFunction2D:
 
 
 # ---------------------------------------------------------------------------
-# monotone relaxation on the masked grid
+# the monotone scheme on the masked grid
 # ---------------------------------------------------------------------------
 
 class FatSystem:
@@ -329,37 +356,122 @@ class FatSystem:
 
 @dataclass(frozen=True)
 class FatSolverParams:
+    """tol bounds max|R|; max_iters caps the Jacobi iterations of a
+    fallback and cfl is their pseudo-time step."""
+
     tol: float = 1e-7
     max_iters: int = 100_000
     cfl: float = 0.9
 
 
-def solve_fat_state_constraint(H2, dom, params=None, init=None):
-    """Pseudo-time relaxation of the 2-D state-constraint problem on the
-    tube; all boundary cells use the inward-admissible slope minimization."""
+def _jacobian(sys_, u, theta):
+    """Sparse 5-point Jacobian of the residual at fixed theta from central
+    differences, projected onto M-matrices. Colouring cell (I, J) by
+    (I + 2J) mod 5 gives the five cells of every stencil five distinct
+    colours, so one perturbation per colour yields every column."""
+    colour = (sys_.I + 2 * sys_.J) % 5
+    D = np.empty((5, sys_.count))
+    for c in range(5):
+        e = np.where(colour == c, FD_STEP, 0.0)
+        Rp, _ = sys_.residual(u + e, theta)
+        Rm, _ = sys_.residual(u - e, theta)
+        D[c] = (Rp - Rm) / (2.0 * FD_STEP)
+    k = np.arange(sys_.count)
+    rows, cols, vals = [], [], []
+    off_sum = np.zeros(sys_.count)
+    for nbr, shift in ((sys_.iE, 1), (sys_.iW, -1), (sys_.iN, 2),
+                       (sys_.iS, -2)):
+        has = nbr >= 0
+        v = np.minimum(D[(colour[has] + shift) % 5, k[has]], 0.0)
+        off_sum[has] -= v
+        rows.append(k[has])
+        cols.append(nbr[has])
+        vals.append(v)
+    rows.append(k)
+    cols.append(k)
+    vals.append(np.maximum(D[colour, k], 1.0 + off_sum))
+    return sp.csc_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(sys_.count, sys_.count))
+
+
+def _newton_2d(sys_, u, tol):
+    """Damped semismooth Newton at fixed theta; returns
+    (u, theta, steps, residual, converged) with converged False on a
+    breakdown."""
+    theta = (-np.inf, -np.inf)
+    history = []
+    while True:
+        _, req = sys_.residual(u)
+        theta = tuple(np.where(r > t, 1.02 * r + 0.01, t)
+                      for t, r in zip(theta, req))
+        R, _ = sys_.residual(u, theta)
+        res = float(np.max(np.abs(R)))
+        steps = len(history)
+        history.append(res)
+        if not np.isfinite(res):
+            return u, theta, steps, res, False
+        if res <= tol:
+            return u, theta, steps, res, True
+        if steps >= NEWTON_STEPS_2D:
+            return u, theta, steps, res, False
+        d = spla.spsolve(_jacobian(sys_, u, theta), -R)
+        ref = max(history[-LINE_SEARCH_WINDOW:])
+        lam = 1.0
+        while True:
+            u_try = u + lam * d
+            R_try, _ = sys_.residual(u_try, theta)
+            if float(np.max(np.abs(R_try))) < ref:
+                break
+            lam *= 0.5
+            if lam < MIN_DAMPING:
+                return u, theta, steps, res, False
+        u = u_try
+
+
+def _jacobi_2d(sys_, u, params):
+    """Jacobi pseudo-time on FatSystem.step, the reference driver and the
+    Newton fallback. Once the residual is small theta is frozen, so the
+    update becomes a fixed map; it thaws if the residual grows again.
+    Returns (u, theta, iterations, residual)."""
+    frozen = None
+    it = 0
+    while True:
+        u_new, R, ths = sys_.step(u, theta=frozen)
+        res = float(np.max(np.abs(R)))
+        if res <= params.tol or it >= params.max_iters:
+            return u, ths, it, res
+        u = u_new
+        it += 1
+        if frozen is None and res < 1e-3:
+            frozen = (ths[0] * 1.02 + 0.01, ths[1] * 1.02 + 0.01)
+        elif frozen is not None and res > 1e-2:
+            frozen = None
+
+
+def solve_fat_state_constraint(H2, dom, params=None):
+    """Solve the 2-D state-constraint problem on the tube (every boundary
+    cell uses the inward-admissible slope minimization) by damped
+    semismooth Newton, falling back to Jacobi pseudo-time from the constant
+    start on a breakdown. The report's method is "newton_2d" or
+    "newton_2d+jacobi_2d", its theta the per-cell (theta1, theta2) of the
+    converged scheme, and its flags name the fallback ("newton_fallback")
+    and a capped Jacobi run ("max_iters")."""
     params = params or FatSolverParams()
     t0 = time.perf_counter()
     sys_ = FatSystem(H2, dom, cfl=params.cfl)
-    u = sys_.default_init() if init is None else np.array(init, dtype=float)
-    res = np.inf
-    frozen = None
-    it = 0
-    while it < params.max_iters:
-        R, ths = sys_.residual(u, theta=frozen)
-        res = float(np.max(np.abs(R)))
-        if res <= params.tol:
-            break
-        th1 = np.where(np.isfinite(ths[0]), ths[0], 0.0)
-        th2 = np.where(np.isfinite(ths[1]), ths[1], 0.0)
-        dt = params.cfl * dom.h2 / (th1 + th2 + dom.h2)
-        u = u - dt * R
-        it += 1
-        if frozen is None and res < 1e-3:
-            frozen = (th1 * 1.02 + 0.01, th2 * 1.02 + 0.01)
-        elif frozen is not None and res > 1e-2:
-            frozen = None
-    rep = SolveReport(it, res, res <= params.tol,
-                      time.perf_counter() - t0, "jacobi_2d")
+    u, theta, it, res, ok = _newton_2d(sys_, sys_.default_init(), params.tol)
+    method = "newton_2d"
+    flags = []
+    if not ok:
+        flags.append("newton_fallback")
+        method = "newton_2d+jacobi_2d"
+        u, theta, jac_it, res = _jacobi_2d(sys_, sys_.default_init(), params)
+        it += jac_it
+        if res > params.tol:
+            flags.append("max_iters")
+    rep = SolveReport(it, res, res <= params.tol, time.perf_counter() - t0,
+                      method, flags=tuple(flags), theta=list(theta))
     return sys_.to_grid(u), rep
 
 
@@ -400,6 +512,8 @@ class FatteningRecord:
     node_super_residual: float
     converged: bool
     iterations: int
+    method: str
+    flags: tuple
 
 
 @dataclass
@@ -407,6 +521,9 @@ class FatteningReport:
     records: list
     reference_node_value: float
     reduced_sources: tuple
+    # the 1-D reference solve of the reduced Hamiltonians
+    reference_converged: bool
+    reference_flags: tuple
 
 
 def _trace_slope(g: GridFunction1D):
@@ -417,11 +534,14 @@ def _trace_slope(g: GridFunction1D):
 
 def fattening_study(H2, eps_list, a1=1.0, a2=1.0, h2_over_eps=0.125,
                     n_1d=400, params=None, reduce_resolution=129,
-                    solver_params=None):
+                    solver_params=None, h2=None):
     """Solve the fattened problem along a decreasing eps schedule and compare
     axis traces against the 1-D junction solution of the reduced
     Hamiltonians; records trace errors, reduced-equation residuals on the
-    traces, and the junction supersolution residual of the trace values."""
+    traces, and the junction supersolution residual of the trace values.
+    The 2-D grid spacing is eps * h2_over_eps, or h2 for every eps when
+    given. params configures the 2-D solves, solver_params the 1-D
+    reference."""
     eps_arr = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps_list must decrease strictly")
@@ -431,12 +551,11 @@ def fattening_study(H2, eps_list, a1=1.0, a2=1.0, h2_over_eps=0.125,
     prob = make_junction_problem(
         [EdgeSpec(a1, n_1d), EdgeSpec(a2, n_1d)], [H1r, H2r])
     u_hat, rep_hat = solve_junction_direct(prob, solver_params)
-    if not rep_hat.converged:
-        raise RuntimeError("reduced 1-D reference solve did not converge")
 
     records = []
     for eps in eps_arr:
-        dom = build_fat_domain(a1, a2, eps, eps * h2_over_eps)
+        dom = build_fat_domain(a1, a2, eps,
+                               eps * h2_over_eps if h2 is None else h2)
         u2, rep2 = solve_fat_state_constraint(H2, dom, params)
         traces = [extract_axis_trace(u2, dom, 1), extract_axis_trace(u2, dom, 2)]
 
@@ -459,6 +578,8 @@ def fattening_study(H2, eps_list, a1=1.0, a2=1.0, h2_over_eps=0.125,
             epsilon=eps, h2=dom.h2, node_value=float(node_val),
             trace_error=err, reduced_residuals=tuple(red_res),
             node_super_residual=node_super, converged=rep2.converged,
-            iterations=rep2.iterations))
+            iterations=rep2.iterations, method=rep2.method,
+            flags=rep2.flags))
     return FatteningReport(records, float(u_hat.node_value),
-                           (H1r.source, H2r.source))
+                           (H1r.source, H2r.source), rep_hat.converged,
+                           rep_hat.flags)

@@ -275,6 +275,7 @@ def run_verification(trials=200, seed=0):
         H2 = hm.max_form_2d(H["abs1"], H["abs2"])
         rep = ft.fattening_study(H2, [0.2], n_1d=100)
         r = rep.records[0]
+        assert rep.reference_converged
         assert r.converged and r.trace_error <= 0.1, r.trace_error
         assert r.node_super_residual >= -5e-2
 

@@ -251,6 +251,7 @@ def test_criterion_9_fattening():
                         hm.make_builtin("abs_shift", c=2.0))
     study = ft.fattening_study(H2, [0.2, 0.1], a1=1.0, a2=1.0,
                                h2_over_eps=0.125, n_1d=400)
+    assert study.reference_converged
     errs = [r.trace_error for r in study.records]
     assert all(r.converged for r in study.records)
     assert errs[1] <= 0.1

@@ -59,6 +59,9 @@ class TestSolve:
         dom = ft.build_fat_domain(1.0, 1.0, 0.2, 0.025)
         u2, rep = ft.solve_fat_state_constraint(H2_max, dom)
         assert rep.converged
+        # Newton lands on the constant at once; no O(1/h) crawl
+        assert rep.method == "newton_2d"
+        assert rep.iterations <= 2
         vals = u2.values[dom.mask]
         assert np.max(np.abs(vals - 1.0)) <= 1e-6
 
@@ -101,6 +104,56 @@ class TestSolve:
         assert u2.discrete_lipschitz() <= 2.0 * H2.coercivity_bound + 1e-6
 
 
+def _shifted_max_form():
+    return hm.max_form_2d(hm.make_builtin("abs_shift", b=0.3, c=1.0),
+                          hm.make_builtin("abs_shift", b=-0.2, c=1.5))
+
+
+def _x_dependent():
+    return hm.parse_expression_2d("max(abs(p1) - 1, abs(p2) - 2) + 0.3*x1")
+
+
+class TestNewtonDriver:
+    # non-degenerate fixtures: unlike the unshifted max forms, their
+    # solutions are not constant, so Newton has to iterate
+    @pytest.mark.parametrize("make_h", [_shifted_max_form, _x_dependent])
+    @pytest.mark.parametrize("eps", [0.2, 0.1])
+    def test_matches_jacobi(self, make_h, eps):
+        H2 = make_h()
+        dom = ft.build_fat_domain(1.0, 1.0, eps, eps / 8)
+        u2, rep = ft.solve_fat_state_constraint(H2, dom)
+        assert rep.converged
+        assert rep.method == "newton_2d"
+        assert "newton_fallback" not in rep.flags
+        sys_ = ft.FatSystem(H2, dom)
+        uj, _, _, res = ft._jacobi_2d(sys_, sys_.default_init(),
+                                      ft.FatSolverParams())
+        assert res <= 1e-7
+        assert np.max(np.abs(u2.values[dom.mask] - uj)) <= dom.h2 / 4
+
+    def test_converged_at_recorded_theta(self):
+        H2 = _shifted_max_form()
+        dom = ft.build_fat_domain(1.0, 1.0, 0.2, 0.025)
+        u2, rep = ft.solve_fat_state_constraint(H2, dom)
+        sys_ = ft.FatSystem(H2, dom)
+        u = u2.values[dom.mask]
+        R, _ = sys_.residual(u, theta=tuple(rep.theta))
+        assert np.max(np.abs(R)) <= 1e-7
+        _, req = sys_.residual(u)
+        for th, r in zip(rep.theta, req):
+            assert np.all(th >= r)
+
+    def test_forced_breakdown_falls_back(self, H2_max, monkeypatch):
+        monkeypatch.setattr(ft, "NEWTON_STEPS_2D", 0)
+        dom = ft.build_fat_domain(1.0, 1.0, 0.2, 0.05)
+        u2, rep = ft.solve_fat_state_constraint(H2_max, dom)
+        assert rep.converged
+        assert rep.method == "newton_2d+jacobi_2d"
+        assert rep.flags == ("newton_fallback",)
+        assert rep.iterations > 100
+        assert np.max(np.abs(u2.values[dom.mask] - 1.0)) <= 1e-6
+
+
 class TestTrace:
     def test_symmetric_traces_agree(self, h_abs1):
         H2 = hm.max_form_2d(h_abs1, h_abs1)
@@ -128,6 +181,7 @@ class TestTrace:
 class TestStudy:
     def test_max_form_convergence(self, H2_max):
         rep = ft.fattening_study(H2_max, [0.2, 0.1], n_1d=200)
+        assert rep.reference_converged
         errs = [r.trace_error for r in rep.records]
         assert errs[1] <= errs[0] + 1e-9
         assert errs[1] <= 0.1
@@ -141,12 +195,28 @@ class TestStudy:
         rep = ft.fattening_study(
             H2, [0.2], a1=0.5, a2=0.5, h2_over_eps=0.25, n_1d=160,
             solver_params=ed.SolverParams(method="sweep"))
+        assert rep.reference_converged
         r = rep.records[0]
         assert r.converged
         # traces obey their own reduced equations even though the joint
         # Hamiltonian is not the max of the reductions
         assert max(r.reduced_residuals) <= 0.1
         assert abs(r.node_value - rep.reference_node_value) <= 0.1
+
+    def test_fixed_spacing_matches_per_eps_studies(self, H2_max):
+        fixed = ft.fattening_study(H2_max, [0.2, 0.1], n_1d=100, h2=0.025)
+        for rec in fixed.records:
+            part = ft.fattening_study(H2_max, [rec.epsilon], n_1d=100,
+                                      h2_over_eps=0.025 / rec.epsilon)
+            (ref,) = part.records
+            assert rec.h2 == pytest.approx(0.025, abs=1e-12)
+            assert rec.method == ref.method and rec.flags == ref.flags
+            for name in ("h2", "node_value", "trace_error",
+                         "node_super_residual"):
+                assert getattr(rec, name) == pytest.approx(
+                    getattr(ref, name), abs=1e-12)
+            assert np.allclose(rec.reduced_residuals, ref.reduced_residuals,
+                               rtol=0.0, atol=1e-12)
 
     def test_eps_order_validated(self, H2_max):
         with pytest.raises(ValueError, match="decrease"):

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from hjj import cli
+from hjj import fatten2d as ft
 from hjj import reports as rp
 from hjj.problems import (
     ProblemValidationError,
@@ -35,6 +36,13 @@ def minimal_problem(**overrides):
     }
     data.update(overrides)
     return data
+
+
+def _max_form_fatten(eps_list, **spacing):
+    return {"hamiltonian2d": {"max_form": [
+                {"family": "abs_shift", "c": 1.0},
+                {"family": "abs_shift", "c": 2.0}]},
+            "eps_list": eps_list, **spacing}
 
 
 class TestHamiltonianSpecs:
@@ -247,6 +255,61 @@ class TestCliHeavySubcommands:
         rec = report["fatten"]["records"][0]
         assert rec["trace_error"] <= 0.1
         assert (out / "fatten.csv").read_text().startswith("epsilon,h2,")
+
+    def test_fatten2d_fixed_spacing_reports_methods(self, tmp_path):
+        data = minimal_problem(fatten=_max_form_fatten([0.2, 0.1], h2=0.025))
+        prob = tmp_path / "p.json"
+        write_problem(data, prob)
+        out = tmp_path / "out"
+        assert run_cli(["fatten2d", "--problem", str(prob),
+                        "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        recs = report["fatten"]["records"]
+        assert [r["epsilon"] for r in recs] == [0.2, 0.1]
+        assert all(r["h2"] == 0.025 for r in recs)
+        assert all(r["method"] == "newton_2d" for r in recs)
+        assert report["flags"] == []
+
+    def test_fatten2d_honours_tol_and_max_iters(self, tmp_path):
+        data = minimal_problem(
+            fatten=_max_form_fatten([0.2], h2_over_eps=0.25))
+        prob = tmp_path / "p.json"
+        write_problem(data, prob)
+        out = tmp_path / "out"
+        assert run_cli(["fatten2d", "--problem", str(prob), "--out", str(out),
+                        "--tol", "1e-300", "--max-iters", "3"]) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["tolerances"]["tol"] == 1e-300
+        (rec,) = report["fatten"]["records"]
+        assert not rec["converged"]
+        assert rec["method"] == "newton_2d+jacobi_2d"
+        assert "max_iters" in rec["flags"]
+        assert "max_iters" in report["flags"]
+        assert "newton_fallback" in report["flags"]
+
+    @pytest.mark.parametrize("max_iters, converged", [(3, False),
+                                                      (100000, True)])
+    def test_fatten2d_fails_on_2d_solve_alone(self, tmp_path, monkeypatch,
+                                              max_iters, converged):
+        # Newton breaks down at once, so the Jacobi fallback either hits the
+        # cap or converges with the newton_fallback flag; the 1-D reference
+        # converges cleanly in both cases
+        monkeypatch.setattr(ft, "NEWTON_STEPS_2D", 0)
+        data = minimal_problem(
+            fatten=_max_form_fatten([0.2], h2_over_eps=0.25))
+        prob = tmp_path / "p.json"
+        write_problem(data, prob)
+        out = tmp_path / "out"
+        assert run_cli(["fatten2d", "--problem", str(prob), "--out", str(out),
+                        "--max-iters", str(max_iters)]) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["fatten"]["reference_converged"]
+        assert report["fatten"]["reference_flags"] == []
+        (rec,) = report["fatten"]["records"]
+        assert rec["converged"] is converged
+        assert rec["method"] == "newton_2d+jacobi_2d"
+        assert ("max_iters" in rec["flags"]) is not converged
+        assert "newton_fallback" in report["flags"]
 
     def test_verify_subcommand(self, tmp_path, capsys):
         out = tmp_path / "out"
