@@ -10,7 +10,7 @@ the junction end x = 0 the admissible test slopes are q >= p_in =
 (u_n - u_{n-1})/h and the residual uses min over q in [p_in, P] of H(q, 0);
 at the far end the mirrored prefix envelope is used. Dirichlet rows pin the
 value; a Neumann row supplies a ghost slope. pseudo_time_step, the explicit
-relaxation u <- u - dt R with dt_j = cfl * h / (theta_j + h), defines the
+relaxation u <- u - dt R with dt_j = CFL * h / (theta_j + h), defines the
 scheme's monotonicity.
 
 This module holds the edge block of that system: its residual, the
@@ -39,6 +39,8 @@ from .hamiltonians import (
 )
 
 THETA_PAD = 1.0
+# Courant number of the pseudo-time step
+CFL = 0.9
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +109,16 @@ class GridFunction1D:
 class SolveReport:
     """What one solve did.
 
-    iterations counts Newton steps over every cascade level, Jacobi
-    iterations and Gauss-Seidel sweeps together; method names the driver
-    ("newton", "jacobi", "godunov_sweep", "newton+godunov_sweep" after a
-    Newton breakdown, "constructive", and for the 2-D tube "newton_2d" or
-    "newton_2d+jacobi_2d" after a Newton breakdown) and flux the scheme
-    whose fixed point was reached. flags lists every cap, stall and
-    fallback: "max_iters", "sweep_stalled", "newton_fallback",
-    "lipschitz_exceeded", "dirichlet_not_attained".
+    iterations counts Newton steps over every cascade level or
+    continuation stage, Jacobi iterations and Gauss-Seidel sweeps together;
+    method names the driver ("newton", "jacobi", "godunov_sweep",
+    "newton+godunov_sweep" after a Newton breakdown, "constructive", and
+    for the 2-D tube "newton_2d" or "newton_2d+jacobi_2d" after a Newton
+    breakdown) and flux the scheme whose fixed point was reached
+    ("lax_friedrichs", "godunov", or "central" for the viscous system of
+    viscous.solve_viscous_kirchhoff, whose method is "newton"). flags lists
+    every cap, stall and fallback: "max_iters", "sweep_stalled",
+    "newton_fallback", "lipschitz_exceeded", "dirichlet_not_attained".
     """
 
     iterations: int
@@ -128,7 +132,8 @@ class SolveReport:
     # array per edge, or per slope direction for the 2-D tube; None when
     # the Godunov flux finished the solve
     theta: Optional[list] = None
-    # (cells of the first edge, Newton steps) per coarse-to-fine level
+    # (cells of the first edge, Newton steps) per coarse-to-fine level; for
+    # the viscous system (eps, Newton steps) per continuation stage
     levels: tuple = ()
 
 
@@ -140,14 +145,13 @@ class SolverParams:
     every Hamiltonian is convex and Gauss-Seidel sweeps with the Godunov
     flux otherwise; "jacobi" runs Lax-Friedrichs pseudo-time (the reference
     the tests compare Newton against); "sweep" forces the Godunov sweeps.
-    max_iters caps Newton steps or Jacobi iterations, max_sweeps the sweeps.
+    max_iters caps Newton steps or Jacobi iterations; junction.MAX_SWEEPS
+    caps the sweeps.
     """
 
     tol: float = 1e-8
     max_iters: int = 200_000
-    cfl: float = 0.9
     method: str = "auto"  # auto | jacobi | sweep
-    max_sweeps: int = 3000
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +197,10 @@ class EdgeDiscretization:
     node_bc may be Dirichlet, StateConstraint, or the string "external"
     (the junction solver owns the node row)."""
 
-    def __init__(self, H: Hamiltonian, edge: EdgeSpec, node_bc, cfl=0.9):
+    def __init__(self, H: Hamiltonian, edge: EdgeSpec, node_bc):
         self.H = H
         self.edge = edge
         self.node_bc = node_bc
-        self.cfl = cfl
         self.x = edge.grid()
         self.h = edge.h
         n = edge.n_cells
@@ -313,7 +316,7 @@ class EdgeDiscretization:
     def pseudo_time_step(self, u, theta=None):
         """One Jacobi relaxation step; returns (u_new, residual, dt_min)."""
         R, th = self.residual(u, theta=theta)
-        dt = self.cfl * self.h / (th + self.h)
+        dt = CFL * self.h / (th + self.h)
         u_new = u - dt * R
         u_new[self.pinned] = u[self.pinned]
         active = ~self.pinned

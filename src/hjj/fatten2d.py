@@ -38,7 +38,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy import ndimage
 
-from .edge import EdgeDiscretization, EdgeSpec, GridFunction1D, SolveReport
+from .edge import (
+    CFL,
+    EdgeDiscretization,
+    EdgeSpec,
+    GridFunction1D,
+    SolveReport,
+    node_slope,
+)
 from .hamiltonians import Hamiltonian2D, SlopeLipschitzTable, reduce_2d
 from .junction import make_junction_problem, solve_junction_direct
 
@@ -173,10 +180,9 @@ class GridFunction2D:
 class FatSystem:
     """Flat-indexed residual evaluation and pseudo-time stepping."""
 
-    def __init__(self, H2: Hamiltonian2D, dom: FatDomain, cfl=0.9):
+    def __init__(self, H2: Hamiltonian2D, dom: FatDomain):
         self.H2 = H2
         self.dom = dom
-        self.cfl = cfl
         m = dom.mask
         n1, n2 = m.shape
         ids = -np.ones((n1 + 2, n2 + 2), dtype=int)
@@ -340,7 +346,7 @@ class FatSystem:
         R, (th1, th2) = self.residual(u, theta=theta)
         th1 = np.where(np.isfinite(th1), th1, 0.0)
         th2 = np.where(np.isfinite(th2), th2, 0.0)
-        dt = self.cfl * self.dom.h2 / (th1 + th2 + self.dom.h2)
+        dt = CFL * self.dom.h2 / (th1 + th2 + self.dom.h2)
         return u - dt * R, R, (th1, th2)
 
     def default_init(self):
@@ -357,11 +363,10 @@ class FatSystem:
 @dataclass(frozen=True)
 class FatSolverParams:
     """tol bounds max|R|; max_iters caps the Jacobi iterations of a
-    fallback and cfl is their pseudo-time step."""
+    fallback."""
 
     tol: float = 1e-7
     max_iters: int = 100_000
-    cfl: float = 0.9
 
 
 def _jacobian(sys_, u, theta):
@@ -459,7 +464,7 @@ def solve_fat_state_constraint(H2, dom, params=None):
     and a capped Jacobi run ("max_iters")."""
     params = params or FatSolverParams()
     t0 = time.perf_counter()
-    sys_ = FatSystem(H2, dom, cfl=params.cfl)
+    sys_ = FatSystem(H2, dom)
     u, theta, it, res, ok = _newton_2d(sys_, sys_.default_init(), params.tol)
     method = "newton_2d"
     flags = []
@@ -526,15 +531,8 @@ class FatteningReport:
     reference_flags: tuple
 
 
-def _trace_slope(g: GridFunction1D):
-    v = g.values
-    h = g.edge.h
-    return float((3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h))
-
-
 def fattening_study(H2, eps_list, a1=1.0, a2=1.0, h2_over_eps=0.125,
-                    n_1d=400, params=None, reduce_resolution=129,
-                    solver_params=None, h2=None):
+                    n_1d=400, params=None, solver_params=None, h2=None):
     """Solve the fattened problem along a decreasing eps schedule and compare
     axis traces against the 1-D junction solution of the reduced
     Hamiltonians; records trace errors, reduced-equation residuals on the
@@ -546,8 +544,8 @@ def fattening_study(H2, eps_list, a1=1.0, a2=1.0, h2_over_eps=0.125,
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps_list must decrease strictly")
 
-    H1r = reduce_2d(H2, 1, resolution=reduce_resolution)
-    H2r = reduce_2d(H2, 2, resolution=reduce_resolution)
+    H1r = reduce_2d(H2, 1)
+    H2r = reduce_2d(H2, 2)
     prob = make_junction_problem(
         [EdgeSpec(a1, n_1d), EdgeSpec(a2, n_1d)], [H1r, H2r])
     u_hat, rep_hat = solve_junction_direct(prob, solver_params)
@@ -572,7 +570,7 @@ def fattening_study(H2, eps_list, a1=1.0, a2=1.0, h2_over_eps=0.125,
             red_res.append(float(np.max(np.abs(R[1:-1]))))
 
         node_val = traces[0].values[-1]
-        s1, s2 = _trace_slope(traces[0]), _trace_slope(traces[1])
+        s1, s2 = node_slope(traces[0]), node_slope(traces[1])
         node_super = float(node_val + H2(s1, s2, 0.0, 0.0))
         records.append(FatteningRecord(
             epsilon=eps, h2=dom.h2, node_value=float(node_val),

@@ -49,6 +49,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .edge import (
+    CFL,
     Dirichlet,
     EdgeDiscretization,
     GridFunction1D,
@@ -73,6 +74,8 @@ COARSE_TOL = 1e-6
 # a residual this many times above its value at the level start (or 1) is
 # a Newton breakdown
 BREAKDOWN_GROWTH = 1e6
+# Gauss-Seidel sweeps before the sweep driver gives up with "max_iters"
+MAX_SWEEPS = 3000
 
 
 @dataclass(frozen=True)
@@ -158,17 +161,31 @@ class NodeDiagnostics:
 # coupled discretization
 # ---------------------------------------------------------------------------
 
-class JunctionDiscretization:
-    """K edge blocks and the node row of one junction problem.
+class FlatLayout:
+    """The flat state z of a junction system: edge i's values
+    u_{i,0..n_i-1} at z[offsets[i]:offsets[i+1]] and the shared node value
+    last."""
 
-    The flat state z holds edge i's values u_{i,0..n_i-1} at
-    z[offsets[i]:offsets[i+1]] and the shared node value last."""
+    def lay_out(self, edges):
+        self.offsets = np.cumsum([0] + [e.n_cells for e in edges])
+        self.size = int(self.offsets[-1]) + 1
 
-    def __init__(self, problem: JunctionProblem, cfl=0.9):
+    def split(self, z):
+        """Per-edge value arrays, each ending with the node value."""
+        return [np.append(z[a:b], z[-1])
+                for a, b in zip(self.offsets[:-1], self.offsets[1:])]
+
+    def join(self, us, u0):
+        return np.concatenate([u[:-1] for u in us] + [[u0]])
+
+
+class JunctionDiscretization(FlatLayout):
+    """K edge blocks and the node row of one junction problem."""
+
+    def __init__(self, problem: JunctionProblem):
         self.problem = problem
-        self.discs = [EdgeDiscretization(H, e, "external", cfl=cfl)
+        self.discs = [EdgeDiscretization(H, e, "external")
                       for H, e in zip(problem.hamiltonians, problem.edges)]
-        self.cfl = cfl
         cond = problem.junction_condition
         self.floor = cond.A if isinstance(cond, FluxLimited) else -np.inf
         self.node_pin = cond.value if isinstance(cond, Dirichlet) else None
@@ -176,8 +193,7 @@ class JunctionDiscretization:
 
     def _index(self):
         self.h_min = min(d.h for d in self.discs)
-        self.offsets = np.cumsum([0] + [d.edge.n_cells for d in self.discs])
-        self.size = int(self.offsets[-1]) + 1
+        self.lay_out([d.edge for d in self.discs])
 
     def coarsened(self, factor):
         """The same junction with every edge's cell count divided by factor."""
@@ -187,14 +203,6 @@ class JunctionDiscretization:
         return c
 
     # -- flat state -----------------------------------------------------------
-
-    def split(self, z):
-        """Per-edge value arrays, each ending with the node value."""
-        return [np.append(z[a:b], z[-1])
-                for a, b in zip(self.offsets[:-1], self.offsets[1:])]
-
-    def join(self, us, u0):
-        return np.concatenate([u[:-1] for u in us] + [[u0]])
 
     def pin(self, z):
         """Assign the pinned values (Dirichlet far ends and node) in place."""
@@ -384,8 +392,8 @@ def _jacobi(jd, us, u0, params):
         if it >= params.max_iters:
             return us, u0, ths, it, res
         for d, u, R, th in zip(jd.discs, us, Rs, ths):
-            u -= params.cfl * d.h / (th + d.h) * R  # pinned rows carry R = 0
-        u0 -= params.cfl * jd.h_min / (th0 + jd.h_min) * r0
+            u -= CFL * d.h / (th + d.h) * R  # pinned rows carry R = 0
+        u0 -= CFL * jd.h_min / (th0 + jd.h_min) * r0
         for u in us:
             u[-1] = u0
         it += 1
@@ -398,7 +406,7 @@ def _jacobi(jd, us, u0, params):
 def _sweeps(jd, us, u0, params):
     """Godunov Gauss-Seidel sweeps from above the constant super-solution,
     which they descend from. Returns (us, u0, sweeps, residual, flag) with
-    flag None, "sweep_stalled" or "max_iters" (max_sweeps reached)."""
+    flag None, "sweep_stalled" or "max_iters" (MAX_SWEEPS reached)."""
     lift = max(d.super_level for d in jd.discs)
     z = jd.pin(np.maximum(jd.join(us, u0), lift))
     us, u0 = jd.split(z), float(z[-1])
@@ -406,7 +414,7 @@ def _sweeps(jd, us, u0, params):
     res = np.inf
     best = np.inf
     stall = 0
-    while sweeps < params.max_sweeps:
+    while sweeps < MAX_SWEEPS:
         for d, u in zip(jd.discs, us):
             d.gauss_seidel_sweep(u, params.tol)
         if jd.node_pin is None:
@@ -441,7 +449,7 @@ def solve_system(problem, params=None, init=None):
     the finest grid."""
     params = params or SolverParams()
     t0 = time.perf_counter()
-    jd = JunctionDiscretization(problem, cfl=params.cfl)
+    jd = JunctionDiscretization(problem)
     method = params.method
     if method == "auto":
         convex = all(H.flags.convex for H in problem.hamiltonians)
@@ -494,10 +502,10 @@ def solve_system(problem, params=None, init=None):
     return JunctionGridFunction(grids, float(u0)), rep
 
 
-def junction_scheme_residuals(sol, problem, report, cfl=0.9):
+def junction_scheme_residuals(sol, problem, report):
     """Re-evaluate the discrete residuals of a junction solution with the
     flux and dissipation coefficients recorded in its report."""
-    jd = JunctionDiscretization(problem, cfl=cfl)
+    jd = JunctionDiscretization(problem)
     us = [g.values for g in sol.per_edge]
     Rs, r0, _, _ = jd.residuals(us, sol.node_value, thetas=report.theta,
                                 flux=report.flux)
@@ -517,15 +525,14 @@ def solve_junction_direct(problem, params=None):
     return solve_system(problem, params)
 
 
-def solve_junction_constructive(problem, params=None, tie_tol=None):
+def solve_junction_constructive(problem, params=None):
     """State-constraint junction solution assembled from per-edge solves.
 
     Each edge's own constrained solution is computed first; the junction
     value is the smallest of their node values; edges whose node value
-    exceeds it by more than tie_tol (default 2h) are re-solved with the
-    junction value as Dirichlet data. The re-solves start cold: from the
-    state-constraint solution Newton would move the policy switch a cell or
-    two per step."""
+    exceeds it by more than 2h are re-solved with the junction value as
+    Dirichlet data. The re-solves start cold: from the state-constraint
+    solution Newton would move the policy switch a cell or two per step."""
     if not isinstance(problem.junction_condition, StateConstraint):
         raise ValueError("solve_junction_constructive expects a "
                          "state-constraint junction condition")
@@ -541,8 +548,7 @@ def solve_junction_constructive(problem, params=None, tie_tol=None):
     reports = [rep for _, rep in sc]
     for (g, rep), H, e, v in zip(sc, problem.hamiltonians, problem.edges,
                                  sc_values):
-        tt = 2.0 * e.h if tie_tol is None else tie_tol
-        if v - c_star <= tt:
+        if v - c_star <= 2.0 * e.h:
             kept = g.copy()
             kept.values[-1] = c_star
             grids.append(kept)

@@ -7,28 +7,56 @@ For a diffusion strength eps > 0 the system
 
 is discretized with central differences inside the edges and a second-order
 one-sided stencil for the junction slope sum (first-order stencils pollute
-the O(eps) boundary layer). The nonlinear system is solved by damped Newton
-with an analytically assembled sparse Jacobian whose dH/dp entries come from
-finite differences on the slope argument (step 1e-7 (1 + |p|), tolerant of
-kinked Hamiltonians), warm-started by a continuation that halves eps from
-1.0 down to the target.
+the O(eps) boundary layer), on the flat state of junction.FlatLayout. The
+nonlinear system is solved by damped Newton with a sparse Jacobian assembled
+from arrays; its dH/dp entries are the central differences of
+edge._value_and_slope (step 1e-7 (1 + |p|), tolerant of kinked
+Hamiltonians). A cold start is warm-started by a continuation that halves
+eps from CONTINUATION_START down to the target; a stage that fails is
+retried once in four geometric steps from the last accepted eps. The solve
+returns the shared edge.SolveReport with method "newton", flux "central",
+levels (eps, Newton steps) per continuation stage, and the flag "max_iters"
+when a stage does not converge.
+
+The constants below are fixed: no caller tunes them.
+
+    NEWTON_TOL          max|R| at which a Newton stage stops
+    MAX_NEWTON          Newton steps per stage
+    DAMPING, MIN_STEP   the line search multiplies the step by DAMPING
+                        until max|R| decreases, down to MIN_STEP
+    CONTINUATION_START  first eps of a cold start
+    DELTA_SC            how close the extrapolated limit must come to the
+                        state-constraint value to select it
+    DELTA_KIRCHHOFF     how small the last junction slope sum must be for
+                        a Kirchhoff limit
 
 The vanishing-diffusion sweep records junction values and slopes per eps,
 extrapolates the limit, and classifies it: either the state-constraint
 junction value is recovered, or the limit sits strictly below it with a
-vanishing junction slope sum.
+vanishing junction slope sum. The state-constraint reference is solved by
+junction.solve_junction_direct and its convergence and flags are reported.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .edge import Dirichlet, GridFunction1D, StateConstraint
+from .edge import (
+    Dirichlet,
+    GridFunction1D,
+    SolveReport,
+    StateConstraint,
+    _value_and_slope,
+    node_slope,
+)
 from .junction import (
+    FlatLayout,
     JunctionGridFunction,
     JunctionProblem,
     solve_junction_direct,
@@ -39,29 +67,22 @@ KIRCHHOFF_LIMIT = "kirchhoff_limit"
 UNDETERMINED = "undetermined"
 NO_GUARANTEE = "no_guarantee"
 
+NEWTON_TOL = 1e-10
+MAX_NEWTON = 60
+DAMPING = 0.5
+MIN_STEP = 1.0 / 64
+CONTINUATION_START = 1.0
+DELTA_SC = 5e-2
+DELTA_KIRCHHOFF = 5e-2
+
 
 @dataclass(frozen=True)
 class ViscousParams:
     epsilon: float
-    newton_tol: float = 1e-10
-    max_newton: int = 60
-    damping_factor: float = 0.5
-    min_step: float = 1.0 / 64
-    continuation_start: float = 1.0
 
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-
-
-@dataclass
-class ViscousSolveReport:
-    iterations: int
-    final_residual: float
-    converged: bool
-    wall_time: float
-    stages: list = field(default_factory=list)
-    method: str = "newton"
 
 
 @dataclass
@@ -80,121 +101,100 @@ class VanishingViscosityReport:
     classification: str
     predicted_selection: str
     sc_reference: float
+    # the state-constraint reference solve; None when none was run
+    reference_converged: Optional[bool] = None
+    reference_flags: tuple = ()
 
 
 # ---------------------------------------------------------------------------
 # discrete system
 # ---------------------------------------------------------------------------
 
-class _ViscousSystem:
-    """Unknowns: edge i contributes u_{i,0..n_i-1}; the final unknown is the
-    shared junction value u0 = u_i(0) for every i."""
+class _ViscousSystem(FlatLayout):
+    """Central-difference rows of every edge (the far-end row first), and
+    the junction slope-sum row on the node value."""
 
     def __init__(self, problem: JunctionProblem):
-        self.problem = problem
-        self.offsets = []
-        off = 0
         for e in problem.edges:
             if isinstance(e.far_bc, StateConstraint):
                 raise ValueError(
                     "viscous solver supports dirichlet/neumann far ends only")
-            self.offsets.append(off)
-            off += e.n_cells
-        self.size = off + 1
-        self.grids = [e.grid() for e in problem.edges]
+        self.problem = problem
+        self.lay_out(problem.edges)
+        self.x = [e.grid()[1:-1] for e in problem.edges]
 
-    def edge_values(self, z, i):
-        e = self.problem.edges[i]
-        off = self.offsets[i]
-        ue = np.empty(e.n_cells + 1)
-        ue[:-1] = z[off:off + e.n_cells]
-        ue[-1] = z[-1]
-        return ue
+    def _blocks(self, z):
+        return zip(self.offsets, self.problem.edges, self.problem.hamiltonians,
+                   self.x, self.split(z))
 
     def residual(self, z, eps):
         R = np.empty(self.size)
         kirchhoff = 0.0
-        for i, (e, H) in enumerate(zip(self.problem.edges,
-                                       self.problem.hamiltonians)):
-            off = self.offsets[i]
-            n = e.n_cells
-            h = e.h
-            ue = self.edge_values(z, i)
-            x = self.grids[i]
-            p = (ue[2:] - ue[:-2]) / (2.0 * h)
-            R[off + 1:off + n] = (
-                -eps * (ue[2:] - 2.0 * ue[1:-1] + ue[:-2]) / h ** 2
-                + ue[1:-1] + np.asarray(H(p, x[1:-1]))
+        for a, e, H, x, u in self._blocks(z):
+            n, h = e.n_cells, e.h
+            p = (u[2:] - u[:-2]) / (2.0 * h)
+            R[a + 1:a + n] = (
+                -eps * (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h ** 2
+                + u[1:-1] + np.asarray(H(p, x))
             )
             far = e.far_bc
             if isinstance(far, Dirichlet):
-                R[off] = ue[0] - far.value
+                R[a] = u[0] - far.value
             else:
-                R[off] = (-3.0 * ue[0] + 4.0 * ue[1] - ue[2]) / (2.0 * h) \
+                R[a] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h) \
                     - far.slope
-            kirchhoff += (3.0 * ue[n] - 4.0 * ue[n - 1] + ue[n - 2]) / (2.0 * h)
+            kirchhoff += (3.0 * u[n] - 4.0 * u[n - 1] + u[n - 2]) / (2.0 * h)
         R[-1] = kirchhoff
         return R
 
     def jacobian(self, z, eps):
+        N = self.size - 1
         rows, cols, vals = [], [], []
-        node_col = self.size - 1
         node_diag = 0.0
-        for i, (e, H) in enumerate(zip(self.problem.edges,
-                                       self.problem.hamiltonians)):
-            off = self.offsets[i]
-            n = e.n_cells
-            h = e.h
-            ue = self.edge_values(z, i)
-            x = self.grids[i]
-            p = (ue[2:] - ue[:-2]) / (2.0 * h)
-            d = 1e-7 * (1.0 + np.abs(p))
-            dH = (np.asarray(H(p + d, x[1:-1]))
-                  - np.asarray(H(p - d, x[1:-1]))) / (2.0 * d)
-            diag = 2.0 * eps / h ** 2 + 1.0
-            lower = -eps / h ** 2 - dH / (2.0 * h)
-            upper = -eps / h ** 2 + dH / (2.0 * h)
-            for j in range(1, n):
-                r = off + j
-                rows.append(r), cols.append(off + j - 1), vals.append(lower[j - 1])
-                rows.append(r), cols.append(off + j), vals.append(diag)
-                c_up = node_col if j == n - 1 else off + j + 1
-                rows.append(r), cols.append(c_up), vals.append(upper[j - 1])
-            far = e.far_bc
-            if isinstance(far, Dirichlet):
-                rows.append(off), cols.append(off), vals.append(1.0)
+        for a, e, H, x, u in self._blocks(z):
+            n, h = e.n_cells, e.h
+            _, dH = _value_and_slope(H, (u[2:] - u[:-2]) / (2.0 * h), x)
+            idx = a + np.arange(1, n)
+            up = idx + 1
+            up[-1] = N
+            rows += [idx, idx, idx]
+            cols += [idx - 1, idx, up]
+            vals += [-eps / h ** 2 - dH / (2.0 * h),
+                     np.full(n - 1, 2.0 * eps / h ** 2 + 1.0),
+                     -eps / h ** 2 + dH / (2.0 * h)]
+            if isinstance(e.far_bc, Dirichlet):
+                rows.append([a]), cols.append([a]), vals.append([1.0])
             else:
-                for c, v in ((off, -3.0), (off + 1, 4.0), (off + 2, -1.0)):
-                    rows.append(off), cols.append(c), vals.append(v / (2.0 * h))
+                rows.append([a] * 3), cols.append([a, a + 1, a + 2])
+                vals.append(np.array([-3.0, 4.0, -1.0]) / (2.0 * h))
             # junction slope row
             node_diag += 3.0 / (2.0 * h)
-            rows.append(node_col), cols.append(off + n - 1), vals.append(-2.0 / h)
-            rows.append(node_col), cols.append(off + n - 2), vals.append(1.0 / (2.0 * h))
-        rows.append(node_col), cols.append(node_col), vals.append(node_diag)
-        return sp.csr_matrix((vals, (rows, cols)),
+            rows.append([N, N]), cols.append([a + n - 1, a + n - 2])
+            vals.append([-2.0 / h, 1.0 / (2.0 * h)])
+        rows.append([N]), cols.append([N]), vals.append([node_diag])
+        return sp.csr_matrix((np.concatenate(vals),
+                              (np.concatenate(rows), np.concatenate(cols))),
                              shape=(self.size, self.size))
 
-    def newton(self, z, eps, params: ViscousParams):
+    def newton(self, z, eps):
+        """Damped Newton at fixed eps; returns (z, res, iters, ok)."""
         res = float(np.max(np.abs(self.residual(z, eps))))
-        for it in range(params.max_newton):
-            if res <= params.newton_tol:
+        for it in range(MAX_NEWTON):
+            if res <= NEWTON_TOL:
                 return z, res, it, True
             J = self.jacobian(z, eps)
-            R = self.residual(z, eps)
-            step = spla.spsolve(J, -R)
+            step = spla.spsolve(J, -self.residual(z, eps))
             s = 1.0
-            accepted = False
-            while s >= params.min_step:
+            while s >= MIN_STEP:
                 z_try = z + s * step
                 res_try = float(np.max(np.abs(self.residual(z_try, eps))))
                 if res_try <= (1.0 - 1e-4 * s) * res:
                     z, res = z_try, res_try
-                    accepted = True
                     break
-                s *= params.damping_factor
-            if not accepted:
+                s *= DAMPING
+            else:
                 return z, res, it + 1, False
-        return z, res, params.max_newton, res <= params.newton_tol
+        return z, res, MAX_NEWTON, res <= NEWTON_TOL
 
 
 def _continuation_schedule(start, target):
@@ -211,71 +211,58 @@ def solve_viscous_kirchhoff(problem: JunctionProblem, params: ViscousParams,
                             init=None):
     """Solve the diffusion-regularized junction system at fixed eps.
 
-    Warm-started continuation halves eps from continuation_start down to the
-    target; a Newton stagnation retries the failed leg with quarter steps
-    (geometric) before giving up.
-    """
+    init, per-edge value arrays (each ending with the node value), is the
+    start of a single stage at the target eps. Without it the solve starts
+    from a constant and halves eps from CONTINUATION_START down to the
+    target. A stage that fails after an accepted one is retried in four
+    geometric steps from the last accepted eps; a failed retry or a failed
+    first stage ends the solve, flagged "max_iters"."""
     t0 = time.perf_counter()
     sys_ = _ViscousSystem(problem)
     if init is not None:
-        z = init.copy()
+        z = sys_.join(init, float(init[0][-1]))
         schedule = [params.epsilon]
     else:
         flat = float(np.mean([-float(H(0.0, 0.0))
                               for H in problem.hamiltonians]))
         z = np.full(sys_.size, flat)
-        for i, e in enumerate(problem.edges):
+        for a, e in zip(sys_.offsets, problem.edges):
             if isinstance(e.far_bc, Dirichlet):
-                z[sys_.offsets[i]] = e.far_bc.value
-        schedule = _continuation_schedule(params.continuation_start,
-                                          params.epsilon)
+                z[a] = e.far_bc.value
+        schedule = _continuation_schedule(CONTINUATION_START, params.epsilon)
 
+    # stages still to run, last first; a retry leg is not retried again
+    pending = [(eps, True) for eps in reversed(schedule)]
     stages = []
     total = 0
     eps_prev = None
-    i = 0
-    while i < len(schedule):
-        eps = schedule[i]
-        z_new, res, iters, ok = sys_.newton(z.copy(), eps, params)
+    flags = ()
+    while pending:
+        eps, may_retry = pending.pop()
+        z_new, res, iters, ok = sys_.newton(z.copy(), eps)
         total += iters
         if ok:
             z = z_new
             stages.append((eps, iters))
             eps_prev = eps
-            i += 1
-            continue
-        if eps_prev is None or eps_prev <= eps:
-            rep = ViscousSolveReport(total, res, False,
-                                     time.perf_counter() - t0, stages)
-            return _assemble(sys_, z_new), rep
-        # stagnation: refine this continuation leg with quarter steps
-        ratio = (eps / eps_prev) ** 0.25
-        refined = [eps_prev * ratio ** k for k in (1, 2, 3)] + [eps]
-        failed = False
-        for eps_r in refined:
-            z_new, res, iters, ok = sys_.newton(z.copy(), eps_r, params)
-            total += iters
-            if not ok:
-                failed = True
-                break
-            z = z_new
-            stages.append((eps_r, iters))
-            eps_prev = eps_r
-        if failed:
-            rep = ViscousSolveReport(total, res, False,
-                                     time.perf_counter() - t0, stages)
-            return _assemble(sys_, z_new), rep
-        i += 1
-
-    rep = ViscousSolveReport(total, float(np.max(np.abs(
-        sys_.residual(z, params.epsilon)))), True,
-        time.perf_counter() - t0, stages)
-    return _assemble(sys_, z), rep
+        elif not may_retry or eps_prev is None or eps_prev <= eps:
+            z, flags = z_new, ("max_iters",)
+            break
+        else:
+            ratio = (eps / eps_prev) ** 0.25
+            pending += [(eps, False)] + [(eps_prev * ratio ** k, False)
+                                         for k in (3, 2, 1)]
+    if not flags:
+        res = float(np.max(np.abs(sys_.residual(z, params.epsilon))))
+    return _assemble(sys_, z), SolveReport(
+        iterations=total, final_residual=res, converged=not flags,
+        wall_time=time.perf_counter() - t0, method="newton", flux="central",
+        flags=flags, levels=tuple(stages))
 
 
 def _assemble(sys_, z):
-    grids = [GridFunction1D(sys_.edge_values(z, i), e, "generic")
-             for i, e in enumerate(sys_.problem.edges)]
+    grids = [GridFunction1D(u, e, "generic")
+             for u, e in zip(sys_.split(z), sys_.problem.edges)]
     return JunctionGridFunction(grids, float(z[-1]))
 
 
@@ -284,22 +271,9 @@ def viscous_scheme_residual(sol: JunctionGridFunction,
     """Re-evaluate the discrete second-order system residual of a solution
     (interior rows, far rows, junction slope row) as one max-norm."""
     sys_ = _ViscousSystem(problem)
-    z = np.empty(sys_.size)
-    for i, e in enumerate(problem.edges):
-        z[sys_.offsets[i]:sys_.offsets[i] + e.n_cells] = \
-            sol.per_edge[i].values[:-1]
-    z[-1] = sol.node_value
+    z = sys_.join([g.values for g in sol.per_edge], sol.node_value)
     R = sys_.residual(z, epsilon)
     return float(np.max(np.abs(R))), float(abs(R[-1]))
-
-
-def _node_slopes(sol: JunctionGridFunction):
-    out = []
-    for g in sol.per_edge:
-        v = g.values
-        h = g.edge.h
-        out.append(float((3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -331,27 +305,26 @@ def richardson_extrapolate(records):
     return r2.node_value - slope * e2
 
 
-def classify_limit(report: VanishingViscosityReport, sc_value,
-                   delta_sc=5e-2, delta_kirchhoff=5e-2):
+def classify_limit(report: VanishingViscosityReport, sc_value):
     """Dichotomy verdict for a sweep: the limit either matches the
     state-constraint junction value or sits strictly below it with a
     vanishing junction slope sum; anything else is undetermined."""
     if len(report.records) < 3:
         raise ValueError("classification needs at least 3 sweep records")
     extrap = report.extrapolated_node_value
-    if abs(extrap - sc_value) <= delta_sc:
+    if abs(extrap - sc_value) <= DELTA_SC:
         return SELECTS_STATE_CONSTRAINT
-    if extrap < sc_value - delta_sc and \
-            abs(report.records[-1].kirchhoff_sum) <= delta_kirchhoff:
+    if extrap < sc_value - DELTA_SC and \
+            abs(report.records[-1].kirchhoff_sum) <= DELTA_KIRCHHOFF:
         return KIRCHHOFF_LIMIT
     return UNDETERMINED
 
 
-def epsilon_sweep(problem: JunctionProblem, eps_list, params=None,
-                  delta_sc=5e-2, delta_kirchhoff=5e-2, sc_reference=None):
+def epsilon_sweep(problem: JunctionProblem, eps_list):
     """Solve the regularized system along a decreasing eps schedule (each
     solve warm-starts the next), extrapolate the junction value, and
-    classify the limit against the state-constraint reference."""
+    classify the limit against the state-constraint reference, whose
+    convergence and flags the report carries."""
     eps_arr = [float(e) for e in eps_list]
     if len(eps_arr) < 3:
         raise ValueError("eps_list needs at least 3 entries")
@@ -362,42 +335,30 @@ def epsilon_sweep(problem: JunctionProblem, eps_list, params=None,
         raise ValueError(
             f"grid too coarse for smallest epsilon: need h <= {eps_arr[-1] / 4:g}")
 
-    base = params or ViscousParams(epsilon=eps_arr[0])
     records = []
-    z = None
-    sys_ = _ViscousSystem(problem)
-    for k, eps in enumerate(eps_arr):
-        p = ViscousParams(epsilon=eps, newton_tol=base.newton_tol,
-                          max_newton=base.max_newton,
-                          damping_factor=base.damping_factor,
-                          min_step=base.min_step,
-                          continuation_start=base.continuation_start)
-        sol, rep = solve_viscous_kirchhoff(problem, p, init=z)
+    init = None
+    for eps in eps_arr:
+        sol, rep = solve_viscous_kirchhoff(problem, ViscousParams(eps),
+                                           init=init)
         if not rep.converged:
             raise RuntimeError(f"viscous solve failed at eps={eps:g}")
-        z = np.empty(sys_.size)
-        for i, e in enumerate(problem.edges):
-            z[sys_.offsets[i]:sys_.offsets[i] + e.n_cells] = \
-                sol.per_edge[i].values[:-1]
-        z[-1] = sol.node_value
-        slopes = _node_slopes(sol)
+        init = [g.values for g in sol.per_edge]
+        slopes = tuple(node_slope(g) for g in sol.per_edge)
         records.append(SweepRecord(
             epsilon=eps, node_value=sol.node_value, slopes=slopes,
             kirchhoff_sum=float(sum(slopes)), newton_iters=rep.iterations))
 
-    if sc_reference is None:
-        sc_prob = JunctionProblem(problem.edges, problem.hamiltonians,
-                                  StateConstraint())
-        sc_sol, _ = solve_junction_direct(sc_prob)
-        sc_reference = sc_sol.node_value
-
+    sc_prob = JunctionProblem(problem.edges, problem.hamiltonians,
+                              StateConstraint())
+    sc_sol, sc_rep = solve_junction_direct(sc_prob)
     report = VanishingViscosityReport(
         records=records,
         extrapolated_node_value=richardson_extrapolate(records),
         classification=UNDETERMINED,
         predicted_selection=predict_selection(problem),
-        sc_reference=float(sc_reference),
+        sc_reference=float(sc_sol.node_value),
+        reference_converged=sc_rep.converged,
+        reference_flags=sc_rep.flags,
     )
-    report.classification = classify_limit(report, sc_reference,
-                                           delta_sc, delta_kirchhoff)
+    report.classification = classify_limit(report, report.sc_reference)
     return report

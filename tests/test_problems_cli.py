@@ -6,8 +6,10 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from hjj import cli
+from hjj import edge as ed
 from hjj import fatten2d as ft
 from hjj import reports as rp
+from hjj import viscous as vs
 from hjj.problems import (
     ProblemValidationError,
     hamiltonian2d_from_spec,
@@ -183,6 +185,29 @@ class TestCli:
         assert outs[0] == outs[1]
         report = json.loads((tmp_path / "a" / "report.json").read_text())
         assert report["sweep"]["classification"] == "selects_state_constraint"
+        assert report["sweep"]["reference_converged"]
+
+    def test_viscous_sweep_fails_on_reference(self, tmp_path, monkeypatch):
+        # a state-constraint reference capped at one Newton step still
+        # yields a classification, but the run must not pass
+        real = vs.solve_junction_direct
+        monkeypatch.setattr(
+            vs, "solve_junction_direct",
+            lambda problem, params=None: real(problem,
+                                              ed.SolverParams(max_iters=1)))
+        data = minimal_problem(viscous={"eps_list": [0.4, 0.2, 0.1]})
+        for e in data["edges"]:
+            e["far_bc"] = {"kind": "dirichlet", "value": 0.0}
+            e["hamiltonian"] = {"family": "abs_shift", "b": 0.0, "c": 1.0}
+        prob = tmp_path / "p.json"
+        write_problem(data, prob)
+        out = tmp_path / "out"
+        assert run_cli(["viscous-sweep", "--problem", str(prob),
+                        "--out", str(out)]) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["sweep"]["reference_converged"] is False
+        assert "max_iters" in report["sweep"]["reference_flags"]
+        assert "max_iters" in report["flags"]
 
     def test_convergence_subcommand(self, tmp_path):
         data = minimal_problem()

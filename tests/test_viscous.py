@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjj import edge as ed
 from hjj import hamiltonians as hm
@@ -28,6 +30,16 @@ def prob_quad_dirichlet():
     hq = hm.make_builtin("quadratic", b=1.0, c=1.0)
     e = ed.EdgeSpec(1.0, 400, far_bc=ed.Dirichlet(0.0))
     return jn.make_junction_problem([e, e], [hq, hq])
+
+
+@pytest.fixture(scope="module")
+def prob_quad_asymmetric():
+    # the symmetric quadratic junction is solved by its start (u = 0 is the
+    # exact discrete solution); unequal minimizers make Newton work
+    e = ed.EdgeSpec(1.0, 170, far_bc=ed.Dirichlet(0.0))
+    return jn.make_junction_problem(
+        [e, e], [hm.make_builtin("quadratic", b=1.0, c=1.0),
+                 hm.make_builtin("quadratic", b=0.5, c=1.0)])
 
 
 class TestSolveViscous:
@@ -72,6 +84,52 @@ class TestSolveViscous:
         with pytest.raises(ValueError):
             vs.ViscousParams(epsilon=-0.1)
 
+    def test_shared_solve_report(self, prob_quad_asymmetric):
+        sol, rep = vs.solve_viscous_kirchhoff(prob_quad_asymmetric,
+                                              vs.ViscousParams(0.2))
+        assert isinstance(rep, ed.SolveReport)
+        assert rep.converged and rep.flags == ()
+        assert rep.method == "newton"
+        assert rep.flux == "central"
+        assert rep.levels
+        assert rep.levels[-1][0] == 0.2
+        assert rep.iterations == sum(steps for _, steps in rep.levels)
+
+    def test_failed_stage_retried_in_quarter_steps(self, prob_quad_asymmetric,
+                                                   monkeypatch):
+        # the first Newton attempt at eps = 0.25 fails; the leg from 0.5 is
+        # retried in four geometric steps and the solve still converges
+        real = vs._ViscousSystem.newton
+        failed = []
+
+        def newton(self, z, eps):
+            if eps == 0.25 and not failed:
+                failed.append(eps)
+                return z, 1.0, 1, False
+            return real(self, z, eps)
+
+        monkeypatch.setattr(vs._ViscousSystem, "newton", newton)
+        sol, rep = vs.solve_viscous_kirchhoff(prob_quad_asymmetric,
+                                              vs.ViscousParams(0.2))
+        assert rep.converged and rep.flags == ()
+        eps = [e for e, _ in rep.levels]
+        r = 0.5 ** 0.25
+        assert eps[:2] == [1.0, 0.5]
+        assert eps[2:5] == pytest.approx([0.5 * r, 0.5 * r ** 2, 0.5 * r ** 3])
+        assert eps[5:] == [0.25, 0.2]
+        assert rep.iterations == 1 + sum(steps for _, steps in rep.levels)
+
+    def test_failed_solve_flags_max_iters(self, prob_quad_asymmetric,
+                                          monkeypatch):
+        monkeypatch.setattr(vs, "MAX_NEWTON", 1)
+        sol, rep = vs.solve_viscous_kirchhoff(prob_quad_asymmetric,
+                                              vs.ViscousParams(0.2))
+        assert not rep.converged
+        assert rep.flags == ("max_iters",)
+        assert rep.levels == ()
+        with pytest.raises(RuntimeError, match="eps=0.2"):
+            vs.epsilon_sweep(prob_quad_asymmetric, [0.2, 0.1, 0.05, 0.025])
+
 
 class TestSweep:
     def test_monotone_approach_to_state_constraint(self, sweep_abs):
@@ -113,6 +171,14 @@ class TestSweep:
         assert rep.classification == vs.KIRCHHOFF_LIMIT
         assert rep.extrapolated_node_value < rep.sc_reference - 0.05
         assert abs(rep.records[-1].kirchhoff_sum) <= 5e-2
+
+    def test_asymmetric_kirchhoff_branch(self, prob_quad_asymmetric):
+        rep = vs.epsilon_sweep(prob_quad_asymmetric, [0.2, 0.1, 0.05, 0.025])
+        assert all(r.newton_iters >= 1 for r in rep.records)
+        assert rep.classification == vs.KIRCHHOFF_LIMIT
+        assert rep.extrapolated_node_value < rep.sc_reference - 0.05
+        assert all(abs(r.kirchhoff_sum) <= 1e-8 for r in rep.records)
+        assert rep.reference_converged
 
     def test_trivial_single_edge_sweep(self, h_abs):
         e = ed.EdgeSpec(1.0, 200)
@@ -197,3 +263,41 @@ def test_continuation_schedule():
     assert sched[0] == 1.0 and sched[-1] == 0.1
     assert all(b < a for a, b in zip(sched, sched[1:]))
     assert vs._continuation_schedule(1.0, 2.0) == [2.0]
+
+
+@st.composite
+def _viscous_systems(draw):
+    """A K = 1..3 junction of smooth Hamiltonians, some x-dependent, with
+    Dirichlet or Neumann far ends, and a random state of its flat layout."""
+    edges, hams = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        far = draw(st.sampled_from([ed.Dirichlet(0.25), ed.Neumann(-0.5)]))
+        edges.append(ed.EdgeSpec(draw(st.floats(0.5, 2.0)),
+                                 draw(st.integers(8, 24)), far_bc=far))
+        b = draw(st.floats(0.0, 1.0))
+        c = draw(st.floats(0.0, 2.0))
+        family = draw(st.sampled_from(["quadratic", "double_well", "x"]))
+        if family == "x":
+            hams.append(hm.parse_expression(
+                f"(p - {b:.3f} * x)^2 + x * p - {c:.3f}"))
+        else:
+            hams.append(hm.make_builtin(family, b=b, c=c))
+    sys_ = vs._ViscousSystem(jn.JunctionProblem(edges, hams))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return sys_, rng.uniform(-1.0, 1.0, sys_.size), draw(st.floats(1e-3, 1.0))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(_viscous_systems())
+def test_jacobian_matches_residual_differences(case):
+    sys_, z, eps = case
+    J = sys_.jacobian(z, eps).toarray()
+    step = 1e-6
+    fd = np.empty_like(J)
+    for k in range(sys_.size):
+        dz = np.zeros(sys_.size)
+        dz[k] = step
+        fd[:, k] = (sys_.residual(z + dz, eps)
+                    - sys_.residual(z - dz, eps)) / (2.0 * step)
+    np.testing.assert_allclose(J, fd, rtol=1e-5,
+                               atol=1e-6 * float(np.max(np.abs(J))))
