@@ -155,9 +155,9 @@ def cmd_viscous_sweep(args, pf, out_dir, t0):
     rp.write_sweep_csv(csv, sweep.records)
     report["csv_files"].append(os.path.basename(csv))
     report["sweep"] = rp.jsonable(sweep)
-    report["flags"].extend(sweep.reference_flags)
+    report["flags"].extend(sweep.flags + sweep.reference_flags)
     rp.emit_plot_script(report, "sweep", out_dir)
-    ok = (sweep.reference_converged
+    ok = (sweep.failed_epsilon is None and sweep.reference_converged
           and not _FAILURE_FLAGS.intersection(report["flags"]))
     return _finish(report, out_dir, t0, EXIT_OK if ok else EXIT_NOT_CONVERGED)
 

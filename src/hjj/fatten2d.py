@@ -34,9 +34,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy import ndimage
 
 from .edge import (
     CFL,
@@ -104,10 +101,14 @@ def _rasterize(x1, x2, rects, h2):
     return mask
 
 
-def _validate_domain(dom):
-    labels, count = ndimage.label(dom.mask)
-    if count != 1:
+def _check_connected(mask):
+    from scipy import ndimage
+    if ndimage.label(mask)[1] != 1:
         raise ValueError("tube mask is not connected")
+
+
+def _validate_domain(dom):
+    _check_connected(dom.mask)
     # both segments' gridlines must lie inside the mask
     tol = 1e-9 * dom.h2
     j0 = int(np.argmin(np.abs(dom.x2)))
@@ -149,9 +150,7 @@ def build_rectangle_domain(a, epsilon, h2):
     x2 = _axis_coords(-e, e, h2)
     rects = [(-a, e / 2.0, -e / 2.0, e / 2.0)]
     dom = FatDomain(a, a, e, h2, x1, x2, _rasterize(x1, x2, rects, h2))
-    labels, count = ndimage.label(dom.mask)
-    if count != 1:
-        raise ValueError("tube mask is not connected")
+    _check_connected(dom.mask)
     return dom
 
 
@@ -374,6 +373,7 @@ def _jacobian(sys_, u, theta):
     differences, projected onto M-matrices. Colouring cell (I, J) by
     (I + 2J) mod 5 gives the five cells of every stencil five distinct
     colours, so one perturbation per colour yields every column."""
+    import scipy.sparse as sp
     colour = (sys_.I + 2 * sys_.J) % 5
     D = np.empty((5, sys_.count))
     for c in range(5):
@@ -404,6 +404,7 @@ def _newton_2d(sys_, u, tol):
     """Damped semismooth Newton at fixed theta; returns
     (u, theta, steps, residual, converged) with converged False on a
     breakdown."""
+    import scipy.sparse.linalg as spla
     theta = (-np.inf, -np.inf)
     history = []
     while True:

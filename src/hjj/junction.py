@@ -24,15 +24,15 @@ remaining edges are re-solved with that value as Dirichlet data.
 
 solve_system picks the driver. When every Hamiltonian is convex, the
 Lax-Friedrichs residual with theta held fixed is a maximum of affine maps
-whose Jacobians are M-matrices (K tridiagonal blocks bordered by the node
-row), and semismooth Newton -- Howard's policy iteration -- reaches its
-fixed point in a few sparse solves. A coarse-to-fine cascade (n/8, n/4,
-n/2, n) supplies the start, because from a constant the policy switch
-moves about two cells per step. theta is raised inside the iteration
-whenever the iterate needs more (theta <- 1.02 theta_req + 0.01, never
-lowered), so every linear system stays an M-matrix, and the report records
-it. A problem with a non-convex Hamiltonian goes to Gauss-Seidel sweeps
-with the Godunov flux, which is also where a Newton breakdown ends
+whose Jacobians are M-matrix arrowheads (K tridiagonal blocks bordered by
+the node row), and semismooth Newton -- Howard's policy iteration --
+reaches its fixed point in a few solve_arrowhead calls. A coarse-to-fine
+cascade (n/8, n/4, n/2, n) supplies the start, because from a constant the
+policy switch moves about two cells per step. theta is raised inside the
+iteration whenever the iterate needs more (theta <- 1.02 theta_req + 0.01,
+never lowered), so every linear system stays an M-matrix, and the report
+records it. A problem with a non-convex Hamiltonian goes to Gauss-Seidel
+sweeps with the Godunov flux, which is also where a Newton breakdown ends
 (flagged "newton_fallback"). Jacobi pseudo-time remains as the reference
 driver for explicit requests.
 """
@@ -45,8 +45,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .edge import (
     CFL,
@@ -251,13 +249,10 @@ class JunctionDiscretization(FlatLayout):
 
     def linearization(self, z, thetas):
         """Lax-Friedrichs residual of the flat state at fixed thetas, with
-        unclamped slopes, and its sparse arrowhead Jacobian. The node row
-        differentiates the active edge's envelope; when the limiter A binds
-        only its diagonal remains."""
+        unclamped slopes, and its Jacobian for solve_arrowhead. The node row
+        differentiates the active envelope; where A binds it is a unit row."""
         us = self.split(z)
-        N = self.size - 1
-        R = np.zeros(self.size)
-        slope, active = 0.0, None
+        r0, slope, active = 0.0, 0.0, None
         if self.node_pin is None:
             best = self.floor
             for i, (d, u) in enumerate(zip(self.discs, us)):
@@ -265,25 +260,57 @@ class JunctionDiscretization(FlatLayout):
                                          (z[-1] - u[-2]) / d.h, 0.0)
                 if e > best:
                     best, active, slope = float(e), i, float(de) / d.h
-            R[N] = z[-1] + best
-        rows, cols, vals = [[N]], [[N]], [[1.0 + slope]]
+            r0 = z[-1] + best
+        node_row = [{} for _ in self.discs]
         if active is not None:
-            rows.append([N])
-            cols.append([self.offsets[active + 1] - 1])
-            vals.append([-slope])
-        for d, u, th, a in zip(self.discs, us, thetas, self.offsets):
-            Ri, sub, diag, sup = d.lf_linearization(u, th)
-            idx = a + np.arange(len(Ri))
-            R[idx] = Ri
-            up = idx + 1
-            up[-1] = N
-            rows += [idx[1:], idx, idx]
-            cols += [idx[1:] - 1, idx, up]
-            vals += [sub[1:], diag, sup]
-        J = sp.csc_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(self.size, self.size))
-        return R, J
+            node_row[active] = {self.discs[active].edge.n_cells - 1: -slope}
+        lins = [d.lf_linearization(u, th)
+                for d, u, th in zip(self.discs, us, thetas)]
+        R = np.concatenate([lin[0] for lin in lins] + [[r0]])
+        return R, ([lin[1:] for lin in lins], node_row, 1.0 + slope)
+
+
+def solve_arrowhead(jac, rhs):
+    """Solve J x = rhs for a junction Jacobian jac = (blocks, node_row,
+    node_diag) on the flat layout. Row j of edge i's block (sub, diag, sup)
+    holds its entries in the edge's columns j - 1, j and j + 1, column n_i
+    being the node; a fourth entry far2 is row 0's entry in column 2 (a
+    Neumann stencil). node_row[i] maps edge i's columns to node-row entries.
+    Each block is eliminated by the Thomas algorithm for two right-hand
+    sides, its part of rhs and its node column, and the node value follows
+    from the scalar Schur complement. Without pivoting, rows must be
+    diagonally dominant, row 1 also after row 0 is folded into it; a zero
+    or non-finite pivot gives NaN, which callers treat as a breakdown."""
+    blocks, node_row, s_diag = jac
+    s_rhs, parts = float(rhs[-1]), []
+    ends = np.cumsum([len(b[1]) for b in blocks])
+    for (sub, diag, sup, *far2), row, r in zip(blocks, node_row,
+                                               np.split(rhs, ends)):
+        sub, diag, sup = sub.tolist(), diag.tolist(), sup.tolist()
+        # eliminating x_0 = d_0 - c_0 x_1 - e x_2 from row 1 moves e there
+        e = far2[0] / diag[0] if far2 and diag[0] else 0.0
+        sup[1] -= sub[1] * e
+        c, d, cd = 0.0, 0.0, []
+        for aj, bj, sj, rj in zip(sub, diag, sup, r.tolist()):
+            piv = bj - aj * c
+            if not 0.0 < abs(piv) < np.inf:
+                return np.full(len(rhs), np.nan)
+            c, d = sj / piv, (rj - aj * d) / piv
+            cd.append((c, d))
+        # x_j = y_j - w_j x_node; column n is the node: y_n = 0, w_n = -1
+        y = [0.0]
+        for c, d in reversed(cd):
+            y.append(d - c * y[-1])
+        y = np.array(y[::-1])
+        w = np.append(-np.cumprod([-c for c, _ in reversed(cd)])[::-1], -1.0)
+        y[0], w[0] = y[0] - e * y[2], w[0] - e * w[2]
+        s_rhs -= sum(v * y[j] for j, v in row.items())
+        s_diag -= sum(v * w[j] for j, v in row.items())
+        parts.append((y[:-1], w[:-1]))
+    if not 0.0 < abs(s_diag) < np.inf:
+        return np.full(len(rhs), np.nan)
+    x0 = s_rhs / s_diag
+    return np.concatenate([y - x0 * w for y, w in parts] + [[x0]])
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +361,7 @@ def _newton(jd, z, tol, budget):
             return z, thetas, steps, "converged"
         if steps >= budget:
             return z, thetas, steps, "max_iters"
-        z = jd.pin(z + spla.spsolve(J, -R))
+        z = jd.pin(z + solve_arrowhead(J, -R))
         steps += 1
 
 

@@ -8,9 +8,9 @@ For a diffusion strength eps > 0 the system
 is discretized with central differences inside the edges and a second-order
 one-sided stencil for the junction slope sum (first-order stencils pollute
 the O(eps) boundary layer), on the flat state of junction.FlatLayout. The
-nonlinear system is solved by damped Newton with a sparse Jacobian assembled
-from arrays; its dH/dp entries are the central differences of
-edge._value_and_slope (step 1e-7 (1 + |p|), tolerant of kinked
+nonlinear system is solved by damped Newton; its arrowhead Jacobian goes to
+junction.solve_arrowhead, and its dH/dp entries are the central differences
+of edge._value_and_slope (step 1e-7 (1 + |p|), tolerant of kinked
 Hamiltonians). A cold start is warm-started by a continuation that halves
 eps from CONTINUATION_START down to the target; a stage that fails is
 retried once in four geometric steps from the last accepted eps. The solve
@@ -44,8 +44,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .edge import (
     Dirichlet,
@@ -59,6 +57,7 @@ from .junction import (
     FlatLayout,
     JunctionGridFunction,
     JunctionProblem,
+    solve_arrowhead,
     solve_junction_direct,
 )
 
@@ -97,13 +96,18 @@ class SweepRecord:
 @dataclass
 class VanishingViscosityReport:
     records: list
-    extrapolated_node_value: float
+    # None when no stage converged
+    extrapolated_node_value: Optional[float]
     classification: str
     predicted_selection: str
     sc_reference: float
     # the state-constraint reference solve; None when none was run
     reference_converged: Optional[bool] = None
     reference_flags: tuple = ()
+    # the first eps whose solve failed (None when every stage converged)
+    # and that solve's flags
+    failed_epsilon: Optional[float] = None
+    flags: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -148,33 +152,21 @@ class _ViscousSystem(FlatLayout):
         return R
 
     def jacobian(self, z, eps):
-        N = self.size - 1
-        rows, cols, vals = [], [], []
+        """The Jacobian in junction.solve_arrowhead's form, far rows first."""
+        blocks, node_row = [], []
         node_diag = 0.0
-        for a, e, H, x, u in self._blocks(z):
+        for _, e, H, x, u in self._blocks(z):
             n, h = e.n_cells, e.h
             _, dH = _value_and_slope(H, (u[2:] - u[:-2]) / (2.0 * h), x)
-            idx = a + np.arange(1, n)
-            up = idx + 1
-            up[-1] = N
-            rows += [idx, idx, idx]
-            cols += [idx - 1, idx, up]
-            vals += [-eps / h ** 2 - dH / (2.0 * h),
-                     np.full(n - 1, 2.0 * eps / h ** 2 + 1.0),
-                     -eps / h ** 2 + dH / (2.0 * h)]
-            if isinstance(e.far_bc, Dirichlet):
-                rows.append([a]), cols.append([a]), vals.append([1.0])
-            else:
-                rows.append([a] * 3), cols.append([a, a + 1, a + 2])
-                vals.append(np.array([-3.0, 4.0, -1.0]) / (2.0 * h))
-            # junction slope row
-            node_diag += 3.0 / (2.0 * h)
-            rows.append([N, N]), cols.append([a + n - 1, a + n - 2])
-            vals.append([-2.0 / h, 1.0 / (2.0 * h)])
-        rows.append([N]), cols.append([N]), vals.append([node_diag])
-        return sp.csr_matrix((np.concatenate(vals),
-                              (np.concatenate(rows), np.concatenate(cols))),
-                             shape=(self.size, self.size))
+            far = (1.0, 0.0, 0.0) if isinstance(e.far_bc, Dirichlet) \
+                else (-1.5 / h, 2.0 / h, -0.5 / h)
+            sub = np.append(0.0, -eps / h ** 2 - dH / (2.0 * h))
+            diag = np.append(far[0], np.full(n - 1, 2.0 * eps / h ** 2 + 1.0))
+            sup = np.append(far[1], -eps / h ** 2 + dH / (2.0 * h))
+            blocks.append((sub, diag, sup, far[2]))
+            node_diag += 1.5 / h
+            node_row.append({n - 1: -2.0 / h, n - 2: 0.5 / h})
+        return blocks, node_row, node_diag
 
     def newton(self, z, eps):
         """Damped Newton at fixed eps; returns (z, res, iters, ok)."""
@@ -182,8 +174,8 @@ class _ViscousSystem(FlatLayout):
         for it in range(MAX_NEWTON):
             if res <= NEWTON_TOL:
                 return z, res, it, True
-            J = self.jacobian(z, eps)
-            step = spla.spsolve(J, -self.residual(z, eps))
+            step = solve_arrowhead(self.jacobian(z, eps),
+                                   -self.residual(z, eps))
             s = 1.0
             while s >= MIN_STEP:
                 z_try = z + s * step
@@ -324,7 +316,9 @@ def epsilon_sweep(problem: JunctionProblem, eps_list):
     """Solve the regularized system along a decreasing eps schedule (each
     solve warm-starts the next), extrapolate the junction value, and
     classify the limit against the state-constraint reference, whose
-    convergence and flags the report carries."""
+    convergence and flags the report carries. A failed solve ends the
+    schedule: the report keeps the records of the converged stages, names
+    the failed eps with its flags, and leaves the limit undetermined."""
     eps_arr = [float(e) for e in eps_list]
     if len(eps_arr) < 3:
         raise ValueError("eps_list needs at least 3 entries")
@@ -337,11 +331,13 @@ def epsilon_sweep(problem: JunctionProblem, eps_list):
 
     records = []
     init = None
+    failed, flags = None, ()
     for eps in eps_arr:
         sol, rep = solve_viscous_kirchhoff(problem, ViscousParams(eps),
                                            init=init)
         if not rep.converged:
-            raise RuntimeError(f"viscous solve failed at eps={eps:g}")
+            failed, flags = eps, rep.flags
+            break
         init = [g.values for g in sol.per_edge]
         slopes = tuple(node_slope(g) for g in sol.per_edge)
         records.append(SweepRecord(
@@ -353,12 +349,16 @@ def epsilon_sweep(problem: JunctionProblem, eps_list):
     sc_sol, sc_rep = solve_junction_direct(sc_prob)
     report = VanishingViscosityReport(
         records=records,
-        extrapolated_node_value=richardson_extrapolate(records),
+        extrapolated_node_value=(richardson_extrapolate(records)
+                                 if records else None),
         classification=UNDETERMINED,
         predicted_selection=predict_selection(problem),
         sc_reference=float(sc_sol.node_value),
         reference_converged=sc_rep.converged,
         reference_flags=sc_rep.flags,
+        failed_epsilon=failed,
+        flags=flags,
     )
-    report.classification = classify_limit(report, report.sc_reference)
+    if failed is None:
+        report.classification = classify_limit(report, report.sc_reference)
     return report

@@ -246,3 +246,10 @@ class TestSchemeProperties:
         dom = ft.build_fat_domain(1.0, 1.0, 0.2, 0.025)
         u2, _ = ft.solve_fat_state_constraint(H2_max, dom)
         assert u2.discrete_lipschitz() <= 2.0 * H2_max.coercivity_bound
+
+
+def test_two_component_mask_rejected():
+    mask = np.zeros((6, 6), dtype=bool)
+    mask[:2, :2] = mask[4:, 4:] = True
+    with pytest.raises(ValueError, match="not connected"):
+        ft._check_connected(mask)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjj import edge as ed
 from hjj import hamiltonians as hm
@@ -368,7 +370,7 @@ class TestNewtonDriver:
 
     def test_breakdown_falls_back_to_sweeps(self, h_abs1, h_abs2,
                                             monkeypatch):
-        monkeypatch.setattr(jn.spla, "spsolve",
+        monkeypatch.setattr(jn, "solve_arrowhead",
                             lambda J, b: np.full(len(b), np.nan))
         e = ed.EdgeSpec(1.0, 32)
         prob = jn.make_junction_problem([e, e], [h_abs1, h_abs2])
@@ -377,3 +379,65 @@ class TestNewtonDriver:
         assert rep.method == "newton+godunov_sweep"
         assert rep.flux == "godunov" and rep.converged
         assert sol.node_value == pytest.approx(1.0, abs=5e-2)
+
+
+@st.composite
+def _arrowheads(draw):
+    """K = 1..3 edge blocks of M-matrix rows, some with the viscous Neumann
+    far row as row 0, a pinned or free node row with 0-2 entries per edge,
+    and a right-hand side."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pinned = draw(st.booleans())
+    blocks, node_row = [], []
+    node_diag = 1.0 if pinned else rng.uniform(0.1, 2.0)
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(2, 12))
+        sub, sup = -rng.uniform(0.0, 1.0, n), -rng.uniform(0.0, 1.0, n)
+        sub[0] = 0.0
+        neumann = draw(st.booleans())
+        if neumann:
+            # folding row 0 into row 1 keeps row 1 dominant while
+            # |sup[1]| >= |sub[1]| / 3, as in a viscous row with dH <= eps/h
+            sup[1] = min(sup[1], sub[1] / 3.0)
+        diag = np.abs(sub) + np.abs(sup) + rng.uniform(0.1, 2.0, n)
+        if neumann:
+            h = rng.uniform(0.01, 0.5)
+            diag[0], sup[0] = -1.5 / h, 2.0 / h
+            blocks.append((sub, diag, sup, -0.5 / h))
+        else:
+            blocks.append((sub, diag, sup))
+        cols = [] if pinned else draw(
+            st.lists(st.integers(0, n - 1), max_size=2, unique=True))
+        row = {j: rng.uniform(-1.0, 1.0) for j in cols}
+        # x_0 of a Neumann block weighs up to 5/3 of its neighbours
+        node_diag += 2.0 * sum(abs(v) for v in row.values())
+        node_row.append(row)
+    size = sum(len(b[1]) for b in blocks) + 1
+    return (blocks, node_row, node_diag), rng.uniform(-1.0, 1.0, size)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_arrowheads())
+def test_solve_arrowhead_matches_dense_solve(dense_arrowhead, case):
+    jac, rhs = case
+    x = jn.solve_arrowhead(jac, rhs)
+    ref = np.linalg.solve(dense_arrowhead(jac), rhs)
+    np.testing.assert_allclose(x, ref, rtol=1e-9,
+                               atol=1e-10 * float(np.max(np.abs(ref))))
+
+
+def test_solve_arrowhead_fails_on_bad_pivot():
+    sub, sup = np.array([0.0, -1.0, -1.0]), np.array([-1.0, -1.0, -1.0])
+    good = (sub, np.full(3, 3.0), sup)
+    cases = [
+        ([(sub, np.array([0.0, 3.0, 3.0]), sup)], 1.0),
+        # row 1's pivot 1 - (-1)(-1) vanishes only after elimination
+        ([(sub, np.array([1.0, 1.0, 3.0]), sup)], 1.0),
+        ([(sub, np.array([3.0, np.inf, 3.0]), sup)], 1.0),
+        # the Schur complement of the node row
+        ([good], 0.0),
+        ([good], np.inf),
+    ]
+    for blocks, node_diag in cases:
+        x = jn.solve_arrowhead((blocks, [{}], node_diag), np.ones(4))
+        assert np.all(np.isnan(x))

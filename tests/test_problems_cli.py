@@ -1,13 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 from hjj import cli
 from hjj import edge as ed
 from hjj import fatten2d as ft
+from hjj import junction as jn
 from hjj import reports as rp
 from hjj import viscous as vs
 from hjj.problems import (
@@ -209,6 +211,19 @@ class TestCli:
         assert "max_iters" in report["sweep"]["reference_flags"]
         assert "max_iters" in report["flags"]
 
+    def test_viscous_sweep_reports_failed_stage(self, tmp_path, monkeypatch):
+        # a viscous stage capped at one Newton step fails; the run exits 2
+        # and report.json still names the failed eps and its flags
+        monkeypatch.setattr(vs, "MAX_NEWTON", 1)
+        out = tmp_path / "out"
+        assert run_cli(["viscous-sweep", "--problem",
+                        os.path.join(FIXTURES, "sweep_abs.json"),
+                        "--out", str(out)]) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["sweep"]["failed_epsilon"] == 0.2
+        assert "max_iters" in report["sweep"]["flags"]
+        assert "max_iters" in report["flags"]
+
     def test_convergence_subcommand(self, tmp_path):
         data = minimal_problem()
         prob = tmp_path / "p.json"
@@ -240,7 +255,7 @@ class TestCli:
     def test_newton_fallback_exit_code(self, tmp_path, monkeypatch):
         # a linear solve that returns NaN breaks Newton down; the sweeps
         # still finish, but the changed scheme must not pass silently
-        monkeypatch.setattr(spla, "spsolve",
+        monkeypatch.setattr(jn, "solve_arrowhead",
                             lambda J, b: np.full(len(b), np.nan))
         prob = tmp_path / "p.json"
         write_problem(minimal_problem(), prob)
@@ -377,3 +392,13 @@ class TestReports:
         rp.atomic_write_text(p, "hello")
         assert p.read_text() == "hello"
         assert not any(n.startswith(".tmp_") for n in os.listdir(tmp_path))
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys, hjj.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"

@@ -127,8 +127,31 @@ class TestSolveViscous:
         assert not rep.converged
         assert rep.flags == ("max_iters",)
         assert rep.levels == ()
-        with pytest.raises(RuntimeError, match="eps=0.2"):
-            vs.epsilon_sweep(prob_quad_asymmetric, [0.2, 0.1, 0.05, 0.025])
+        sweep = vs.epsilon_sweep(prob_quad_asymmetric,
+                                 [0.2, 0.1, 0.05, 0.025])
+        assert sweep.failed_epsilon == 0.2
+        assert sweep.flags == ("max_iters",)
+        assert sweep.records == []
+        assert sweep.extrapolated_node_value is None
+        assert sweep.classification == vs.UNDETERMINED
+        assert sweep.reference_converged
+
+    def test_failed_stage_keeps_converged_records(self, prob_quad_asymmetric,
+                                                  monkeypatch):
+        real = vs._ViscousSystem.newton
+
+        def newton(self, z, eps):
+            if eps == 0.1:
+                return z, 1.0, 1, False
+            return real(self, z, eps)
+
+        monkeypatch.setattr(vs._ViscousSystem, "newton", newton)
+        sweep = vs.epsilon_sweep(prob_quad_asymmetric, [0.2, 0.1, 0.05])
+        assert [r.epsilon for r in sweep.records] == [0.2]
+        assert sweep.failed_epsilon == 0.1
+        assert sweep.flags == ("max_iters",)
+        assert sweep.extrapolated_node_value == sweep.records[0].node_value
+        assert sweep.classification == vs.UNDETERMINED
 
 
 class TestSweep:
@@ -289,9 +312,9 @@ def _viscous_systems(draw):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(_viscous_systems())
-def test_jacobian_matches_residual_differences(case):
+def test_jacobian_matches_residual_differences(dense_arrowhead, case):
     sys_, z, eps = case
-    J = sys_.jacobian(z, eps).toarray()
+    J = dense_arrowhead(sys_.jacobian(z, eps))
     step = 1e-6
     fd = np.empty_like(J)
     for k in range(sys_.size):
