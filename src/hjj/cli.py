@@ -284,7 +284,8 @@ def build_parser():
         sp.add_argument("--tol", type=float, default=1e-8,
                         help="solver residual tolerance")
         sp.add_argument("--max-iters", type=int, default=200_000,
-                        help="cap on Newton steps or Jacobi iterations")
+                        help="cap on Newton steps (and on the iterations "
+                             "of the 2-D Jacobi fallback)")
         sp.add_argument("--seed", type=int, default=0,
                         help="seed for randomized checks")
         if name == "solve-edge":

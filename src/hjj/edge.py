@@ -110,11 +110,12 @@ class SolveReport:
     """What one solve did.
 
     iterations counts Newton steps over every cascade level or
-    continuation stage, Jacobi iterations and Gauss-Seidel sweeps together;
-    method names the driver ("newton", "jacobi", "godunov_sweep",
-    "newton+godunov_sweep" after a Newton breakdown, "constructive", and
-    for the 2-D tube "newton_2d" or "newton_2d+jacobi_2d" after a Newton
-    breakdown) and flux the scheme whose fixed point was reached
+    continuation stage, Gauss-Seidel sweeps and the 2-D tube's Jacobi
+    iterations together; method names the driver ("newton",
+    "godunov_sweep", "newton+godunov_sweep" after a Newton breakdown,
+    "constructive", and for the 2-D tube "newton_2d" or
+    "newton_2d+jacobi_2d" after a Newton breakdown) and flux the scheme
+    whose fixed point was reached
     ("lax_friedrichs", "godunov", or "central" for the viscous system of
     viscous.solve_viscous_kirchhoff, whose method is "newton"). flags lists
     every cap, stall and fallback: "max_iters", "sweep_stalled",
@@ -143,15 +144,19 @@ class SolverParams:
 
     method "auto" runs semismooth Newton on the Lax-Friedrichs scheme when
     every Hamiltonian is convex and Gauss-Seidel sweeps with the Godunov
-    flux otherwise; "jacobi" runs Lax-Friedrichs pseudo-time (the reference
-    the tests compare Newton against); "sweep" forces the Godunov sweeps.
-    max_iters caps Newton steps or Jacobi iterations; junction.MAX_SWEEPS
+    flux otherwise; "sweep" forces the Godunov sweeps. Any other method
+    raises ValueError. max_iters caps Newton steps; junction.MAX_SWEEPS
     caps the sweeps.
     """
 
     tol: float = 1e-8
     max_iters: int = 200_000
-    method: str = "auto"  # auto | jacobi | sweep
+    method: str = "auto"  # auto | sweep
+
+    def __post_init__(self):
+        if self.method not in ("auto", "sweep"):
+            raise ValueError(f"unknown solver method {self.method!r}; "
+                             "expected 'auto' or 'sweep'")
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,10 @@ iteration whenever the iterate needs more (theta <- 1.02 theta_req + 0.01,
 never lowered), so every linear system stays an M-matrix, and the report
 records it. A problem with a non-convex Hamiltonian goes to Gauss-Seidel
 sweeps with the Godunov flux, which is also where a Newton breakdown ends
-(flagged "newton_fallback"). Jacobi pseudo-time remains as the reference
-driver for explicit requests.
+(flagged "newton_fallback"). At fixed theta the Lax-Friedrichs rows have
+unit row sums and non-positive off-diagonals, so a state whose residual is
+at most tol lies within tol of the scheme's fixed point: the residual
+certifies the answer without a second solve to compare against.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from typing import Optional
 import numpy as np
 
 from .edge import (
-    CFL,
     Dirichlet,
     EdgeDiscretization,
     GridFunction1D,
@@ -181,7 +182,6 @@ class JunctionDiscretization(FlatLayout):
     """K edge blocks and the node row of one junction problem."""
 
     def __init__(self, problem: JunctionProblem):
-        self.problem = problem
         self.discs = [EdgeDiscretization(H, e, "external")
                       for H, e in zip(problem.hamiltonians, problem.edges)]
         cond = problem.junction_condition
@@ -220,29 +220,23 @@ class JunctionDiscretization(FlatLayout):
     # -- residuals --------------------------------------------------------------
 
     def node_residual(self, us, u0):
-        """R0 = u0 + max(A, max_i envelope-min_i(p_in_i)) and the node theta;
-        a pinned node reports zero for both."""
+        """R0 = u0 + max(A, max_i envelope-min_i(p_in_i)); a pinned node
+        reports zero."""
         if self.node_pin is not None:
-            return 0.0, 0.0
+            return 0.0
         worst = self.floor
-        th0 = 0.0
         for d, u in zip(self.discs, us):
             S = d.theta_tab.span
             p_in = min(max((u0 - u[-2]) / d.h, -S), S)
             worst = max(worst, d.env_node(p_in))
-            th0 = max(th0, float(d.theta_tab.range_max(p_in - 1.0, p_in + 1.0)))
-        return u0 + worst, th0
+        return u0 + worst
 
     def residuals(self, us, u0, thetas=None, flux="lax_friedrichs"):
-        Rs = []
-        ths = []
-        for i, (d, u) in enumerate(zip(self.discs, us)):
-            th_i = None if thetas is None else thetas[i]
-            R, th = d.residual(u, theta=th_i, flux=flux)
-            Rs.append(R)
-            ths.append(th)
-        r0, th0 = self.node_residual(us, u0)
-        return Rs, r0, ths, th0
+        """Per-edge residual vectors and the node residual."""
+        thetas = thetas or [None] * len(us)
+        Rs = [d.residual(u, theta=th, flux=flux)[0]
+              for d, u, th in zip(self.discs, us, thetas)]
+        return Rs, self.node_residual(us, u0)
 
     def max_residual(self, Rs, r0):
         return max(abs(r0), max(float(np.max(np.abs(R))) for R in Rs))
@@ -317,26 +311,6 @@ def solve_arrowhead(jac, rhs):
 # the driver
 # ---------------------------------------------------------------------------
 
-def _default_init(H, x):
-    return float(-np.max(np.asarray(H(np.zeros_like(x), x))) - 0.5)
-
-
-def _start_state(jd, problem, init):
-    """init (per-edge value arrays) or a constant below the solution, with
-    the pinned values assigned."""
-    if init is not None:
-        return jd.pin(jd.join(init, float(init[0][-1])))
-    start = min(_default_init(H, d.x)
-                for H, d in zip(problem.hamiltonians, jd.discs))
-    start = min(start, -jd.floor - 0.5)
-    for e in problem.edges:
-        if isinstance(e.far_bc, Dirichlet):
-            start = min(start, e.far_bc.value)
-    if jd.node_pin is not None:
-        start = min(start, jd.node_pin)
-    return jd.pin(np.full(jd.size, start))
-
-
 def _newton(jd, z, tol, budget):
     """Howard iterations on one system; returns (z, thetas, steps, status)
     with status "converged", "max_iters" or "breakdown"."""
@@ -365,20 +339,19 @@ def _newton(jd, z, tol, budget):
         steps += 1
 
 
-def _newton_cascade(jd, init, params):
+def _newton_cascade(jd, z, params):
     """Newton on n/8, n/4, n/2 (levels with at least 8 cells per edge) and
     n, each level started from the previous one's solution; a cold start
-    begins at the constant super-solution, a warm start (init) on the finest
-    grid. Returns (z, thetas, steps, levels, status)."""
-    factors = [] if init is not None else [
+    (z None) begins at the constant super-solution, a warm start (the flat
+    state z) on the finest grid. Returns (z, thetas, steps, levels,
+    status)."""
+    factors = [] if z is not None else [
         f for f in (8, 4, 2)
         if all(d.edge.n_cells // f >= 8 for d in jd.discs)]
     systems = [jd.coarsened(f) for f in factors] + [jd]
-    if init is None:
+    if z is None:
         lift = max(d.super_level for d in jd.discs)
         z = systems[0].pin(np.full(systems[0].size, lift))
-    else:
-        z = _start_state(jd, jd.problem, init)
     levels = []
     total = 0
     for k, s in enumerate(systems):
@@ -393,49 +366,13 @@ def _newton_cascade(jd, init, params):
     return z, thetas, total, tuple(levels), status
 
 
-def _jacobi(jd, us, u0, params):
-    """Lax-Friedrichs pseudo-time over every edge and the node row. Once the
-    residual is small theta is frozen, so the update becomes a fixed map
-    (state-dependent theta can limit-cycle just above the tolerance); the
-    frozen values stand only if they cover the required theta. Returns
-    (us, u0, thetas, iterations, residual)."""
-    it = 0
-    frozen = None
-    while True:
-        Rs, r0, ths, th0 = jd.residuals(
-            us, u0, thetas=None if frozen is None else frozen[0])
-        if frozen is not None:
-            ths, th0 = frozen
-        res = jd.max_residual(Rs, r0)
-        if res <= params.tol:
-            if frozen is None:
-                return us, u0, ths, it, res
-            _, _, req, req0 = jd.residuals(us, u0)
-            if frozen[1] >= req0 - 1e-9 and all(
-                    np.all(f >= r - 1e-9) for f, r in zip(frozen[0], req)):
-                return us, u0, frozen[0], it, res
-            frozen = None
-            continue
-        if it >= params.max_iters:
-            return us, u0, ths, it, res
-        for d, u, R, th in zip(jd.discs, us, Rs, ths):
-            u -= CFL * d.h / (th + d.h) * R  # pinned rows carry R = 0
-        u0 -= CFL * jd.h_min / (th0 + jd.h_min) * r0
-        for u in us:
-            u[-1] = u0
-        it += 1
-        if frozen is None and res < 1e-3:
-            frozen = ([t * 1.02 + 0.01 for t in ths], th0 * 1.02 + 0.01)
-        elif frozen is not None and res > 1e-2:
-            frozen = None
-
-
-def _sweeps(jd, us, u0, params):
-    """Godunov Gauss-Seidel sweeps from above the constant super-solution,
-    which they descend from. Returns (us, u0, sweeps, residual, flag) with
-    flag None, "sweep_stalled" or "max_iters" (MAX_SWEEPS reached)."""
+def _sweeps(jd, z, params):
+    """Godunov Gauss-Seidel sweeps from the constant super-solution, or
+    from the warm state z lifted to it, which they descend from. Returns
+    (us, u0, sweeps, residual, flag) with flag None, "sweep_stalled" or
+    "max_iters" (MAX_SWEEPS reached)."""
     lift = max(d.super_level for d in jd.discs)
-    z = jd.pin(np.maximum(jd.join(us, u0), lift))
+    z = jd.pin(np.full(jd.size, lift) if z is None else np.maximum(z, lift))
     us, u0 = jd.split(z), float(z[-1])
     sweeps = 0
     res = np.inf
@@ -446,12 +383,12 @@ def _sweeps(jd, us, u0, params):
             d.gauss_seidel_sweep(u, params.tol)
         if jd.node_pin is None:
             u0 = _solve_increasing(
-                lambda v: jd.node_residual(us, v)[0], u0, 0.1 * params.tol,
+                lambda v: jd.node_residual(us, v), u0, 0.1 * params.tol,
                 scale=jd.h_min)
             for u in us:
                 u[-1] = u0
         sweeps += 1
-        Rs, r0, _, _ = jd.residuals(us, u0, flux="godunov")
+        Rs, r0 = jd.residuals(us, u0, flux="godunov")
         res = jd.max_residual(Rs, r0)
         if res <= params.tol:
             return us, u0, sweeps, res, None
@@ -469,33 +406,28 @@ def solve_system(problem, params=None, init=None):
     flux-limited or Dirichlet node -- and report what was done.
 
     method "auto" runs the Newton cascade when every Hamiltonian is convex
-    and the Godunov sweeps otherwise. A Newton breakdown (non-finite values,
-    a residual that grows by BREAKDOWN_GROWTH, or an answer whose clamped
-    residual misses the tolerance) hands the solve to the sweeps and flags
-    "newton_fallback". init, per-edge value arrays, warm-starts Newton on
-    the finest grid."""
+    and the Godunov sweeps otherwise; "sweep" always runs the sweeps. A
+    Newton breakdown (non-finite values, a residual that grows by
+    BREAKDOWN_GROWTH, or an answer whose clamped residual misses the
+    tolerance) hands the solve to the sweeps and flags "newton_fallback".
+    init, per-edge value arrays, warm-starts Newton on the finest grid, or
+    the sweeps."""
     params = params or SolverParams()
     t0 = time.perf_counter()
     jd = JunctionDiscretization(problem)
-    method = params.method
-    if method == "auto":
-        convex = all(H.flags.convex for H in problem.hamiltonians)
-        method = "newton" if convex else "godunov_sweep"
-    elif method == "sweep":
-        method = "godunov_sweep"
-    z = _start_state(jd, problem, init)
-    us, u0 = jd.split(z), float(z[-1])
+    convex = all(H.flags.convex for H in problem.hamiltonians)
+    method = "newton" if params.method == "auto" and convex \
+        else "godunov_sweep"
+    z = None if init is None else jd.pin(jd.join(init, float(init[0][-1])))
     flags = []
     thetas = None
     levels = ()
     it = 0
-    res = np.inf
     if method == "newton":
-        zn, thetas, it, levels, status = _newton_cascade(jd, init, params)
+        zn, thetas, it, levels, status = _newton_cascade(jd, z, params)
         if status != "breakdown":
-            us_n, u0_n = jd.split(zn), float(zn[-1])
-            Rs, r0, _, _ = jd.residuals(us_n, u0_n, thetas=thetas)
-            res = jd.max_residual(Rs, r0)
+            us, u0 = jd.split(zn), float(zn[-1])
+            res = jd.max_residual(*jd.residuals(us, u0, thetas=thetas))
             if status == "max_iters":
                 flags.append("max_iters")
             elif res > params.tol:
@@ -503,14 +435,8 @@ def solve_system(problem, params=None, init=None):
         if status == "breakdown":
             flags.append("newton_fallback")
             method = "newton+godunov_sweep"
-        else:
-            us, u0 = us_n, u0_n
-    elif method == "jacobi":
-        us, u0, thetas, it, res = _jacobi(jd, us, u0, params)
-        if res > params.tol:
-            flags.append("max_iters")
     if method.endswith("godunov_sweep"):
-        us, u0, sweeps, res, flag = _sweeps(jd, us, u0, params)
+        us, u0, sweeps, res, flag = _sweeps(jd, z, params)
         it += sweeps
         thetas = None
         if flag:
@@ -534,9 +460,8 @@ def junction_scheme_residuals(sol, problem, report):
     flux and dissipation coefficients recorded in its report."""
     jd = JunctionDiscretization(problem)
     us = [g.values for g in sol.per_edge]
-    Rs, r0, _, _ = jd.residuals(us, sol.node_value, thetas=report.theta,
-                                flux=report.flux)
-    return Rs, r0
+    return jd.residuals(us, sol.node_value, thetas=report.theta,
+                        flux=report.flux)
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +550,7 @@ def node_diagnostics(sol: JunctionGridFunction, problem: JunctionProblem,
     solutions; the reported slopes are the order-2 one-sided values."""
     jd = JunctionDiscretization(problem)
     us = [g.values for g in sol.per_edge]
-    sc_res, _ = jd.node_residual(us, sol.node_value)
+    sc_res = jd.node_residual(us, sol.node_value)
     if isinstance(problem.junction_condition, FluxLimited):
         sc_res = sol.node_value + max(
             d.env_node(min(max((sol.node_value - u[-2]) / d.h,

@@ -139,12 +139,12 @@ def run_verification(trials=200, seed=0):
             u0 = float(us[0][-1])
             for u in us:
                 u[-1] = u0
-            base, _ = jd.node_residual(us, u0)
+            base = jd.node_residual(us, u0)
             delta = float(rng.uniform(0, 0.05))
-            up, _ = jd.node_residual(us, u0 + delta)
+            up = jd.node_residual(us, u0 + delta)
             assert up >= base - 1e-12
             us[int(rng.integers(0, 2))][-2] += delta
-            nbr, _ = jd.node_residual(us, u0)
+            nbr = jd.node_residual(us, u0)
             assert nbr <= base + 1e-12
 
     check("junction node residual monotone", node_monotone)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hjj import edge as ed
 from hjj import hamiltonians as hm
+from hjj import junction as jn
 
 
 @pytest.fixture(scope="module")
@@ -118,11 +121,18 @@ class TestSolveEdge:
                                init=u0.values)
         assert rep.converged and rep.iterations <= 5
 
-    def test_non_convergence_reported(self, h_abs, spec400):
-        params = ed.SolverParams(max_iters=10, method="jacobi")
-        u, rep = ed.solve_edge(h_abs, spec400, ed.StateConstraint(), params)
-        assert not rep.converged
+    def test_non_convergence_reported(self, h_quad, spec400):
+        # abs_shift converges in one Newton step; the quadratic needs more
+        params = ed.SolverParams(max_iters=1)
+        u, rep = ed.solve_edge(h_quad, spec400, ed.StateConstraint(), params)
+        assert rep.method == "newton" and rep.iterations == 1
+        assert not rep.converged and rep.flags == ("max_iters",)
         assert rep.final_residual > params.tol
+
+    @pytest.mark.parametrize("method", ["bogus", "jacobi", "newton"])
+    def test_unknown_method_rejected(self, method):
+        with pytest.raises(ValueError, match="unknown solver method"):
+            ed.SolverParams(method=method)
 
     def test_lipschitz_bound(self, sc_abs, dir_abs, h_abs):
         for u, rep in (sc_abs, dir_abs):
@@ -131,14 +141,21 @@ class TestSolveEdge:
 
 
 class TestStiffHamiltonian:
-    def test_double_well_jacobi_vs_sweep(self):
+    def test_double_well_sweep_residual(self):
+        # non-convex, so both methods take the Godunov sweeps; each answer
+        # is certified by re-evaluating the Godunov residual
         H = hm.make_builtin("double_well", b=-2.0, c=0.0)
         spec = ed.EdgeSpec(1.0, 64, far_bc=ed.StateConstraint())
-        ug, rg = ed.solve_edge(H, spec, ed.StateConstraint(),
-                               ed.SolverParams(method="sweep"))
-        ua, ra = ed.solve_edge(H, spec, ed.StateConstraint())
-        assert rg.converged and ra.converged
-        assert np.max(np.abs(ug.values - ua.values)) <= 2e-2
+        prob = jn.JunctionProblem([spec], [H], ed.StateConstraint())
+        for method in ("auto", "sweep"):
+            params = ed.SolverParams(method=method)
+            u, rep = ed.solve_edge(H, spec, ed.StateConstraint(), params)
+            assert rep.method == "godunov_sweep" and rep.flux == "godunov"
+            assert rep.converged
+            Rs, r0 = jn.junction_scheme_residuals(
+                jn.JunctionGridFunction([u], u.node_value), prob, rep)
+            assert abs(r0) <= params.tol
+            assert np.max(np.abs(Rs[0])) <= params.tol
 
     def test_godunov_flux_consistency(self):
         H = hm.make_builtin("double_well", b=-2.0, c=0.0)
@@ -214,15 +231,55 @@ class TestDirichletStructure:
             ed.check_dirichlet_structure(h_abs, spec400, [0.0, 1.5])
 
 
+_COEF = st.integers(-200, 200).map(lambda i: i / 100)
+_LEVEL = st.integers(0, 200).map(lambda i: i / 100)
+_EXPRESSIONS = (
+    "abs(p-({b}))-{c}+{a}*sin({w}*x)",
+    "{k}*(p-({b}))^2-{c}+{a}*cos({w}*x)",
+    "max(abs(p-({b})),{k}*(p-({b}))^2)-{c}+{a}*sin({w}*x)^2",
+)
+
+
+@st.composite
+def hamiltonians(draw):
+    """The builtin families and x-dependent parsed expressions."""
+    b, c = draw(_COEF), draw(_LEVEL)
+    form = draw(st.sampled_from(
+        ("abs_shift", "quadratic", "double_well") + _EXPRESSIONS))
+    if form in _EXPRESSIONS:
+        src = form.format(b=b, c=c, a=draw(_LEVEL) / 2, w=3 * draw(_LEVEL),
+                          k=0.5 + draw(_LEVEL) / 2)
+        return hm.make_builtin("expression", src=src)
+    return hm.make_builtin(form, b=b, c=c)
+
+
+far_conditions = st.one_of(
+    st.builds(ed.Neumann, _COEF), st.builds(ed.Dirichlet, _COEF),
+    st.just(ed.StateConstraint()))
+
+seeds = st.integers(0, 2 ** 32 - 1)
+
+properties = settings(derandomize=True, database=None, deadline=None,
+                      max_examples=100)
+
+
 class TestSchemeProperties:
-    def test_interior_monotonicity(self, h_quad):
-        # random perturbation check under the CFL constraint
-        rng = np.random.default_rng(7)
-        spec = ed.EdgeSpec(1.0, 64)
-        disc = ed.EdgeDiscretization(h_quad, spec, ed.StateConstraint())
-        P = h_quad.coercivity_bound
-        theta = disc.theta_tab.range_max(-2 * P, 2 * P)
-        for _ in range(200):
+    @properties
+    @given(H=hamiltonians(), far=far_conditions, seed=seeds,
+           trials=st.just(20))
+    @example(H=hm.make_builtin("quadratic", b=1.0, c=1.0),
+             far=ed.Neumann(0.0), seed=7, trials=200)
+    def test_interior_monotonicity(self, H, far, seed, trials):
+        # one pseudo-time step under the CFL constraint is nondecreasing in
+        # the neighbours and moves by at most the centre's own increment;
+        # theta covers the drawn slopes and the unit a perturbation of at
+        # most h can add to them
+        rng = np.random.default_rng(seed)
+        spec = ed.EdgeSpec(1.0, 64, far_bc=far)
+        disc = ed.EdgeDiscretization(H, spec, ed.StateConstraint())
+        P = H.coercivity_bound
+        theta = disc.theta_tab.range_max(-2 * P - 1, 2 * P + 1)
+        for _ in range(trials):
             u = np.cumsum(rng.uniform(-2 * P, 2 * P, 65) * spec.h)
             j = rng.integers(1, 64)
             k = int(rng.choice([j - 1, j + 1]))
@@ -237,17 +294,43 @@ class TestSchemeProperties:
             un3, _, _ = disc.pseudo_time_step(u3, theta=theta)
             assert un3[j] <= un[j] + delta + 1e-12
 
-    def test_comparison_one_step(self, h_abs):
-        rng = np.random.default_rng(11)
-        spec = ed.EdgeSpec(1.0, 64)
-        disc = ed.EdgeDiscretization(h_abs, spec, ed.StateConstraint())
-        theta = 2.0
-        for _ in range(100):
+    @properties
+    @given(H=hamiltonians(), far=far_conditions, seed=seeds,
+           trials=st.just(10))
+    @example(H=hm.make_builtin("abs_shift", b=0.0, c=1.0),
+             far=ed.Neumann(0.0), seed=11, trials=100)
+    def test_comparison_one_step(self, H, far, seed, trials):
+        # v <= u stays ordered after one step on every row, boundary rows
+        # included, when theta bounds |dH/dp| over the whole slope span
+        rng = np.random.default_rng(seed)
+        spec = ed.EdgeSpec(1.0, 64, far_bc=far)
+        disc = ed.EdgeDiscretization(H, spec, ed.StateConstraint())
+        theta = 2.0 * disc.theta_tab.global_max
+        for _ in range(trials):
             u = np.cumsum(rng.uniform(-1, 1, 65) * spec.h)
             v = u - rng.uniform(0, 1, 65)
             un, _, _ = disc.pseudo_time_step(u, theta=theta)
             vn, _, _ = disc.pseudo_time_step(v, theta=theta)
             assert np.all(vn <= un + 1e-12)
+
+    @properties
+    @given(edges=st.lists(st.tuples(hamiltonians(), far_conditions),
+                          min_size=1, max_size=2),
+           node=st.one_of(st.just(ed.StateConstraint()),
+                          st.builds(ed.Dirichlet, _COEF),
+                          st.builds(jn.FluxLimited, _COEF)))
+    def test_sweep_start_is_supersolution(self, edges, node):
+        # the sweeps descend from the constant lift max(super_level): its
+        # Godunov residual is nonnegative on every free row and the node
+        jd = jn.JunctionDiscretization(jn.JunctionProblem(
+            [ed.EdgeSpec(1.0, 32, far_bc=far) for _, far in edges],
+            [H for H, _ in edges], node))
+        lift = max(d.super_level for d in jd.discs)
+        z = jd.pin(np.full(jd.size, lift))
+        Rs, r0 = jd.residuals(jd.split(z), float(z[-1]), flux="godunov")
+        assert r0 >= 0.0
+        for d, R in zip(jd.discs, Rs):
+            assert np.all(R[~d.pinned] >= 0.0)
 
     def test_consistency_order_h(self, h_abs):
         # scheme residual of the sampled analytic solution is O(h)

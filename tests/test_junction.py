@@ -280,13 +280,13 @@ class TestNodeSchemeMonotonicity:
             u0 = float(us[0][-1])
             for u in us:
                 u[-1] = u0
-            r_base, _ = jd.node_residual(us, u0)
+            r_base = jd.node_residual(us, u0)
             delta = rng.uniform(0.0, 0.05)
-            r_up, _ = jd.node_residual(us, u0 + delta)
+            r_up = jd.node_residual(us, u0 + delta)
             assert r_up >= r_base - 1e-12
             k = int(rng.integers(0, 2))
             us[k][-2] += delta
-            r_nbr, _ = jd.node_residual(us, u0)
+            r_nbr = jd.node_residual(us, u0)
             assert r_nbr <= r_base + 1e-12
 
 
@@ -309,8 +309,10 @@ class TestStiffJunction:
 
 
 class TestNewtonDriver:
-    """Newton on the Lax-Friedrichs scheme against the Jacobi reference;
-    abs_shift keeps theta constant, so both reach the same fixed point."""
+    """Newton on the Lax-Friedrichs scheme, certified by its own residual:
+    at the recorded theta the rows have unit row sums and non-positive
+    off-diagonals, so a residual at most tol puts the answer within tol of
+    the scheme's fixed point."""
 
     @pytest.mark.parametrize("cs, far, cond", [
         ((1.0,), ed.Neumann(0.0), ed.StateConstraint()),
@@ -321,19 +323,23 @@ class TestNewtonDriver:
         ((1.0, 2.0, 3.0), ed.Neumann(0.0), ed.StateConstraint()),
     ], ids=["k1-state-constraint", "k1-dirichlet-node", "k1-dirichlet-far",
             "k2-state-constraint-far", "k2-flux-limited", "k3"])
-    def test_matches_jacobi(self, cs, far, cond):
+    def test_residual_certifies_fixed_point(self, cs, far, cond):
         e = ed.EdgeSpec(1.0, 100, far_bc=far)
         hams = [hm.make_builtin("abs_shift", b=0.1 * i, c=c)
                 for i, c in enumerate(cs)]
         prob = jn.JunctionProblem([e] * len(cs), hams, cond)
-        sol_n, rep_n = jn.solve_system(prob)
-        sol_j, rep_j = jn.solve_system(prob, ed.SolverParams(method="jacobi"))
-        assert rep_n.method == "newton" and rep_j.method == "jacobi"
-        assert rep_n.converged and rep_j.converged
-        assert rep_n.flux == rep_j.flux == "lax_friedrichs"
-        gap = max(float(np.max(np.abs(a.values - b.values)))
-                  for a, b in zip(sol_n.per_edge, sol_j.per_edge))
-        assert gap <= 1e-7
+        sol, rep = jn.solve_system(prob)
+        assert rep.method == "newton" and rep.flux == "lax_friedrichs"
+        assert rep.converged
+        tol = ed.SolverParams().tol
+        Rs, r0 = jn.junction_scheme_residuals(sol, prob, rep)
+        assert abs(r0) <= tol
+        for R in Rs:
+            assert np.max(np.abs(R)) <= tol
+        # the recorded theta is admissible, so the rows are M-matrix rows
+        jd = jn.JunctionDiscretization(prob)
+        for d, g, th in zip(jd.discs, sol.per_edge, rep.theta):
+            assert np.all(th >= d.required_theta(g.values))
 
     def test_cascade_leaves_little_to_the_finest_level(self, h_abs2, e400):
         prob = jn.make_junction_problem(
@@ -379,6 +385,41 @@ class TestNewtonDriver:
         assert rep.method == "newton+godunov_sweep"
         assert rep.flux == "godunov" and rep.converged
         assert sol.node_value == pytest.approx(1.0, abs=5e-2)
+
+
+_X_DEPENDENT = ("abs(p-0.3)-1+0.5*sin(3*x)", "(p-1)^2-1+0.3*cos(2*x)",
+                "max(abs(p-0.5),1.5*(p-0.5)^2)-1+0.8*sin(2*x)^2")
+
+
+@pytest.mark.parametrize("n", [100, 200])
+@pytest.mark.parametrize("far, hams, cond", [
+    (ed.Neumann(0.0), [("abs_shift", 0.0, 1.0), ("quadratic", 1.0, 1.0)],
+     ed.StateConstraint()),
+    (ed.Neumann(0.0), [("abs_shift", 0.0, 1.0)] * 2, jn.FluxLimited(-0.5)),
+    (ed.Dirichlet(0.0), [("quadratic", 1.0, 1.0)] * 2, ed.StateConstraint()),
+    (ed.Neumann(0.0), _X_DEPENDENT, ed.StateConstraint()),
+    pytest.param(
+        ed.Neumann(0.0), ["0.7*(p+0.2)^2-1+0.4*cos(5*x)"],
+        ed.StateConstraint(), marks=pytest.mark.xfail(strict=True, reason=(
+            "THETA_PAD = 1 keeps theta O(1) where dH/dp is near 0: the LF "
+            "gap is 3.3h and 3.7h at n = 100 and 200"))),
+], ids=["abs1+quad", "flux-limited-abs", "quad-dirichlet-far", "x-dependent",
+        "degenerate-quad"])
+def test_lax_friedrichs_and_godunov_agree_to_order_h(n, far, hams, cond):
+    # two monotone schemes for one convex problem: their answers differ by
+    # O(h) away from the far-end and node boundary layers
+    hams = [hm.make_builtin("expression", src=H) if isinstance(H, str)
+            else hm.make_builtin(H[0], b=H[1], c=H[2]) for H in hams]
+    prob = jn.make_junction_problem([ed.EdgeSpec(1.0, n, far_bc=far)]
+                                    * len(hams), hams, cond)
+    lf, rep_lf = jn.solve_system(prob)
+    god, rep_god = jn.solve_system(prob, ed.SolverParams(method="sweep"))
+    assert (rep_lf.flux, rep_god.flux) == ("lax_friedrichs", "godunov")
+    assert rep_lf.converged and rep_god.converged
+    for a, b in zip(lf.per_edge, god.per_edge):
+        x = a.edge.grid()
+        inner = (x >= -0.9) & (x <= -0.1)
+        assert np.max(np.abs(a.values - b.values)[inner]) <= 2.0 * a.edge.h
 
 
 @st.composite
