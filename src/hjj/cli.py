@@ -86,7 +86,7 @@ def cmd_solve_edge(args, pf, out_dir, t0):
         "edge": args.edge, "node_value": g.node_value, "role": g.role,
         "iterations": rep.iterations, "final_residual": rep.final_residual,
         "converged": rep.converged, "method": rep.method, "flux": rep.flux,
-        "node_slope": ed.node_slope(g, order=2),
+        "levels": rep.levels, "node_slope": ed.node_slope(g, order=2),
     }
     report["flags"].extend(rep.flags)
     rp.emit_plot_script(report, "profiles", out_dir)
@@ -108,7 +108,7 @@ def cmd_solve_junction(args, pf, out_dir, t0):
     report["direct"] = {
         "node_value": sol.node_value, "iterations": rep.iterations,
         "final_residual": rep.final_residual, "converged": rep.converged,
-        "method": rep.method, "flux": rep.flux,
+        "method": rep.method, "flux": rep.flux, "levels": rep.levels,
     }
     report["constructive"] = {
         "node_value": solc.node_value, "converged": repc.converged,
@@ -136,7 +136,7 @@ def cmd_flux_limited(args, pf, out_dir, t0):
         "A": A, "node_value": sol.node_value,
         "bound_minus_A_ok": bool(sol.node_value <= -A + 2e-2),
         "iterations": rep.iterations, "converged": rep.converged,
-        "method": rep.method, "flux": rep.flux,
+        "method": rep.method, "flux": rep.flux, "levels": rep.levels,
     }
     report["diagnostics"] = _diag_dict(jn.node_diagnostics(sol, pf.problem))
     report["flags"].extend(rep.flags)

@@ -13,10 +13,10 @@ value; a Neumann row supplies a ghost slope. pseudo_time_step, the explicit
 relaxation u <- u - dt R with dt_j = CFL * h / (theta_j + h), defines the
 scheme's monotonicity.
 
-This module holds the edge block of that system: its residual, the
-tridiagonal linearization the Newton driver needs, and the nonlinear
-Gauss-Seidel sweep with a sampled-Godunov flux. The Godunov flux is a
-different monotone scheme with its own fixed point; it agrees with
+This module holds the edge block of that system: its residual under
+either flux, the tridiagonal linearizations the Newton driver needs (one
+per flux), and the nonlinear Gauss-Seidel sweep. The sampled-Godunov flux
+is a different monotone scheme with its own fixed point; it agrees with
 Lax-Friedrichs to O(h) in the interior but not inside boundary layers, so
 every report names the flux that produced its answer. The driver itself
 lives in junction.py: an edge solve is a K = 1 junction whose node row is
@@ -41,6 +41,8 @@ from .hamiltonians import (
 THETA_PAD = 1.0
 # Courant number of the pseudo-time step
 CFL = 0.9
+# interval fractions t of the Godunov flux's midpoint samples lo + t (hi - lo)
+GODUNOV_MIDPOINTS = (0.25, 0.5, 0.75)
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +113,10 @@ class SolveReport:
 
     iterations counts Newton steps over every cascade level or
     continuation stage, Gauss-Seidel sweeps and the 2-D tube's Jacobi
-    iterations together; method names the driver ("newton",
-    "godunov_sweep", "newton+godunov_sweep" after a Newton breakdown,
+    iterations together; method names the driver ("newton" on the
+    Lax-Friedrichs scheme, "godunov_newton" on the Godunov scheme,
+    "godunov_sweep", "newton+godunov_sweep" or
+    "godunov_newton+godunov_sweep" after a Newton breakdown,
     "constructive", and for the 2-D tube "newton_2d" or
     "newton_2d+jacobi_2d" after a Newton breakdown) and flux the scheme
     whose fixed point was reached
@@ -133,8 +137,10 @@ class SolveReport:
     # array per edge, or per slope direction for the 2-D tube; None when
     # the Godunov flux finished the solve
     theta: Optional[list] = None
-    # (cells of the first edge, Newton steps) per coarse-to-fine level; for
-    # the viscous system (eps, Newton steps) per continuation stage
+    # (cells of the first edge, Newton steps) per coarse-to-fine level,
+    # except the coarsest level of "godunov_newton", which holds (cells,
+    # Gauss-Seidel sweeps); empty for the sweeps alone; for the viscous
+    # system (eps, Newton steps) per continuation stage
     levels: tuple = ()
 
 
@@ -143,10 +149,10 @@ class SolverParams:
     """Driver configuration.
 
     method "auto" runs semismooth Newton on the Lax-Friedrichs scheme when
-    every Hamiltonian is convex and Gauss-Seidel sweeps with the Godunov
-    flux otherwise; "sweep" forces the Godunov sweeps. Any other method
+    every Hamiltonian is convex and on the Godunov scheme otherwise;
+    "sweep" forces the Godunov Gauss-Seidel sweeps. Any other method
     raises ValueError. max_iters caps Newton steps; junction.MAX_SWEEPS
-    caps the sweeps.
+    caps the sweeps and junction.MAX_GODUNOV_STEPS each Godunov level.
     """
 
     tol: float = 1e-8
@@ -259,24 +265,54 @@ class EdgeDiscretization:
         lo[n] = hi[n] = p[-1]
         return self.theta_tab.range_max(lo - THETA_PAD, hi + THETA_PAD)
 
-    def godunov_flux(self, pm, pp, x):
-        """Sampled-Godunov numerical Hamiltonian: min of H over [p-, p+]
-        when p- <= p+, max over [p+, p-] otherwise.
-
-        Candidates are the two endpoints, the interior critical slopes of
-        H(., 0), and a few midpoint samples (cover for x-dependent H whose
-        critical slopes drift)."""
+    def godunov_candidates(self, pm, pp):
+        """The slopes the Godunov flux compares, stacked along axis 0: the
+        two endpoints p- and p+, the critical slopes of H(., 0) clipped to
+        [lo, hi] = [min, max](p-, p+), and the midpoint samples
+        lo + t (hi - lo) (cover for x-dependent H whose critical slopes
+        drift)."""
         pm = np.asarray(pm, dtype=float)
         pp = np.asarray(pp, dtype=float)
         lo = np.minimum(pm, pp)
         hi = np.maximum(pm, pp)
-        vals = [np.asarray(self.H(pm, x)), np.asarray(self.H(pp, x))]
-        for c in self.crit:
-            vals.append(np.asarray(self.H(np.clip(c, lo, hi), x)))
-        for t in (0.25, 0.5, 0.75):
-            vals.append(np.asarray(self.H(lo + t * (hi - lo), x)))
-        stack = np.stack(vals)
-        return np.where(pm <= pp, stack.min(axis=0), stack.max(axis=0))
+        return np.stack([pm, pp] + [np.clip(c, lo, hi) for c in self.crit]
+                        + [lo + t * (hi - lo) for t in GODUNOV_MIDPOINTS])
+
+    def godunov_flux(self, pm, pp, x):
+        """Sampled-Godunov numerical Hamiltonian: min of H over [p-, p+]
+        when p- <= p+, max over [p+, p-] otherwise, taken over
+        godunov_candidates."""
+        vals = np.asarray(self.H(self.godunov_candidates(pm, pp), x))
+        return np.where(np.asarray(pm) <= np.asarray(pp), vals.min(axis=0),
+                        vals.max(axis=0))
+
+    def _godunov_slopes(self, pm, pp, x):
+        """The Godunov flux G(p-, p+) and its generalised derivatives
+        (G_m, G_p) = (dG/dp-, dG/dp+), taken from the selected candidate:
+        H' there, with weight 1 on the endpoint it moves with (an endpoint,
+        or a critical slope clipped to lo or hi), 0 for an interior
+        critical slope, and (1 - t, t) on (lo, hi) for a midpoint sample.
+        Where p- = p+ the derivative goes upwind by the sign of H'. The
+        projection G_m >= 0 >= G_p keeps every row an M-matrix row where
+        the samples miss a monotone selection. pm and pp are 1-D arrays
+        of one length."""
+        cands = self.godunov_candidates(pm, pp)
+        vals, dH = _value_and_slope(self.H, cands, x)
+        lo, hi = np.minimum(pm, pp), np.maximum(pm, pp)
+        crit = np.reshape(self.crit, (-1, 1))
+        t = np.broadcast_to(np.reshape(GODUNOV_MIDPOINTS, (-1, 1)),
+                            (len(GODUNOV_MIDPOINTS), len(pm)))
+        # weights on lo and hi, in the row order of godunov_candidates
+        up = pm <= pp
+        w_lo = np.concatenate([[up, ~up], crit <= lo, 1.0 - t])
+        w_hi = np.concatenate([[~up, up], crit >= hi, t])
+        k = np.where(up, vals.argmin(axis=0), vals.argmax(axis=0))[None]
+        G, d, wl, wh = (np.take_along_axis(a, k, axis=0)[0]
+                        for a in (vals, dH, w_lo, w_hi))
+        tie = pm == pp
+        Gm = d * np.where(tie, 1.0, np.where(up, wl, wh))
+        Gp = d * np.where(tie, 1.0, np.where(up, wh, wl))
+        return G, np.maximum(Gm, 0.0), np.minimum(Gp, 0.0)
 
     def residual(self, u, theta=None, flux="lax_friedrichs"):
         """Full residual vector and the per-point theta actually used.
@@ -362,11 +398,49 @@ class EdgeDiscretization:
             diag[0] = 1.0 + (th0 - d0) / (2.0 * h)
             sup[0] = (d0 - th0) / (2.0 * h)
         elif isinstance(far, StateConstraint):
-            e0, d0 = _value_and_slope(lambda q, x: self.env_far(q), p[0], 0.0)
-            R[0] = u[0] + e0
-            diag[0] = 1.0 - d0 / h
-            sup[0] = d0 / h
+            self._far_state_constraint_row(u, p, R, diag, sup)
         return R, sub, diag, sup
+
+    def godunov_linearization(self, u):
+        """Godunov residual of rows 0..n-1, with unclamped slopes, and its
+        tridiagonal Jacobian (sub, diag, sup) in the layout of
+        lf_linearization.
+
+        Row j is u_j + G(p-, p+) with the generalised derivatives of
+        _godunov_slopes, so sub = -G_m/h <= 0, sup = G_p/h <= 0 and every
+        interior row sums to 1. The far rows follow lf_linearization."""
+        h = self.h
+        n = self.edge.n_cells
+        p = np.diff(u) / h
+        R = np.zeros(n)
+        sub = np.zeros(n)
+        diag = np.ones(n)
+        sup = np.zeros(n)
+
+        G, Gm, Gp = self._godunov_slopes(p[:-1], p[1:], self.x[1:-1])
+        R[1:] = u[1:n] + G
+        sub[1:] = -Gm / h
+        diag[1:] = 1.0 + (Gm - Gp) / h
+        sup[1:] = Gp / h
+
+        far = self.edge.far_bc
+        if isinstance(far, Neumann):
+            G0, _, Gp0 = self._godunov_slopes(np.array([far.slope]), p[:1],
+                                              self.x[0])
+            R[0] = u[0] + G0[0]
+            diag[0] = 1.0 - Gp0[0] / h
+            sup[0] = Gp0[0] / h
+        elif isinstance(far, StateConstraint):
+            self._far_state_constraint_row(u, p, R, diag, sup)
+        return R, sub, diag, sup
+
+    def _far_state_constraint_row(self, u, p, R, diag, sup):
+        """Row 0 of a state-constraint far end, u_0 + env_far(p_0), and its
+        derivative, written in place; it is the same for both fluxes."""
+        e0, d0 = _value_and_slope(lambda q, x: self.env_far(q), p[0], 0.0)
+        R[0] = u[0] + e0
+        diag[0] = 1.0 - d0 / self.h
+        sup[0] = d0 / self.h
 
     # -- scalar nodal equations (Gauss-Seidel driver) -------------------------
 

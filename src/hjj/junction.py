@@ -31,12 +31,20 @@ cascade (n/8, n/4, n/2, n) supplies the start, because from a constant the
 policy switch moves about two cells per step. theta is raised inside the
 iteration whenever the iterate needs more (theta <- 1.02 theta_req + 0.01,
 never lowered), so every linear system stays an M-matrix, and the report
-records it. A problem with a non-convex Hamiltonian goes to Gauss-Seidel
-sweeps with the Godunov flux, which is also where a Newton breakdown ends
-(flagged "newton_fallback"). At fixed theta the Lax-Friedrichs rows have
-unit row sums and non-positive off-diagonals, so a state whose residual is
-at most tol lies within tol of the scheme's fixed point: the residual
-certifies the answer without a second solve to compare against.
+records it.
+
+A problem with a non-convex Hamiltonian is solved on the sampled-Godunov
+scheme (Bardi and Osher's min-max flux) by the same cascade, with the
+generalised Jacobian of EdgeDiscretization.godunov_linearization, again an
+M-matrix arrowhead. Howard's argument (Bokanowski, Maroso and Zidani)
+covers a maximum of affine maps, not a min-max, so the coarsest level is
+solved by Gauss-Seidel sweeps from the constant super-solution and each
+Newton step is halved until the residual strictly decreases. The sweeps on
+the finest grid are also where a Newton breakdown ends (flagged
+"newton_fallback"). Under either flux the rows have unit row sums and
+non-positive off-diagonals, so a state whose residual is at most tol lies
+within tol of the scheme's fixed point: the residual certifies the answer
+without a second solve to compare against.
 """
 
 from __future__ import annotations
@@ -75,6 +83,10 @@ COARSE_TOL = 1e-6
 BREAKDOWN_GROWTH = 1e6
 # Gauss-Seidel sweeps before the sweep driver gives up with "max_iters"
 MAX_SWEEPS = 3000
+# Newton steps per cascade level on the Godunov scheme before it breaks down
+MAX_GODUNOV_STEPS = 50
+# smallest damping factor of the Godunov line search
+MIN_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -241,10 +253,11 @@ class JunctionDiscretization(FlatLayout):
     def max_residual(self, Rs, r0):
         return max(abs(r0), max(float(np.max(np.abs(R))) for R in Rs))
 
-    def linearization(self, z, thetas):
-        """Lax-Friedrichs residual of the flat state at fixed thetas, with
-        unclamped slopes, and its Jacobian for solve_arrowhead. The node row
-        differentiates the active envelope; where A binds it is a unit row."""
+    def linearization(self, z, flux, thetas=None):
+        """Residual of the flat state under flux -- "lax_friedrichs" at the
+        fixed thetas or "godunov" -- with unclamped slopes, and its Jacobian
+        for solve_arrowhead. The node row differentiates the active
+        envelope; where A binds it is a unit row."""
         us = self.split(z)
         r0, slope, active = 0.0, 0.0, None
         if self.node_pin is None:
@@ -258,8 +271,11 @@ class JunctionDiscretization(FlatLayout):
         node_row = [{} for _ in self.discs]
         if active is not None:
             node_row[active] = {self.discs[active].edge.n_cells - 1: -slope}
-        lins = [d.lf_linearization(u, th)
-                for d, u, th in zip(self.discs, us, thetas)]
+        if flux == "godunov":
+            lins = [d.godunov_linearization(u) for d, u in zip(self.discs, us)]
+        else:
+            lins = [d.lf_linearization(u, th)
+                    for d, u, th in zip(self.discs, us, thetas)]
         R = np.concatenate([lin[0] for lin in lins] + [[r0]])
         return R, ([lin[1:] for lin in lins], node_row, 1.0 + slope)
 
@@ -311,23 +327,33 @@ def solve_arrowhead(jac, rhs):
 # the driver
 # ---------------------------------------------------------------------------
 
-def _newton(jd, z, tol, budget):
-    """Howard iterations on one system; returns (z, thetas, steps, status)
-    with status "converged", "max_iters" or "breakdown"."""
+def _newton(jd, z, tol, budget, flux):
+    """Semismooth Newton on one system under flux; returns (z, thetas,
+    steps, status) with status "converged", "max_iters" or "breakdown".
+
+    A Lax-Friedrichs step is Howard's full step, at a theta raised to what
+    the iterate needs. The Godunov flux is a min-max, not a maximum of
+    affine maps, so its step is halved, down to MIN_STEP, until max|R|
+    strictly decreases; a step that does not decrease it even at MIN_STEP
+    is a breakdown."""
     thetas = None
-    res_start = None
-    steps = 0
-    while True:
+
+    def linearize(z):
+        nonlocal thetas
+        if flux == "godunov":
+            return jd.linearization(z, flux)
         req = [d.required_theta(u) for d, u in zip(jd.discs, jd.split(z))]
         if thetas is None:
             thetas = [1.02 * r + 0.01 for r in req]
         else:
             thetas = [np.where(r > t, 1.02 * r + 0.01, t)
                       for t, r in zip(thetas, req)]
-        R, J = jd.linearization(z, thetas)
-        res = float(np.max(np.abs(R)))
-        if res_start is None:
-            res_start = res
+        return jd.linearization(z, flux, thetas)
+
+    R, J = linearize(z)
+    res = res_start = float(np.max(np.abs(R)))
+    steps = 0
+    while True:
         if not np.isfinite(res) or \
                 res > BREAKDOWN_GROWTH * max(res_start, 1.0):
             return z, thetas, steps, "breakdown"
@@ -335,44 +361,74 @@ def _newton(jd, z, tol, budget):
             return z, thetas, steps, "converged"
         if steps >= budget:
             return z, thetas, steps, "max_iters"
-        z = jd.pin(z + solve_arrowhead(J, -R))
+        dz = solve_arrowhead(J, -R)
+        step = 1.0
+        while True:
+            z_new = jd.pin(z + step * dz)
+            R, J = linearize(z_new)
+            res_new = float(np.max(np.abs(R)))
+            if flux != "godunov" or res_new < res:
+                break
+            step *= 0.5
+            if step < MIN_STEP:
+                return z, thetas, steps, "breakdown"
+        z, res = z_new, res_new
         steps += 1
 
 
-def _newton_cascade(jd, z, params):
-    """Newton on n/8, n/4, n/2 (levels with at least 8 cells per edge) and
-    n, each level started from the previous one's solution; a cold start
-    (z None) begins at the constant super-solution, a warm start (the flat
-    state z) on the finest grid. Returns (z, thetas, steps, levels,
-    status)."""
-    factors = [] if z is not None else [
-        f for f in (8, 4, 2)
-        if all(d.edge.n_cells // f >= 8 for d in jd.discs)]
-    systems = [jd.coarsened(f) for f in factors] + [jd]
-    if z is None:
-        lift = max(d.super_level for d in jd.discs)
-        z = systems[0].pin(np.full(systems[0].size, lift))
+def _coarse_factors(jd):
+    """Cell-count divisors of the cascade's coarse levels: 8, 4 and 2 where
+    every edge keeps at least 8 cells."""
+    return [f for f in (8, 4, 2)
+            if all(d.edge.n_cells // f >= 8 for d in jd.discs)]
+
+
+def _newton_cascade(jd, z, params, flux):
+    """Newton on n/8, n/4, n/2 and n, each level started from the previous
+    one's solution. From a cold start (z None) the Lax-Friedrichs cascade
+    begins at the constant super-solution; the Godunov one solves its
+    coarsest level by the sweeps, because from a constant Newton on the
+    min-max flux does not converge. A warm start (the flat state z) runs
+    Newton on the finest grid alone. A Godunov level that hits its step
+    cap, min(MAX_GODUNOV_STEPS, what is left of max_iters), breaks down.
+    Returns (z, thetas, levels, status) with levels (cells of the first
+    edge, sweeps or Newton steps) per level."""
+    systems = [jd] if z is not None else \
+        [jd.coarsened(f) for f in _coarse_factors(jd)] + [jd]
     levels = []
-    total = 0
+    steps = 0
     for k, s in enumerate(systems):
+        tol = params.tol if s is jd else max(params.tol, COARSE_TOL)
+        cells = s.discs[0].edge.n_cells
         if k:
             z = s.interpolate(systems[k - 1], z)
-        tol = params.tol if s is jd else max(params.tol, COARSE_TOL)
-        z, thetas, steps, status = _newton(s, z, tol, params.max_iters - total)
-        total += steps
-        levels.append((s.discs[0].edge.n_cells, steps))
+        elif flux == "godunov" and z is None:
+            us, u0, sweeps, _, flag = _sweeps(s, tol)
+            levels.append((cells, sweeps))
+            if flag:
+                return None, None, tuple(levels), "breakdown"
+            z = s.join(us, u0)
+            continue
+        elif z is None:
+            z = s.pin(np.full(s.size, max(d.super_level for d in s.discs)))
+        budget = params.max_iters - steps
+        if flux == "godunov":
+            budget = min(budget, MAX_GODUNOV_STEPS)
+        z, thetas, n, status = _newton(s, z, tol, budget, flux)
+        steps += n
+        levels.append((cells, n))
+        if flux == "godunov" and status == "max_iters":
+            status = "breakdown"
         if status == "breakdown":
             break
-    return z, thetas, total, tuple(levels), status
+    return z, thetas, tuple(levels), status
 
 
-def _sweeps(jd, z, params):
-    """Godunov Gauss-Seidel sweeps from the constant super-solution, or
-    from the warm state z lifted to it, which they descend from. Returns
-    (us, u0, sweeps, residual, flag) with flag None, "sweep_stalled" or
-    "max_iters" (MAX_SWEEPS reached)."""
-    lift = max(d.super_level for d in jd.discs)
-    z = jd.pin(np.full(jd.size, lift) if z is None else np.maximum(z, lift))
+def _sweeps(jd, tol):
+    """Godunov Gauss-Seidel sweeps from the constant super-solution, which
+    they descend from. Returns (us, u0, sweeps, residual, flag) with flag
+    None, "sweep_stalled" or "max_iters" (MAX_SWEEPS reached)."""
+    z = jd.pin(np.full(jd.size, max(d.super_level for d in jd.discs)))
     us, u0 = jd.split(z), float(z[-1])
     sweeps = 0
     res = np.inf
@@ -380,17 +436,17 @@ def _sweeps(jd, z, params):
     stall = 0
     while sweeps < MAX_SWEEPS:
         for d, u in zip(jd.discs, us):
-            d.gauss_seidel_sweep(u, params.tol)
+            d.gauss_seidel_sweep(u, tol)
         if jd.node_pin is None:
             u0 = _solve_increasing(
-                lambda v: jd.node_residual(us, v), u0, 0.1 * params.tol,
+                lambda v: jd.node_residual(us, v), u0, 0.1 * tol,
                 scale=jd.h_min)
             for u in us:
                 u[-1] = u0
         sweeps += 1
         Rs, r0 = jd.residuals(us, u0, flux="godunov")
         res = jd.max_residual(Rs, r0)
-        if res <= params.tol:
+        if res <= tol:
             return us, u0, sweeps, res, None
         if res < 0.999 * best:
             best, stall = res, 0
@@ -405,38 +461,51 @@ def solve_system(problem, params=None, init=None):
     """Solve the junction system of problem -- state-constraint,
     flux-limited or Dirichlet node -- and report what was done.
 
-    method "auto" runs the Newton cascade when every Hamiltonian is convex
-    and the Godunov sweeps otherwise; "sweep" always runs the sweeps. A
-    Newton breakdown (non-finite values, a residual that grows by
-    BREAKDOWN_GROWTH, or an answer whose clamped residual misses the
-    tolerance) hands the solve to the sweeps and flags "newton_fallback".
-    init, per-edge value arrays, warm-starts Newton on the finest grid, or
-    the sweeps."""
+    method "auto" runs the Newton cascade: on the Lax-Friedrichs scheme
+    when every Hamiltonian is convex ("newton"), on the Godunov scheme
+    otherwise ("godunov_newton", its coarsest level solved by the sweeps).
+    "sweep", and a cold non-convex solve too small for a coarse level
+    (fewer than 16 cells on some edge), run the sweeps alone. A Newton
+    breakdown (non-finite values, a residual that grows by
+    BREAKDOWN_GROWTH, a failed Godunov line search or step cap, or an
+    answer whose clamped residual under its own flux misses the
+    tolerance) hands the solve to the sweeps on the finest grid and flags
+    "newton_fallback". init, per-edge value arrays, warm-starts Newton on
+    the finest grid; the sweeps always start from the constant
+    super-solution."""
     params = params or SolverParams()
     t0 = time.perf_counter()
     jd = JunctionDiscretization(problem)
-    convex = all(H.flags.convex for H in problem.hamiltonians)
-    method = "newton" if params.method == "auto" and convex \
-        else "godunov_sweep"
     z = None if init is None else jd.pin(jd.join(init, float(init[0][-1])))
+    if params.method == "sweep":
+        method = "godunov_sweep"
+    elif all(H.flags.convex for H in problem.hamiltonians):
+        method = "newton"
+    elif z is not None or _coarse_factors(jd):
+        method = "godunov_newton"
+    else:
+        method = "godunov_sweep"
     flags = []
     thetas = None
     levels = ()
     it = 0
-    if method == "newton":
-        zn, thetas, it, levels, status = _newton_cascade(jd, z, params)
+    if method != "godunov_sweep":
+        flux = "lax_friedrichs" if method == "newton" else "godunov"
+        zn, thetas, levels, status = _newton_cascade(jd, z, params, flux)
+        it = sum(count for _, count in levels)
         if status != "breakdown":
             us, u0 = jd.split(zn), float(zn[-1])
-            res = jd.max_residual(*jd.residuals(us, u0, thetas=thetas))
+            res = jd.max_residual(*jd.residuals(us, u0, thetas=thetas,
+                                                flux=flux))
             if status == "max_iters":
                 flags.append("max_iters")
             elif res > params.tol:
                 status = "breakdown"
         if status == "breakdown":
             flags.append("newton_fallback")
-            method = "newton+godunov_sweep"
+            method += "+godunov_sweep"
     if method.endswith("godunov_sweep"):
-        us, u0, sweeps, res, flag = _sweeps(jd, z, params)
+        us, u0, sweeps, res, flag = _sweeps(jd, params.tol)
         it += sweeps
         thetas = None
         if flag:

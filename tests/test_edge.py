@@ -142,20 +142,36 @@ class TestSolveEdge:
 
 class TestStiffHamiltonian:
     def test_double_well_sweep_residual(self):
-        # non-convex, so both methods take the Godunov sweeps; each answer
-        # is certified by re-evaluating the Godunov residual
+        # non-convex, so both methods solve the Godunov scheme, "auto" by
+        # Newton and "sweep" by the sweeps; each answer is certified by
+        # re-evaluating the Godunov residual
         H = hm.make_builtin("double_well", b=-2.0, c=0.0)
         spec = ed.EdgeSpec(1.0, 64, far_bc=ed.StateConstraint())
         prob = jn.JunctionProblem([spec], [H], ed.StateConstraint())
-        for method in ("auto", "sweep"):
+        for method, driver in (("auto", "godunov_newton"),
+                               ("sweep", "godunov_sweep")):
             params = ed.SolverParams(method=method)
             u, rep = ed.solve_edge(H, spec, ed.StateConstraint(), params)
-            assert rep.method == "godunov_sweep" and rep.flux == "godunov"
+            assert rep.method == driver and rep.flux == "godunov"
             assert rep.converged
             Rs, r0 = jn.junction_scheme_residuals(
                 jn.JunctionGridFunction([u], u.node_value), prob, rep)
             assert abs(r0) <= params.tol
             assert np.max(np.abs(Rs[0])) <= params.tol
+
+    def test_warm_start_runs_godunov_newton(self):
+        # init warm-starts Newton on the finest grid alone; from the
+        # solution itself it has (almost) nothing left to do
+        H = hm.make_builtin("double_well", b=-2.0, c=0.0)
+        spec = ed.EdgeSpec(1.0, 200, far_bc=ed.StateConstraint())
+        u_sc, rep_sc = ed.solve_edge(H, spec, ed.StateConstraint())
+        assert rep_sc.method == "godunov_newton"
+        u, rep = ed.solve_edge(H, spec, ed.StateConstraint(),
+                               init=u_sc.values)
+        assert rep.method == "godunov_newton" and rep.converged
+        assert rep.levels == ((200, rep.iterations),)
+        assert rep.iterations <= 2
+        assert np.max(np.abs(u.values - u_sc.values)) <= 1e-8
 
     def test_godunov_flux_consistency(self):
         H = hm.make_builtin("double_well", b=-2.0, c=0.0)
@@ -331,6 +347,64 @@ class TestSchemeProperties:
         assert r0 >= 0.0
         for d, R in zip(jd.discs, Rs):
             assert np.all(R[~d.pinned] >= 0.0)
+
+    @properties
+    @given(H=hamiltonians(), far=far_conditions, seed=seeds)
+    # a critical slope that drifts with x: the midpoint samples win on
+    # some rows, and the selected derivative can have the wrong sign
+    @example(H=hm.make_builtin("expression",
+                               src="(p-0.8*sin(3*x))^2-1"),
+             far=ed.Neumann(0.3), seed=5)
+    def test_godunov_jacobian(self, H, far, seed):
+        # interior rows are M-matrix rows with unit row sums, and every
+        # entry is the projected central difference of the Godunov
+        # residual on rows whose selected candidate does not change
+        rng = np.random.default_rng(seed)
+        spec = ed.EdgeSpec(1.0, 64, far_bc=far)
+        disc = ed.EdgeDiscretization(H, spec, "external")
+        h, P = spec.h, H.coercivity_bound
+        u = np.cumsum(rng.uniform(-2 * P, 2 * P, 65) * h)
+        R, sub, diag, sup = disc.godunov_linearization(u)
+        rows = slice(0 if isinstance(far, ed.Neumann) else 1, 64)
+        assert np.all(sub[1:] <= 0.0) and np.all(sup[rows] <= 0.0)
+        np.testing.assert_allclose((sub + diag + sup)[rows], 1.0,
+                                   rtol=1e-12)
+        R_res, _ = disc.residual(u, flux="godunov")
+        np.testing.assert_allclose(R, R_res[:-1], rtol=1e-12, atol=1e-12)
+
+        def selection(u):
+            p = np.diff(u) / h
+            g = far.slope if isinstance(far, ed.Neumann) else p[0]
+            pm, pp = np.append(g, p[:-1]), p
+            cands = disc.godunov_candidates(pm, pp)
+            vals = H(cands, disc.x[:-1])
+            up = pm <= pp
+            k = np.where(up, vals.argmin(0), vals.argmax(0))
+            s = np.take_along_axis(cands, k[None], axis=0)[0]
+            return np.stack([up, k, s == np.minimum(pm, pp),
+                             s == np.maximum(pm, pp)])
+
+        base = selection(u)
+        stable = np.ones(64, dtype=bool)
+        fd = np.zeros((3, 64))  # d R_j / d u_{j-1}, u_j, u_{j+1}
+        delta = 1e-7 * h
+        j = np.arange(64)
+        for r in range(3):
+            e = delta * (np.arange(65) % 3 == r)
+            Rp, Rm = (disc.residual(u + s * e, flux="godunov")[0][:-1]
+                      for s in (1.0, -1.0))
+            for v in (u + e, u - e):
+                stable &= np.all(selection(v) == base, axis=0)
+            offset = (r - j) % 3  # 0: u_j, 1: u_{j+1}, 2: u_{j-1}
+            fd[(offset + 1) % 3, j] = (Rp - Rm) / (2.0 * delta)
+        Gm = np.maximum(-h * fd[0], 0.0)
+        Gp = np.minimum(h * fd[2], 0.0)
+        keep = stable[rows]
+        assert keep.sum() >= 32
+        for lin, ref in ((sub, -Gm / h), (sup, Gp / h),
+                         (diag, 1.0 + (Gm - Gp) / h)):
+            np.testing.assert_allclose(lin[rows][keep], ref[rows][keep],
+                                       rtol=1e-5, atol=1e-5 / h)
 
     def test_consistency_order_h(self, h_abs):
         # scheme residual of the sampled analytic solution is O(h)

@@ -351,7 +351,7 @@ class TestNewtonDriver:
         assert rep.levels[-1][1] <= 3
         assert rep.iterations == sum(s for _, s in rep.levels)
 
-    def test_nonconvex_goes_straight_to_sweeps(self, monkeypatch):
+    def test_nonconvex_runs_no_lax_friedrichs_work(self, monkeypatch):
         def no_lax_friedrichs(*args, **kwargs):
             raise AssertionError("a Lax-Friedrichs iteration ran")
 
@@ -371,8 +371,9 @@ class TestNewtonDriver:
                      hm.make_builtin("abs_shift", c=1.0)])
         sol, rep = jn.solve_junction_direct(prob)
         assert rep.converged
-        assert rep.flux == "godunov" and rep.method == "godunov_sweep"
-        assert rep.theta is None and rep.levels == ()
+        assert rep.flux == "godunov" and rep.method == "godunov_newton"
+        assert rep.theta is None
+        assert [n for n, _ in rep.levels] == [12, 24, 48]
 
     def test_breakdown_falls_back_to_sweeps(self, h_abs1, h_abs2,
                                             monkeypatch):
@@ -385,6 +386,63 @@ class TestNewtonDriver:
         assert rep.method == "newton+godunov_sweep"
         assert rep.flux == "godunov" and rep.converged
         assert sol.node_value == pytest.approx(1.0, abs=5e-2)
+
+
+def _dwell(b, c):
+    return hm.make_builtin("double_well", b=b, c=c)
+
+
+def _godunov_cases():
+    """Non-convex systems for Newton on the Godunov scheme, as (edges,
+    Hamiltonians, junction condition). The direct problem of
+    TestStiffJunction is the acceptance fixture "dwell + abs1"; its
+    constructive solver first solves the double-well edge alone
+    ("dwell-edge"). "dirichlet-node" pins the node of that edge below its
+    state-constraint value."""
+    sc, neu = ed.StateConstraint(), ed.Neumann(0.0)
+    edge = lambda n, far=sc: ed.EdgeSpec(1.0, n, far_bc=far)
+    abs1 = hm.make_builtin("abs_shift", c=1.0)
+    quad = hm.make_builtin("quadratic", b=0.0, c=2.0)
+    return {
+        "dwell+abs1": ([edge(200)] * 2, [_dwell(-2.0, 0.0), abs1], sc),
+        "dwell+quad": ([edge(200)] * 2, [_dwell(-2.0, 0.5), quad], sc),
+        "dwell-edge": ([edge(200)], [_dwell(-2.0, 0.0)], sc),
+        "dwell-neumann": ([edge(200, neu)] * 2,
+                          [_dwell(-2.0, 0.0), _dwell(1.0, 0.3)], sc),
+        "dirichlet-node": ([edge(200)], [_dwell(-2.0, 0.0)],
+                           ed.Dirichlet(-1.0)),
+        # the sweeps need O(n) sweeps here, about 5 s at n = 100
+        "dirichlet-far": ([edge(100, ed.Dirichlet(0.0)), edge(100)],
+                          [_dwell(0.0, 0.5), _dwell(1.0, 0.2)], sc),
+    }
+
+
+class TestGodunovNewton:
+    @pytest.mark.parametrize("case", list(_godunov_cases()))
+    def test_matches_sweeps(self, case):
+        prob = jn.make_junction_problem(*_godunov_cases()[case])
+        sol, rep = jn.solve_system(prob)
+        ref, rep_ref = jn.solve_system(prob, ed.SolverParams(method="sweep"))
+        assert rep.converged and rep_ref.converged
+        assert rep.method == "godunov_newton" and rep.flux == "godunov"
+        assert rep.flags == ()
+        assert rep.iterations == sum(s for _, s in rep.levels)
+        for a, b in zip(sol.per_edge, ref.per_edge):
+            assert np.max(np.abs(a.values - b.values)) <= 1e-9
+
+    def test_breakdown_falls_back_to_sweeps(self, monkeypatch):
+        monkeypatch.setattr(jn, "solve_arrowhead",
+                            lambda J, b: np.full(len(b), np.nan))
+        e = ed.EdgeSpec(1.0, 64, far_bc=ed.StateConstraint())
+        prob = jn.make_junction_problem(
+            [e, e], [_dwell(-2.0, 0.0), hm.make_builtin("abs_shift", c=1.0)])
+        sol, rep = jn.solve_junction_direct(prob)
+        assert rep.method == "godunov_newton+godunov_sweep"
+        assert "newton_fallback" in rep.flags
+        assert rep.flux == "godunov" and rep.converged
+        ref, _ = jn.solve_junction_direct(prob,
+                                          ed.SolverParams(method="sweep"))
+        assert sol.node_value == ref.node_value
 
 
 _X_DEPENDENT = ("abs(p-0.3)-1+0.5*sin(3*x)", "(p-1)^2-1+0.3*cos(2*x)",

@@ -42,6 +42,18 @@ def minimal_problem(**overrides):
     return data
 
 
+def double_well_problem():
+    """The stiff junction: a double well and a kink, both with
+    state-constraint far ends."""
+    sc = {"kind": "state_constraint"}
+    return minimal_problem(edges=[
+        {"length": 1.0, "n_cells": 64, "far_bc": sc,
+         "hamiltonian": {"family": "double_well", "b": -2.0, "c": 0.0}},
+        {"length": 1.0, "n_cells": 64, "far_bc": sc,
+         "hamiltonian": {"family": "abs_shift", "b": 0.0, "c": 1.0}},
+    ])
+
+
 def _max_form_fatten(eps_list, **spacing):
     return {"hamiltonian2d": {"max_form": [
                 {"family": "abs_shift", "c": 1.0},
@@ -170,6 +182,7 @@ class TestCli:
                         "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["solve"]["bound_minus_A_ok"]
+        assert [n for n, _ in report["solve"]["levels"]] == [8, 16, 32, 64]
 
     def test_viscous_sweep_and_determinism(self, tmp_path):
         data = minimal_problem(viscous={"eps_list": [0.4, 0.2, 0.1]})
@@ -266,6 +279,53 @@ class TestCli:
         assert report["direct"]["converged"]
         assert report["direct"]["flux"] == "godunov"
         assert "newton_fallback" in report["flags"]
+
+    def test_godunov_newton_fallback_exit_code(self, tmp_path, monkeypatch):
+        # the same breakdown on a double well: the sweeps finish the
+        # Godunov solve on the finest grid, and the run fails
+        monkeypatch.setattr(jn, "solve_arrowhead",
+                            lambda J, b: np.full(len(b), np.nan))
+        prob = tmp_path / "p.json"
+        write_problem(double_well_problem(), prob)
+        out = tmp_path / "out"
+        assert run_cli(["solve-junction", "--problem", str(prob),
+                        "--out", str(out)]) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["direct"]["converged"]
+        assert report["direct"]["method"] == "godunov_newton+godunov_sweep"
+        assert report["direct"]["flux"] == "godunov"
+        assert "newton_fallback" in report["flags"]
+
+    def test_report_levels(self, tmp_path, monkeypatch):
+        # the direct solve runs first; record what its cascade ran
+        ran = []
+        sweeps, newton = jn._sweeps, jn._newton
+
+        def record_sweeps(s, tol):
+            out = sweeps(s, tol)
+            ran.append(("sweep", s.discs[0].edge.n_cells, out[2]))
+            return out
+
+        def record_newton(s, z, tol, budget, flux):
+            out = newton(s, z, tol, budget, flux)
+            ran.append((flux, s.discs[0].edge.n_cells, out[2]))
+            return out
+
+        monkeypatch.setattr(jn, "_sweeps", record_sweeps)
+        monkeypatch.setattr(jn, "_newton", record_newton)
+        prob = tmp_path / "p.json"
+        write_problem(double_well_problem(), prob)
+        out = tmp_path / "out"
+        assert run_cli(["solve-junction", "--problem", str(prob),
+                        "--out", str(out)]) == 0
+        direct = json.loads((out / "report.json").read_text())["direct"]
+        assert direct["method"] == "godunov_newton"
+        levels = direct["levels"]
+        assert [n for n, _ in levels] == [8, 16, 32, 64]
+        assert [[n, c] for _, n, c in ran[:len(levels)]] == levels
+        assert [kind for kind, _, _ in ran[:len(levels)]] == \
+            ["sweep"] + ["godunov"] * (len(levels) - 1)
+        assert direct["iterations"] == sum(c for _, c in levels)
 
     def test_validation_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -368,6 +428,7 @@ class TestCliHeavySubcommands:
         report = json.loads((out / "report.json").read_text())
         assert report["solve"]["node_value"] == pytest.approx(2.0, abs=2e-2)
         assert report["solve"]["role"] == "state_constraint"
+        assert [n for n, _ in report["solve"]["levels"]] == [8, 16, 32, 64]
 
 
 class TestReports:
