@@ -318,7 +318,8 @@ class EdgeDiscretization:
         """Full residual vector and the per-point theta actually used.
 
         Pinned rows report zero. theta, when given, must cover interior
-        points (used by the monotonicity property tests)."""
+        points (used by the monotonicity property tests). The Godunov flux
+        uses no theta, so it returns theta as given, or None."""
         h = self.h
         n = self.edge.n_cells
         p = np.diff(u) / h
@@ -326,9 +327,12 @@ class EdgeDiscretization:
 
         far = self.edge.far_bc
         g = far.slope if isinstance(far, Neumann) else 0.0
-        th = self.required_theta(u)
         if theta is not None:
             th = np.broadcast_to(np.asarray(theta, dtype=float), (n + 1,)).copy()
+        elif flux == "godunov":
+            th = None
+        else:
+            th = self.required_theta(u)
 
         # slope arguments of H are clamped to the tabulated span: transient
         # slopes beyond it would outrun the dissipation bound (the clamp is

@@ -25,7 +25,11 @@ Jacobi pseudo-time from the constant start and flags "newton_fallback".
 Traces along the two axis gridlines approximate the 1-D junction solution
 built from the reduced Hamiltonians H1(p1, x1) = min_p2 H(p1, p2, x1, 0) and
 H2(p2, x2) = min_p1 H(p1, p2, 0, x2); the study records trace errors and
-reduced-equation residuals per eps.
+reduced-equation residuals per eps. For a max form
+max(Ha(p1, x1), Hb(p2, x2)) the reduction is closed,
+H1(p1, x1) = max(Ha(p1, x1), min_q Hb(q, 0)), so the reference evaluates no
+joint H; other 2-D Hamiltonians are reduced by sampling the transverse slope
+(see hamiltonians.reduce_2d).
 """
 
 from __future__ import annotations

@@ -58,12 +58,17 @@ class Hamiltonian:
 
 @dataclass(frozen=True)
 class Hamiltonian2D:
-    """Joint two-slope Hamiltonian H(p1, p2, x1, x2), coercive in (p1, p2)."""
+    """Joint two-slope Hamiltonian H(p1, p2, x1, x2), coercive in (p1, p2).
+
+    parts is (H1, H2) for a max form max(H1(p1, x1), H2(p2, x2)), which
+    reduce_2d then reduces in closed form; it is empty otherwise.
+    """
 
     fn: Callable
     coercivity_bound: float
     coercivity_level: float
     source: str
+    parts: tuple = ()
 
     def __call__(self, p1, p2, x1=0.0, x2=0.0):
         return self.fn(p1, p2, x1, x2)
@@ -474,8 +479,9 @@ def max_form_2d(H1, H2, level=None):
     fn = lambda p1, p2, x1, x2: np.maximum(H1.fn(p1, x1), H2.fn(p2, x2))
     if level is None:
         level = max(H1.coercivity_level, H2.coercivity_level)
-    return make_hamiltonian2d(fn, level=level,
-                              source=f"max({H1.source},{H2.source})")
+    H = make_hamiltonian2d(fn, level=level,
+                           source=f"max({H1.source},{H2.source})")
+    return replace(H, parts=(H1, H2))
 
 
 def parse_expression_2d(src, level=None, coercivity_bound=None):
@@ -498,9 +504,13 @@ def reduce_2d(H2, axis, resolution=129):
     slope: axis=1 gives H1(p1, x1) = min_p2 H2(p1, p2, x1, 0), axis=2 gives
     H2r(p2, x2) = min_p1 H2(p1, p2, 0, x2).
 
-    The transverse minimum is sampled on [-P, P] (0 always included) and
-    sharpened by a bracketed elementwise search; the reduced map is then
-    probed and analyzed like any other Hamiltonian.
+    For a max form (H2.parts set) the minimum is closed:
+    min_q max(H_own(p, x), H_other(q, 0)) = max(H_own(p, x), floor), with
+    floor the least value of H_other over the transverse grid of [-P, P]
+    and its minima in [-P, P]; no joint value is evaluated. Otherwise the
+    transverse minimum is sampled on [-P, P] (0 always included) and
+    sharpened by a bracketed elementwise search. Either way the reduced map
+    is then probed and analyzed like any other Hamiltonian.
     """
     if resolution < 16:
         raise ValueError("resolution too coarse (need >= 16)")
@@ -508,42 +518,55 @@ def reduce_2d(H2, axis, resolution=129):
         raise ValueError("axis must be 1 or 2")
     P = H2.coercivity_bound
     qs = np.union1d(np.linspace(-P, P, resolution), [0.0])
-    dq = 2.0 * P / (resolution - 1)
-    base = H2.fn
 
-    def fn(p, x):
-        p_arr, x_arr = np.broadcast_arrays(np.asarray(p, dtype=float),
-                                           np.asarray(x, dtype=float))
-        shape = p_arr.shape
-        pf = p_arr.reshape(-1, 1)
-        xf = x_arr.reshape(-1, 1)
-        if axis == 1:
-            grid = base(pf, qs[None, :], xf, 0.0)
-        else:
-            grid = base(qs[None, :], pf, 0.0, xf)
-        rows = np.arange(grid.shape[0])
-        best_idx = np.argmin(grid, axis=1)
-        best = grid[rows, best_idx]
-        q0 = qs[best_idx]
-        pfl = pf[:, 0]
-        xfl = xf[:, 0]
-        # two zoom rounds around the best sample sharpen the transverse
-        # minimum without a per-lane iteration loop
-        delta = dq
-        t = np.linspace(-1.0, 1.0, 9)
-        for _ in range(2):
-            qr = q0[:, None] + delta * t[None, :]
+    if H2.parts:
+        own, other = H2.parts if axis == 1 else H2.parts[::-1]
+        m = np.asarray(other.minima, dtype=float)
+        cands = np.union1d(qs, m[np.abs(m) <= P])
+        floor = float(np.min(other.fn(cands, 0.0)))
+
+        def fn(p, x):
+            p, x = np.broadcast_arrays(np.asarray(p, dtype=float),
+                                       np.asarray(x, dtype=float))
+            out = np.maximum(own.fn(p, x), floor)
+            return out if out.shape else float(out)
+    else:
+        dq = 2.0 * P / (resolution - 1)
+        base = H2.fn
+
+        def fn(p, x):
+            p_arr, x_arr = np.broadcast_arrays(np.asarray(p, dtype=float),
+                                               np.asarray(x, dtype=float))
+            shape = p_arr.shape
+            pf = p_arr.reshape(-1, 1)
+            xf = x_arr.reshape(-1, 1)
             if axis == 1:
-                vr = base(pfl[:, None], qr, xfl[:, None], 0.0)
+                grid = base(pf, qs[None, :], xf, 0.0)
             else:
-                vr = base(qr, pfl[:, None], 0.0, xfl[:, None])
-            bi = np.argmin(vr, axis=1)
-            cand = vr[rows, bi]
-            improved = cand < best
-            best = np.where(improved, cand, best)
-            q0 = np.where(improved, qr[rows, bi], q0)
-            delta = delta / 4.0
-        return best.reshape(shape) if shape else float(best[0])
+                grid = base(qs[None, :], pf, 0.0, xf)
+            rows = np.arange(grid.shape[0])
+            best_idx = np.argmin(grid, axis=1)
+            best = grid[rows, best_idx]
+            q0 = qs[best_idx]
+            pfl = pf[:, 0]
+            xfl = xf[:, 0]
+            # two zoom rounds around the best sample sharpen the transverse
+            # minimum without a per-lane iteration loop
+            delta = dq
+            t = np.linspace(-1.0, 1.0, 9)
+            for _ in range(2):
+                qr = q0[:, None] + delta * t[None, :]
+                if axis == 1:
+                    vr = base(pfl[:, None], qr, xfl[:, None], 0.0)
+                else:
+                    vr = base(qr, pfl[:, None], 0.0, xfl[:, None])
+                bi = np.argmin(vr, axis=1)
+                cand = vr[rows, bi]
+                improved = cand < best
+                best = np.where(improved, cand, best)
+                q0 = np.where(improved, qr[rows, bi], q0)
+                delta = delta / 4.0
+            return best.reshape(shape) if shape else float(best[0])
 
     level = H2.coercivity_level
     Pr = _probe_callable(

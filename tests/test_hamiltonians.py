@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjj import hamiltonians as hm
 
@@ -203,6 +207,58 @@ class TestReduce2D:
         H2 = hm.parse_expression_2d("p1^2 + p2^2")
         with pytest.raises(ValueError, match="too coarse"):
             hm.reduce_2d(H2, 1, resolution=8)
+
+    def test_max_form_evaluates_no_joint_value(self):
+        def joint(*args):
+            raise AssertionError("joint H evaluated")
+
+        H2 = hm.max_form_2d(hm.make_builtin("abs_shift", b=0.3, c=1.0),
+                            hm.make_builtin("double_well", b=-0.2, c=1.5))
+        H2 = replace(H2, fn=joint)
+        for axis in (1, 2):
+            Hr = hm.reduce_2d(H2, axis)
+            v = Hr(np.linspace(-2.0, 2.0, 9), 0.0)
+            assert v.shape == (9,) and np.all(np.isfinite(v))
+            assert isinstance(Hr(0.5), float)
+
+
+_MAX_FORM_PART = st.tuples(
+    st.sampled_from(["abs_shift", "quadratic", "double_well"]),
+    st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),
+    st.floats(0.5, 2.0))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_MAX_FORM_PART, _MAX_FORM_PART, st.sampled_from([1, 2]))
+def test_max_form_reduction_matches_sampled_minimum(own, other, axis):
+    # the closed form of a max form against the transverse sampling of the
+    # same joint function: never above it, and below it by at most the
+    # other part's slope bound times the final zoom spacing dq/16. Where the
+    # other part's minimizer lies on the transverse grid (abs_shift and
+    # quadratic with b = 0) the two agree bit for bit; elsewhere the sampled
+    # floor sits slightly above the exact one and can add a flat bottom,
+    # which moves minima and flags
+    specs = (own, other) if axis == 1 else (other, own)
+    parts = [hm.make_builtin(f, b=b, c=c) for f, b, c in specs]
+    H2 = hm.max_form_2d(*parts)
+    joint = hm.make_hamiltonian2d(H2.fn, level=H2.coercivity_level,
+                                  coercivity_bound=H2.coercivity_bound)
+    closed, sampled = hm.reduce_2d(H2, axis), hm.reduce_2d(joint, axis)
+    assert closed.coercivity_bound == sampled.coercivity_bound
+
+    P = H2.coercivity_bound
+    dq = 2.0 * P / (129 - 1)
+    qs = np.union1d(np.linspace(-P, P, 129), [0.0])
+    H_other = parts[2 - axis]
+    L_other = hm.SlopeLipschitzTable(H_other, [0.0], P).global_max
+    ps = np.linspace(-P, P, 513)
+    gap = sampled(ps, 0.0) - closed(ps, 0.0)
+    assert np.all(gap >= 0.0)
+    assert np.all(gap <= L_other * dq / 16.0)
+    if np.isin(H_other.minima, qs).any():
+        assert np.array_equal(gap, np.zeros_like(gap))
+        assert closed.minima == sampled.minima
+        assert closed.flags == sampled.flags
 
 
 class TestRightwardMinThreshold:
