@@ -26,6 +26,7 @@ the state-constraint envelope or a pinned Dirichlet value.
 from __future__ import annotations
 
 import copy
+import weakref
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -202,11 +203,50 @@ def _pinned_rows(edge, node_bc):
     return pinned
 
 
+# the slope tables, envelopes and super-solution level of each
+# (Hamiltonian, edge) pair, as {H: {EdgeSpec: tables}}; an entry goes when
+# its Hamiltonian is freed, so the tables must hold no reference back to H
+_TABLES = weakref.WeakKeyDictionary()
+
+
+def _edge_tables(H, edge):
+    """(theta_tab, crit, super_level, env_node, env_far) of H on the edge,
+    built on the first request and shared by every later one."""
+    per_edge = _TABLES.setdefault(H, {})
+    tables = per_edge.get(edge)
+    if tables is not None:
+        return tables
+    x = edge.grid()
+    xs = x[:: max(1, edge.n_cells // 24)]
+    P = H.coercivity_bound
+    theta_tab = SlopeLipschitzTable(H, xs, span=2.0 * P + 2.0)
+    # interior critical slopes of H(., 0): Godunov candidate set
+    maxima = find_minima(lambda p, x: -np.asarray(H.fn(p, x)), P,
+                         resolution=2048)
+    crit = np.unique(np.concatenate(
+        [np.asarray(H.minima, dtype=float), maxima]))
+    # constant upper barrier: u = super_level is a discrete super-solution
+    qs = np.linspace(-P, P, 2049)
+    hmin = min(float(np.min(np.asarray(H(qs, xx)))) for xx in xs)
+    # the node envelope is built even for a Dirichlet node: a later
+    # discretization of the same pair may own the node row
+    env_node = SlopeEnvelope(H, x0=0.0, side="right")
+    env_far = None
+    if isinstance(edge.far_bc, StateConstraint):
+        env_far = SlopeEnvelope(H, x0=float(x[0]), side="left")
+    tables = (theta_tab, crit, -hmin + 1.0, env_node, env_far)
+    per_edge[edge] = tables
+    return tables
+
+
 class EdgeDiscretization:
     """Precomputed tables and residual evaluation for one edge.
 
     node_bc may be Dirichlet, StateConstraint, or the string "external"
-    (the junction solver owns the node row)."""
+    (the junction solver owns the node row). The slope tables, envelopes
+    and the super-solution level depend only on the Hamiltonian and the
+    edge: they are built once per (H, edge) pair, shared by every
+    discretization of that pair, and live as long as H does."""
 
     def __init__(self, H: Hamiltonian, edge: EdgeSpec, node_bc):
         self.H = H
@@ -214,32 +254,15 @@ class EdgeDiscretization:
         self.node_bc = node_bc
         self.x = edge.grid()
         self.h = edge.h
-        n = edge.n_cells
-        xs = self.x[:: max(1, n // 24)]
-        span = 2.0 * H.coercivity_bound + 2.0
-        self.theta_tab = SlopeLipschitzTable(H, xs, span=span)
-        # interior critical slopes of H(., 0): Godunov candidate set
-        P = H.coercivity_bound
-        maxima = find_minima(lambda p, x: -np.asarray(H.fn(p, x)), P,
-                             resolution=2048)
-        self.crit = np.unique(np.concatenate(
-            [np.asarray(H.minima, dtype=float), maxima]))
-        # constant upper barrier: u = super_level is a discrete super-solution
-        qs = np.linspace(-P, P, 2049)
-        hmin = min(float(np.min(np.asarray(H(qs, x)))) for x in xs)
-        self.super_level = -hmin + 1.0
-        self.env_node = None
-        if isinstance(node_bc, StateConstraint) or node_bc == "external":
-            self.env_node = SlopeEnvelope(H, x0=0.0, side="right")
-        self.env_far = None
-        if isinstance(edge.far_bc, StateConstraint):
-            self.env_far = SlopeEnvelope(H, x0=float(self.x[0]), side="left")
+        (self.theta_tab, self.crit, self.super_level, self.env_node,
+         self.env_far) = _edge_tables(H, edge)
         self.pinned = _pinned_rows(edge, node_bc)
 
     def coarsened(self, n_cells):
-        """The same edge on n_cells cells. The slope tables, envelopes and
-        the super-solution level do not depend on the grid and are shared,
-        so the coarse levels of the Newton cascade cost no set-up."""
+        """The same edge on n_cells cells. It shares this discretization's
+        tables, which are built once per Hamiltonian and edge and live as
+        long as the Hamiltonian, so the coarse levels of the Newton cascade
+        cost no set-up."""
         c = copy.copy(self)
         c.edge = replace(self.edge, n_cells=n_cells)
         c.x = c.edge.grid()

@@ -361,7 +361,8 @@ def make_builtin(family, b=0.0, c=0.0, src=None, level=None,
     double_well ((p-b)^2-1)^2-c, expression (delegates to parse_expression).
     """
     for name, val in (("b", b), ("c", c)):
-        if not isinstance(val, (int, float)) or not math.isfinite(float(val)):
+        if isinstance(val, bool) or not isinstance(val, (int, float)) \
+                or not math.isfinite(float(val)):
             raise ValueError(f"malformed parameter {name}={val!r}")
     b, c = float(b), float(c)
     if family == "abs_shift":
@@ -588,7 +589,8 @@ class SlopeEnvelope:
 
     Exact H(p, x0) at the query point and the analytic minima are always
     included among the candidates, so for single-minimum Hamiltonians the
-    envelope is exact.
+    envelope is exact. It keeps H.fn rather than H, so that a table cached
+    under H does not keep its own key alive.
     """
 
     def __init__(self, H, x0=0.0, side="right", samples=4097):
@@ -599,7 +601,7 @@ class SlopeEnvelope:
         if len(H.minima):
             qs = np.union1d(qs, np.asarray(H.minima, dtype=float))
         vals = np.asarray(H(qs, x0), dtype=float)
-        self.H = H
+        self.fn = H.fn
         self.x0 = x0
         self.side = side
         self.qs = qs
@@ -610,7 +612,7 @@ class SlopeEnvelope:
 
     def __call__(self, p):
         p_arr = np.asarray(p, dtype=float)
-        direct = np.asarray(self.H(p_arr, self.x0), dtype=float)
+        direct = np.asarray(self.fn(p_arr, self.x0), dtype=float)
         if self.side == "right":
             idx = np.searchsorted(self.qs, p_arr, side="left")
             env = np.where(idx < len(self.qs),

@@ -27,6 +27,7 @@ Hamiltonian specs are either a builtin family with parameters or
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -36,6 +37,7 @@ from .hamiltonians import (
     max_form_2d,
     parse_expression,
     parse_expression_2d,
+    validate_hamiltonian,
 )
 from .junction import FluxLimited, JunctionProblem, make_junction_problem
 
@@ -53,9 +55,16 @@ def _require(cond, field, message):
         raise ProblemValidationError(field, message)
 
 
+def _finite_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and math.isfinite(v)
+
+
 def hamiltonian_from_spec(spec, field="hamiltonian"):
     _require(isinstance(spec, dict), field, "must be an object")
     if "expr" in spec:
+        _require(isinstance(spec["expr"], str), f"{field}.expr",
+                 "must be a string")
         try:
             H = parse_expression(spec["expr"])
         except ValueError as e:
@@ -71,10 +80,13 @@ def hamiltonian_from_spec(spec, field="hamiltonian"):
         raise ProblemValidationError(field, "needs 'family' or 'expr'")
     if "minima" in spec:
         m = spec["minima"]
-        _require(isinstance(m, list) and all(
-            isinstance(v, (int, float)) for v in m), f"{field}.minima",
-            "must be a list of numbers")
+        _require(isinstance(m, list) and all(_finite_number(v) for v in m),
+                 f"{field}.minima", "must be a list of finite numbers")
         H = replace(H, minima=tuple(sorted(float(v) for v in m)))
+        try:
+            validate_hamiltonian(H)
+        except ValueError as e:
+            raise ProblemValidationError(f"{field}.minima", str(e)) from e
     return H
 
 
@@ -101,9 +113,14 @@ def far_bc_from_spec(spec, field):
              "must be an object with a 'kind'")
     kind = spec["kind"]
     if kind == "neumann":
-        return Neumann(float(spec.get("slope", 0.0)))
+        slope = spec.get("slope", 0.0)
+        _require(_finite_number(slope), f"{field}.slope",
+                 "must be a finite number")
+        return Neumann(float(slope))
     if kind == "dirichlet":
         _require("value" in spec, field, "dirichlet needs 'value'")
+        _require(_finite_number(spec["value"]), f"{field}.value",
+                 "must be a finite number")
         return Dirichlet(float(spec["value"]))
     if kind == "state_constraint":
         return StateConstraint()
@@ -113,7 +130,7 @@ def far_bc_from_spec(spec, field):
 def _check_eps_list(eps, field):
     _require(isinstance(eps, list) and len(eps) >= 1, field,
              "must be a non-empty list")
-    _require(all(isinstance(v, (int, float)) and v > 0 for v in eps), field,
+    _require(all(_finite_number(v) and v > 0 for v in eps), field,
              "entries must be positive numbers")
     _require(all(b < a for a, b in zip(eps, eps[1:])), field,
              "eps_list must decrease")
@@ -143,7 +160,8 @@ def parse_problem_dict(data):
              f"must be {SCHEMA_VERSION}")
     K = data.get("K")
     edges_raw = data.get("edges")
-    _require(isinstance(K, int) and K >= 1, "K", "must be an integer >= 1")
+    _require(isinstance(K, int) and not isinstance(K, bool) and K >= 1, "K",
+             "must be an integer >= 1")
     _require(isinstance(edges_raw, list) and len(edges_raw) == K, "edges",
              f"must list exactly K={K} edges")
 
@@ -153,7 +171,7 @@ def parse_problem_dict(data):
         _require(isinstance(e, dict), f, "must be an object")
         length = e.get("length")
         n_cells = e.get("n_cells")
-        _require(isinstance(length, (int, float)) and length > 0,
+        _require(_finite_number(length) and length > 0,
                  f"{f}.length", "must be positive")
         _require(isinstance(n_cells, int) and n_cells >= 8,
                  f"{f}.n_cells", "must be an integer >= 8")
@@ -169,7 +187,7 @@ def parse_problem_dict(data):
     if jc_raw["kind"] == "state_constraint":
         condition = StateConstraint()
     elif jc_raw["kind"] == "flux_limited":
-        _require("A" in jc_raw and isinstance(jc_raw["A"], (int, float)),
+        _require("A" in jc_raw and _finite_number(jc_raw["A"]),
                  "junction.A", "flux_limited needs a numeric 'A'")
         condition = FluxLimited(float(jc_raw["A"]))
     else:
@@ -193,12 +211,12 @@ def parse_problem_dict(data):
         fatten_h2 = hamiltonian2d_from_spec(f.get("hamiltonian2d"))
         fatten_eps = _check_eps_list(f.get("eps_list"), "fatten.eps_list")
         if "h2" in f:
-            _require(isinstance(f["h2"], (int, float)) and f["h2"] > 0,
+            _require(_finite_number(f["h2"]) and f["h2"] > 0,
                      "fatten.h2", "must be positive")
             fatten_h2_spacing = float(f["h2"])
         elif "h2_over_eps" in f:
             r = f["h2_over_eps"]
-            _require(isinstance(r, (int, float)) and 0 < r <= 0.25,
+            _require(_finite_number(r) and 0 < r <= 0.25,
                      "fatten.h2_over_eps", "must lie in (0, 0.25]")
             fatten_h2_spacing = ("eps_fraction", float(r))
         else:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -49,6 +52,43 @@ class TestEdgeSpec:
             ed.EdgeSpec(1.0, 4)
         with pytest.raises(ValueError):
             ed.EdgeSpec(1.0, 100, far_bc="reflecting")
+
+
+class TestEdgeTables:
+    def test_shared_across_node_conditions(self):
+        H = hm.make_builtin("abs_shift", b=0.1, c=1.0)
+        spec = ed.EdgeSpec(1.0, 32)
+        pinned = ed.EdgeDiscretization(H, spec, ed.Dirichlet(0.0))
+        owned = ed.EdgeDiscretization(H, spec, "external")
+        assert owned.theta_tab is pinned.theta_tab
+        assert owned.env_node is pinned.env_node
+        assert pinned.env_node is not None
+        assert pinned.coarsened(16).theta_tab is pinned.theta_tab
+
+    def test_new_level_gets_new_tables(self):
+        H = hm.make_builtin("abs_shift", b=0.1, c=1.0)
+        spec = ed.EdgeSpec(1.0, 32)
+        higher = hm.ensure_level(H, H.coercivity_level + 4.0)
+        assert higher.coercivity_bound > H.coercivity_bound
+        assert ed.EdgeDiscretization(higher, spec, "external").theta_tab \
+            is not ed.EdgeDiscretization(H, spec, "external").theta_tab
+
+    def test_entry_dropped_with_hamiltonian(self):
+        H = hm.make_builtin("quadratic", b=0.2, c=1.0)
+        disc = ed.EdgeDiscretization(H, ed.EdgeSpec(1.0, 32),
+                                     ed.StateConstraint())
+        (key,) = [r for r in ed._TABLES.keyrefs() if r() is H]
+        alive = weakref.ref(H)
+        # only reference counting may free H here: a reference from the
+        # tables back to H would keep the entry, and the collector must
+        # not break such a cycle behind the test's back
+        gc.disable()
+        try:
+            del H, disc
+            assert alive() is None
+            assert all(r is not key for r in ed._TABLES.keyrefs())
+        finally:
+            gc.enable()
 
 
 class TestLaxFriedrichsFlux:

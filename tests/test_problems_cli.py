@@ -54,6 +54,17 @@ def double_well_problem():
     ])
 
 
+def expression_problem():
+    """Three x-dependent parsed expressions meeting at a state-constraint
+    junction."""
+    exprs = ["abs(p - 0.1) - 1.2 + 0.1*sin(2*x)",
+             "max(abs(p + 0.1), 0.5*(p + 0.1)^2) - 1.4 + 0.1*cos(1.5*x)",
+             "0.5*(p - 0.05)^2 - 1.1 + 0.1*sin(2.5*x)^2"]
+    edge = minimal_problem()["edges"][0]
+    return minimal_problem(K=3, edges=[
+        dict(edge, hamiltonian={"expr": e}) for e in exprs])
+
+
 def _max_form_fatten(eps_list, **spacing):
     return {"hamiltonian2d": {"max_form": [
                 {"family": "abs_shift", "c": 1.0},
@@ -127,6 +138,18 @@ class TestLoadProblem:
         data = minimal_problem(junction={"kind": "flux_limited"})
         with pytest.raises(ProblemValidationError, match="junction.A"):
             parse_problem_dict(data)
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"K": True}, "K"),
+        ({"junction": {"kind": "flux_limited", "A": float("nan")}},
+         "junction.A"),
+        ({"junction": {"kind": "flux_limited", "A": True}}, "junction.A"),
+        ({"viscous": {"eps_list": [float("inf"), 0.1]}}, "viscous.eps_list"),
+        ({"fatten": _max_form_fatten([0.2], h2=float("inf"))}, "fatten.h2"),
+    ], ids=["K_bool", "A_nan", "A_bool", "eps_inf", "h2_inf"])
+    def test_malformed_numbers_rejected(self, overrides, field):
+        with pytest.raises(ProblemValidationError, match=f"^{field}:"):
+            parse_problem_dict(minimal_problem(**overrides))
 
     def test_fatten_requires_two_edges(self):
         data = minimal_problem(K=1)
@@ -332,6 +355,52 @@ class TestCli:
         bad.write_text("{not json")
         assert run_cli(["solve-junction", "--problem", str(bad),
                         "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("key, value, field", [
+        ("far_bc", {"kind": "neumann", "slope": "abc"}, "far_bc.slope"),
+        ("far_bc", {"kind": "neumann", "slope": True}, "far_bc.slope"),
+        ("far_bc", {"kind": "dirichlet", "value": None}, "far_bc.value"),
+        ("length", float("inf"), "length"),
+        ("hamiltonian", {"expr": 3}, "hamiltonian.expr"),
+        ("hamiltonian", {"family": "abs_shift", "b": True, "c": 1.0},
+         "hamiltonian"),
+        ("hamiltonian", {"family": "abs_shift", "c": 1.0, "minima": [100.0]},
+         "hamiltonian.minima"),
+    ], ids=["slope_string", "slope_bool", "value_null", "length_inf",
+            "expr_int", "b_bool", "minima_outside"])
+    def test_malformed_field_exit_code(self, tmp_path, capsys, key, value,
+                                       field):
+        data = minimal_problem()
+        data["edges"][0][key] = value
+        prob = tmp_path / "p.json"
+        write_problem(data, prob)
+        assert run_cli(["solve-edge", "--problem", str(prob),
+                        "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: edges[0].{field}:")
+
+    @pytest.mark.parametrize("argv, data, builds", [
+        (["solve-junction"], expression_problem(), 3),
+        (["flux-limited"],
+         minimal_problem(junction={"kind": "flux_limited", "A": -0.5}), 2),
+    ], ids=["solve_junction_k3_expr", "flux_limited_k2"])
+    def test_one_table_build_per_edge(self, tmp_path, monkeypatch, argv,
+                                      data, builds):
+        # the direct, constructive and diagnostic solves of one problem
+        # share each (Hamiltonian, edge) pair's tables
+        built = []
+
+        class CountingTable(ed.SlopeLipschitzTable):
+            def __init__(self, *args, **kwargs):
+                built.append(args[0])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(ed, "SlopeLipschitzTable", CountingTable)
+        prob = tmp_path / "p.json"
+        write_problem(data, prob)
+        assert run_cli(argv + ["--problem", str(prob),
+                               "--out", str(tmp_path / "o")]) == 0
+        assert len(built) == builds
 
 
 class TestCliHeavySubcommands:
