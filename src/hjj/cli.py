@@ -50,8 +50,10 @@ def _base_report(args, sub):
     }
 
 
-def _solver_params(args):
-    return ed.SolverParams(tol=args.tol, max_iters=args.max_iters)
+def _solver_params(args, cls=ed.SolverParams):
+    """cls from the options; an unset --max-iters keeps cls's own cap."""
+    caps = {} if args.max_iters is None else {"max_iters": args.max_iters}
+    return cls(tol=args.tol, **caps)
 
 
 def _solved(rep):
@@ -170,8 +172,7 @@ def cmd_fatten2d(args, pf, out_dir, t0):
     spacing = pf.fatten_h2_spacing
     kw = dict(a1=pf.problem.edges[0].length, a2=pf.problem.edges[1].length,
               n_1d=max(e.n_cells for e in pf.problem.edges),
-              params=ft.FatSolverParams(tol=args.tol,
-                                        max_iters=args.max_iters),
+              params=_solver_params(args, ft.FatSolverParams),
               solver_params=_solver_params(args))
     if isinstance(spacing, tuple):
         kw["h2_over_eps"] = spacing[1]
@@ -283,9 +284,9 @@ def build_parser():
         sp.add_argument("--out", default="hjj_out", help="output directory")
         sp.add_argument("--tol", type=float, default=1e-8,
                         help="solver residual tolerance")
-        sp.add_argument("--max-iters", type=int, default=200_000,
-                        help="cap on Newton steps (and on the iterations "
-                             "of the 2-D Jacobi fallback)")
+        sp.add_argument("--max-iters", type=int, default=None,
+                        help="cap on Newton steps (default: 200000 for the "
+                             "1-D solvers, 150 for the 2-D tube)")
         sp.add_argument("--seed", type=int, default=0,
                         help="seed for randomized checks")
         if name == "solve-edge":

@@ -113,18 +113,17 @@ class SolveReport:
     """What one solve did.
 
     iterations counts Newton steps over every cascade level or
-    continuation stage, Gauss-Seidel sweeps and the 2-D tube's Jacobi
-    iterations together; method names the driver ("newton" on the
-    Lax-Friedrichs scheme, "godunov_newton" on the Godunov scheme,
-    "godunov_sweep", "newton+godunov_sweep" or
+    continuation stage and Gauss-Seidel sweeps together; method names the
+    driver ("newton" on the Lax-Friedrichs scheme, "godunov_newton" on the
+    Godunov scheme, "godunov_sweep", "newton+godunov_sweep" or
     "godunov_newton+godunov_sweep" after a Newton breakdown,
-    "constructive", and for the 2-D tube "newton_2d" or
-    "newton_2d+jacobi_2d" after a Newton breakdown) and flux the scheme
+    "constructive", and "newton_2d" for the 2-D tube) and flux the scheme
     whose fixed point was reached
     ("lax_friedrichs", "godunov", or "central" for the viscous system of
     viscous.solve_viscous_kirchhoff, whose method is "newton"). flags lists
     every cap, stall and fallback: "max_iters", "sweep_stalled",
-    "newton_fallback", "lipschitz_exceeded", "dirichlet_not_attained".
+    "newton_stalled", "newton_fallback", "lipschitz_exceeded",
+    "dirichlet_not_attained".
     """
 
     iterations: int

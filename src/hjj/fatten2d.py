@@ -9,18 +9,22 @@ replaced by the binding-test-slope minimization over the inward-admissible
 slope interval, exactly as in the 1-D boundary rows. FatSystem.residual is
 the scheme's one definition.
 
-solve_fat_state_constraint reaches the scheme's fixed point by damped
-semismooth Newton (Howard's algorithm) at fixed theta. The 5-point Jacobian
-comes from 5-coloured central differences of the residual, projected onto
-M-matrices (positive off-diagonal entries dropped, the diagonal raised to
-1 + the sum of the off-diagonal magnitudes), because differences taken
-across a kink of H can otherwise leave negative diagonals. Each step
-backtracks on max|R|, measured against the largest of the last few
-residuals. theta is raised inside the loop whenever the iterate
-needs more (theta <- 1.02 theta_req + 0.01, never lowered) and recorded in
-the report. A breakdown -- non-finite residual, a line search that cannot
-decrease the residual, or NEWTON_STEPS_2D steps -- hands the solve to
-Jacobi pseudo-time from the constant start and flags "newton_fallback".
+The boundary and corner rows are exact interval minima of H (see
+hamiltonians.interval_min), so each row is monotone and the fixed point is
+unique (Crandall & Lions, Math. Comp. 1984; Oberman, SIAM J. Numer. Anal.
+2006). A corner row is the least over the four edges of its slope box and
+the local minima of H inside it. Every row of a residual is one batch. A
+max form's local minimizers are its parts', found per cell when FatSystem
+is built; other 2-D H are searched on a fixed slope grid in each batch.
+
+solve_fat_state_constraint reaches the fixed point by damped semismooth
+Newton (Howard's algorithm) at fixed theta, on a Jacobian projected onto
+M-matrices (see _jacobian). Each step backtracks until max|R| strictly
+decreases. theta is raised inside the loop whenever the iterate needs more
+(theta <- 1.02 theta_req + 0.01, never lowered) and recorded in the report,
+where a residual of at most tol certifies the answer. A solve that stops
+short is not converged and is flagged "max_iters" or "newton_stalled";
+there is no second driver.
 
 Traces along the two axis gridlines approximate the 1-D junction solution
 built from the reduced Hamiltonians H1(p1, x1) = min_p2 H(p1, p2, x1, 0) and
@@ -28,8 +32,8 @@ H2(p2, x2) = min_p1 H(p1, p2, 0, x2); the study records trace errors and
 reduced-equation residuals per eps. For a max form
 max(Ha(p1, x1), Hb(p2, x2)) the reduction is closed,
 H1(p1, x1) = max(Ha(p1, x1), min_q Hb(q, 0)), so the reference evaluates no
-joint H; other 2-D Hamiltonians are reduced by sampling the transverse slope
-(see hamiltonians.reduce_2d).
+joint H; other 2-D Hamiltonians are reduced by an interval minimum over the
+transverse slope (see hamiltonians.reduce_2d).
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .edge import (
     CFL,
@@ -47,20 +52,22 @@ from .edge import (
     SolveReport,
     node_slope,
 )
-from .hamiltonians import Hamiltonian2D, SlopeLipschitzTable, reduce_2d
+from .hamiltonians import (
+    Hamiltonian2D,
+    SlopeLipschitzTable,
+    _pad_rows,
+    golden_section_min,
+    grid_minimizers,
+    interval_min,
+    reduce_2d,
+)
 from .junction import make_junction_problem, solve_junction_direct
 
-N_RANGE_SAMPLES = 33
-N_CORNER_SAMPLES = 21
-# Newton steps before a 2-D solve counts as broken down
-NEWTON_STEPS_2D = 150
+# points of the fixed slope grid on [-span, span] on which the boundary and
+# corner rows locate the local minimizers they minimize over
+N_SLOPE_GRID = 129
 # the line search halves the step down to this fraction, then gives up
 MIN_DAMPING = 1e-3
-# a step is accepted when it takes max|R| below the largest of the last
-# LINE_SEARCH_WINDOW residuals: the sampled ranged minima of boundary and
-# corner rows are sawtooth functions of the slopes, and requiring a strict
-# decrease at every step stalls a few cells short of the fixed point
-LINE_SEARCH_WINDOW = 8
 # central-difference step of the Jacobian columns
 FD_STEP = 1e-5
 
@@ -234,116 +241,119 @@ class FatSystem:
         self.tab1 = SlopeLipschitzTable(shim1, idxs, span=S, samples=2048)
         self.tab2 = SlopeLipschitzTable(shim2, idxs, span=S, samples=2048)
         self.span = S
-
-        self.groups = {}
-        for m1 in (0, 1, 2):
-            for m2 in (0, 1, 2):
-                sel = np.nonzero((self.mode1 == m1) & (self.mode2 == m2))[0]
-                if sel.size:
-                    self.groups[(m1, m2)] = sel
+        self.qs = np.linspace(-S, S, N_SLOPE_GRID)
+        on1, on2 = self.mode1 != 0, self.mode2 != 0
+        self.inner, self.side1, self.side2, self.corner = (
+            np.nonzero(sel)[0]
+            for sel in (~on1 & ~on2, on1 & ~on2, ~on1 & on2, on1 & on2))
+        if H2.parts:
+            # along each slope a max form's local minimizers are its part's,
+            # found at every cell's position; in a corner's box, pairs of both
+            self.part_minima = mins = []
+            for part, X in zip(H2.parts, (self.X1, self.X2)):
+                xs, inv = np.unique(X, return_inverse=True)
+                mins.append(grid_minimizers(lambda q: part.fn(q, xs[:, None]),
+                                            self.qs, xs.size)[inv])
+            c = self.corner
+            q1 = np.repeat(mins[0][c], mins[1].shape[1], axis=1)
+            q2 = np.tile(mins[1][c], mins[0].shape[1])
+            self.corner_minima = (q1, q2, H2.fn(q1, q2, self.X1[c][:, None],
+                                                self.X2[c][:, None]))
+        else:
+            self.corner_minima = self._corner_minima()
 
     # -- helpers ------------------------------------------------------------
 
     def _neighbor(self, u, idx):
         return np.where(idx >= 0, u[np.maximum(idx, 0)], np.nan)
 
-    def _ranged_min_1d(self, lo, hi, other, x1, x2, axis):
-        """min over q in [lo, hi] of H2 with the other slope fixed."""
+    def _joint_min(self, cells, along1, lo, hi, other):
+        """min over q in [lo, hi] of H at the cells, q standing for p1 where
+        along1 holds and for p2 elsewhere, the other slope fixed at other;
+        without parts one grid search serves every entry."""
         fn = self.H2.fn
-        t = np.linspace(0.0, 1.0, N_RANGE_SAMPLES)
-        qs = lo[:, None] + t[None, :] * (hi - lo)[:, None]
-        if axis == 1:
-            vals = fn(qs, other[:, None], x1[:, None], x2[:, None])
+        x1, x2 = self.X1[cells][:, None], self.X2[cells][:, None]
+        a1, o = along1[:, None], other[:, None]
+        f = lambda q: fn(np.where(a1, q, o), np.where(a1, o, q), x1, x2)
+        if self.H2.parts:
+            m1, m2 = (pm[cells] for pm in self.part_minima)
+            m = np.hstack([np.where(a1, m1, np.nan), np.where(a1, np.nan, m2)])
         else:
-            vals = fn(other[:, None], qs, x1[:, None], x2[:, None])
-        best_idx = np.argmin(vals, axis=1)
-        rows = np.arange(len(lo))
-        best = vals[rows, best_idx]
-        q_best = qs[rows, best_idx]
-        delta = (hi - lo) / (N_RANGE_SAMPLES - 1)
-        for _ in range(2):
-            lo_r = np.maximum(q_best - delta, lo)
-            hi_r = np.minimum(q_best + delta, hi)
-            qr = lo_r[:, None] + np.linspace(0, 1, 9)[None, :] \
-                * (hi_r - lo_r)[:, None]
-            if axis == 1:
-                vr = fn(qr, other[:, None], x1[:, None], x2[:, None])
-            else:
-                vr = fn(other[:, None], qr, x1[:, None], x2[:, None])
-            bi = np.argmin(vr, axis=1)
-            cand = vr[rows, bi]
-            better = cand < best
-            best = np.where(better, cand, best)
-            q_best = np.where(better, qr[rows, bi], q_best)
-            delta = delta / 4.0
-        return best
+            m = grid_minimizers(f, self.qs, cells.size)
+        return interval_min(f, lo, hi, m)
 
-    def _ranged_min_2d(self, lo1, hi1, lo2, hi2, x1, x2):
-        fn = self.H2.fn
-        t = np.linspace(0.0, 1.0, N_CORNER_SAMPLES)
-        q1 = lo1[:, None, None] + t[None, :, None] * (hi1 - lo1)[:, None, None]
-        q2 = lo2[:, None, None] + t[None, None, :] * (hi2 - lo2)[:, None, None]
-        vals = fn(q1, q2, x1[:, None, None], x2[:, None, None])
-        return vals.reshape(len(lo1), -1).min(axis=1)
+    def _corner_minima(self):
+        """(q1, q2, value) of H's local minimizers at each corner cell, rows
+        padded with NaN: grid points no higher than their eight neighbours
+        and below their two lower ones, refined along each slope in turn."""
+        fn, qs, c = self.H2.fn, self.qs, self.corner
+        v = np.broadcast_to(fn(qs[:, None], qs, self.X1[c][:, None, None],
+                               self.X2[c][:, None, None]),
+                            (c.size, qs.size, qs.size))
+        win = sliding_window_view(
+            np.pad(v, ((0, 0), (1, 1), (1, 1)), constant_values=np.inf),
+            (3, 3), axis=(1, 2))
+        r, i, j = np.nonzero((v <= win.min(axis=(-2, -1)))
+                             & (v < win[..., 0, 1]) & (v < win[..., 1, 0]))
+        m, best = [qs[i], qs[j]], v[r, i, j]
+        x1, x2 = self.X1[c][r], self.X2[c][r]
+        dq = qs[1] - qs[0]
+        for _ in range(6):
+            for k in (0, 1):
+                along = lambda q: fn(*m[:k], q, *m[k + 1:], x1, x2)
+                t, ft = golden_section_min(along, m[k] - dq, m[k] + dq)
+                m[k], best = np.where(ft < best, t, m[k]), np.minimum(ft, best)
+        return [_pad_rows(r, w, c.size) for w in (*m, best)]
 
     # -- residual -----------------------------------------------------------
 
     def residual(self, u, theta=None):
-        h = self.dom.h2
-        S = self.span
-        P = self.P
-        uE = self._neighbor(u, self.iE)
-        uW = self._neighbor(u, self.iW)
-        uN = self._neighbor(u, self.iN)
-        uS = self._neighbor(u, self.iS)
+        h, S, P = self.dom.h2, self.span, self.P
+        uE, uW, uN, uS = (self._neighbor(u, i)
+                          for i in (self.iE, self.iW, self.iN, self.iS))
         p1m = np.clip(np.where(self.iW >= 0, (u - uW) / h, np.nan), -S, S)
         p1p = np.clip(np.where(self.iE >= 0, (uE - u) / h, np.nan), -S, S)
         p2m = np.clip(np.where(self.iS >= 0, (u - uS) / h, np.nan), -S, S)
         p2p = np.clip(np.where(self.iN >= 0, (uN - u) / h, np.nan), -S, S)
-
-        lo1 = np.fmin(p1m, p1p)
-        hi1 = np.fmax(p1m, p1p)
-        lo2 = np.fmin(p2m, p2p)
-        hi2 = np.fmax(p2m, p2p)
         if theta is None:
-            th1 = self.tab1.range_max(lo1 - 1.0, hi1 + 1.0)
-            th2 = self.tab2.range_max(lo2 - 1.0, hi2 + 1.0)
+            th1 = self.tab1.range_max(np.fmin(p1m, p1p) - 1.0,
+                                      np.fmax(p1m, p1p) + 1.0)
+            th2 = self.tab2.range_max(np.fmin(p2m, p2p) - 1.0,
+                                      np.fmax(p2m, p2p) + 1.0)
         else:
             th1, th2 = theta
+        # inward-admissible slope intervals: [p-, P] without the outward
+        # neighbour, [-P, p+] without the inward one
+        lo1 = np.where(self.mode1 == 1, p1m, -P)
+        hi1 = np.maximum(np.where(self.mode1 == 1, P, p1p), lo1)
+        lo2 = np.where(self.mode2 == 1, p2m, -P)
+        hi2 = np.maximum(np.where(self.mode2 == 1, P, p2p), lo2)
+        a1, a2 = 0.5 * (p1m + p1p), 0.5 * (p2m + p2p)
+        lf1, lf2 = 0.5 * th1 * (p1p - p1m), 0.5 * th2 * (p2p - p2m)
 
-        R = np.empty(self.count)
-        fn = self.H2.fn
-        for (m1, m2), sel in self.groups.items():
-            x1s, x2s = self.X1[sel], self.X2[sel]
-            if m1 == 0 and m2 == 0:
-                F = fn(0.5 * (p1m[sel] + p1p[sel]),
-                       0.5 * (p2m[sel] + p2p[sel]), x1s, x2s) \
-                    - 0.5 * th1[sel] * (p1p[sel] - p1m[sel]) \
-                    - 0.5 * th2[sel] * (p2p[sel] - p2m[sel])
-            elif m1 != 0 and m2 == 0:
-                lo = p1m[sel] if m1 == 1 else np.full(sel.size, -P)
-                hi = np.full(sel.size, P) if m1 == 1 else p1p[sel]
-                hi = np.maximum(hi, lo)
-                F = self._ranged_min_1d(lo, hi, 0.5 * (p2m[sel] + p2p[sel]),
-                                        x1s, x2s, axis=1) \
-                    - 0.5 * th2[sel] * (p2p[sel] - p2m[sel])
-            elif m1 == 0 and m2 != 0:
-                lo = p2m[sel] if m2 == 1 else np.full(sel.size, -P)
-                hi = np.full(sel.size, P) if m2 == 1 else p2p[sel]
-                hi = np.maximum(hi, lo)
-                F = self._ranged_min_1d(lo, hi, 0.5 * (p1m[sel] + p1p[sel]),
-                                        x1s, x2s, axis=2) \
-                    - 0.5 * th1[sel] * (p1p[sel] - p1m[sel])
-            else:
-                l1 = p1m[sel] if m1 == 1 else np.full(sel.size, -P)
-                u1 = np.full(sel.size, P) if m1 == 1 else p1p[sel]
-                l2 = p2m[sel] if m2 == 1 else np.full(sel.size, -P)
-                u2_ = np.full(sel.size, P) if m2 == 1 else p2p[sel]
-                u1 = np.maximum(u1, l1)
-                u2_ = np.maximum(u2_, l2)
-                F = self._ranged_min_2d(l1, u1, l2, u2_, x1s, x2s)
-            R[sel] = u[sel] + F
-        return R, (th1, th2)
+        fn, X1, X2 = self.H2.fn, self.X1, self.X2
+        s0, s1, s2, c = self.inner, self.side1, self.side2, self.corner
+        F = np.empty(self.count)
+        F[s0] = fn(a1[s0], a2[s0], X1[s0], X2[s0]) - lf1[s0] - lf2[s0]
+        # one batch: the side rows, then the four edges of every
+        # corner's slope box
+        n1, n2 = s1.size, s1.size + s2.size
+        cells = np.concatenate([s1, s2, c, c, c, c])
+        along1 = np.repeat([True, False, True, False],
+                           [s1.size, s2.size, 2 * c.size, 2 * c.size])
+        m = self._joint_min(
+            cells, along1, np.where(along1, lo1[cells], lo2[cells]),
+            np.where(along1, hi1[cells], hi2[cells]),
+            np.concatenate([a2[s1], a1[s2], lo2[c], hi2[c], lo1[c], hi1[c]]))
+        F[s1] = m[:n1] - lf2[s1]
+        F[s2] = m[n1:n2] - lf1[s2]
+        q1, q2, val = self.corner_minima
+        inside = ((q1 > lo1[c, None]) & (q1 < hi1[c, None])
+                  & (q2 > lo2[c, None]) & (q2 < hi2[c, None]))
+        F[c] = np.minimum(m[n2:].reshape(4, -1).min(axis=0, initial=np.inf),
+                          np.where(inside, val, np.inf).min(
+                              axis=1, initial=np.inf))
+        return u + F, (th1, th2)
 
     def step(self, u, theta=None):
         R, (th1, th2) = self.residual(u, theta=theta)
@@ -365,18 +375,20 @@ class FatSystem:
 
 @dataclass(frozen=True)
 class FatSolverParams:
-    """tol bounds max|R|; max_iters caps the Jacobi iterations of a
-    fallback."""
+    """tol bounds max|R|; max_iters caps the Newton steps."""
 
     tol: float = 1e-7
-    max_iters: int = 100_000
+    max_iters: int = 150
 
 
 def _jacobian(sys_, u, theta):
     """Sparse 5-point Jacobian of the residual at fixed theta from central
-    differences, projected onto M-matrices. Colouring cell (I, J) by
-    (I + 2J) mod 5 gives the five cells of every stencil five distinct
-    colours, so one perturbation per colour yields every column."""
+    differences, projected onto M-matrices (positive off-diagonal entries
+    dropped, the diagonal raised to 1 + the sum of the off-diagonal
+    magnitudes), because differences across a kink of H can otherwise leave
+    negative diagonals. Colouring cell (I, J) by (I + 2J) mod 5 gives the
+    five cells of every stencil five distinct colours, so one perturbation
+    per colour yields every column."""
     import scipy.sparse as sp
     colour = (sys_.I + 2 * sys_.J) % 5
     D = np.empty((5, sys_.count))
@@ -404,84 +416,48 @@ def _jacobian(sys_, u, theta):
                          shape=(sys_.count, sys_.count))
 
 
-def _newton_2d(sys_, u, tol):
-    """Damped semismooth Newton at fixed theta; returns
-    (u, theta, steps, residual, converged) with converged False on a
-    breakdown."""
+def _newton_2d(sys_, u, params):
+    """Damped semismooth Newton at fixed theta; returns (u, theta, steps,
+    residual, status), status "converged", "max_iters" or "newton_stalled"
+    (a non-finite residual or a line search that cannot decrease it)."""
     import scipy.sparse.linalg as spla
     theta = (-np.inf, -np.inf)
-    history = []
+    steps = 0
     while True:
         _, req = sys_.residual(u)
         theta = tuple(np.where(r > t, 1.02 * r + 0.01, t)
                       for t, r in zip(theta, req))
         R, _ = sys_.residual(u, theta)
         res = float(np.max(np.abs(R)))
-        steps = len(history)
-        history.append(res)
         if not np.isfinite(res):
-            return u, theta, steps, res, False
-        if res <= tol:
-            return u, theta, steps, res, True
-        if steps >= NEWTON_STEPS_2D:
-            return u, theta, steps, res, False
+            return u, theta, steps, res, "newton_stalled"
+        if res <= params.tol:
+            return u, theta, steps, res, "converged"
+        if steps >= params.max_iters:
+            return u, theta, steps, res, "max_iters"
         d = spla.spsolve(_jacobian(sys_, u, theta), -R)
-        ref = max(history[-LINE_SEARCH_WINDOW:])
         lam = 1.0
-        while True:
-            u_try = u + lam * d
-            R_try, _ = sys_.residual(u_try, theta)
-            if float(np.max(np.abs(R_try))) < ref:
-                break
+        while not np.max(np.abs(sys_.residual(u + lam * d, theta)[0])) < res:
             lam *= 0.5
             if lam < MIN_DAMPING:
-                return u, theta, steps, res, False
-        u = u_try
-
-
-def _jacobi_2d(sys_, u, params):
-    """Jacobi pseudo-time on FatSystem.step, the reference driver and the
-    Newton fallback. Once the residual is small theta is frozen, so the
-    update becomes a fixed map; it thaws if the residual grows again.
-    Returns (u, theta, iterations, residual)."""
-    frozen = None
-    it = 0
-    while True:
-        u_new, R, ths = sys_.step(u, theta=frozen)
-        res = float(np.max(np.abs(R)))
-        if res <= params.tol or it >= params.max_iters:
-            return u, ths, it, res
-        u = u_new
-        it += 1
-        if frozen is None and res < 1e-3:
-            frozen = (ths[0] * 1.02 + 0.01, ths[1] * 1.02 + 0.01)
-        elif frozen is not None and res > 1e-2:
-            frozen = None
+                return u, theta, steps, res, "newton_stalled"
+        u = u + lam * d
+        steps += 1
 
 
 def solve_fat_state_constraint(H2, dom, params=None):
     """Solve the 2-D state-constraint problem on the tube (every boundary
     cell uses the inward-admissible slope minimization) by damped
-    semismooth Newton, falling back to Jacobi pseudo-time from the constant
-    start on a breakdown. The report's method is "newton_2d" or
-    "newton_2d+jacobi_2d", its theta the per-cell (theta1, theta2) of the
-    converged scheme, and its flags name the fallback ("newton_fallback")
-    and a capped Jacobi run ("max_iters")."""
+    semismooth Newton. The report's method is "newton_2d" and its theta
+    the per-cell (theta1, theta2) of the scheme at the answer."""
     params = params or FatSolverParams()
     t0 = time.perf_counter()
     sys_ = FatSystem(H2, dom)
-    u, theta, it, res, ok = _newton_2d(sys_, sys_.default_init(), params.tol)
-    method = "newton_2d"
-    flags = []
-    if not ok:
-        flags.append("newton_fallback")
-        method = "newton_2d+jacobi_2d"
-        u, theta, jac_it, res = _jacobi_2d(sys_, sys_.default_init(), params)
-        it += jac_it
-        if res > params.tol:
-            flags.append("max_iters")
-    rep = SolveReport(it, res, res <= params.tol, time.perf_counter() - t0,
-                      method, flags=tuple(flags), theta=list(theta))
+    u, theta, steps, res, status = _newton_2d(sys_, sys_.default_init(),
+                                              params)
+    ok = status == "converged"
+    rep = SolveReport(steps, res, ok, time.perf_counter() - t0, "newton_2d",
+                      flags=() if ok else (status,), theta=list(theta))
     return sys_.to_grid(u), rep
 
 

@@ -103,36 +103,87 @@ class FluxLimiter:
 # ---------------------------------------------------------------------------
 
 def golden_section_min(f, a, b, xtol=1e-9, max_iter=200):
-    """Golden-section search for a minimum of f on [a, b].
-
-    Returns (x, f(x)); also compares against the bracket endpoints so the
-    result never exceeds the best evaluated point.
-    """
-    lo, hi = float(a), float(b)
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
+    """Golden-section search for a minimum of f on [a, b], elementwise over
+    arrays of brackets (f maps slopes to values of the same shape). Each
+    bracket stops once no wider than xtol, with the float operations of a
+    search on it alone. Returns (x, f(x)), floats for scalar brackets, never
+    above the best evaluated point, the bracket endpoints included."""
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    a, b = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
+                               np.atleast_1d(np.asarray(b, dtype=float)))
+    lo, hi = a.copy(), b.copy()
+    width = hi - lo
+    c, d = hi - _INVPHI * width, lo + _INVPHI * width
+    fc, fd = np.array(f(c), dtype=float), np.array(f(d), dtype=float)
+    best_x, best_f = np.where(fc <= fd, c, d), np.where(fc <= fd, fc, fd)
+    active = width > xtol
     it = 0
-    while hi - lo > xtol and it < max_iter:
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = f(c)
-            if fc < best_f:
-                best_x, best_f = c, fc
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = f(d)
-            if fd < best_f:
-                best_x, best_f = d, fd
+    while it < max_iter and active.any():
+        # an active bracket drops the side beyond its worse interior point;
+        # the better one stays as an interior point of the new bracket
+        left = (fc <= fd) & active
+        right = active ^ left
+        for dst, src, where in ((hi, d, left), (lo, c, right), (d, c, left),
+                                (fd, fc, left), (c, d, right),
+                                (fc, fd, right)):
+            np.copyto(dst, src, where=where)
+        width = hi - lo
+        step = _INVPHI * width
+        x = lo + step
+        np.copyto(x, hi - step, where=left)
+        fx = np.asarray(f(x), dtype=float)
+        better = (fx < best_f) & active
+        for dst, src, where in ((c, x, left), (fc, fx, left), (d, x, right),
+                                (fd, fx, right), (best_x, x, better),
+                                (best_f, fx, better)):
+            np.copyto(dst, src, where=where)
+        active = width > xtol
         it += 1
     for xe in (a, b):
-        fe = f(xe)
-        if fe < best_f:
-            best_x, best_f = xe, fe
+        fe = np.asarray(f(xe), dtype=float)
+        np.copyto(best_x, xe, where=fe < best_f)
+        np.copyto(best_f, fe, where=fe < best_f)
+    if scalar:
+        return float(best_x[0]), float(best_f[0])
     return best_x, best_f
+
+
+def _pad_rows(r, values, rows):
+    """values grouped by their nondecreasing rows r, padded with NaN."""
+    counts = np.bincount(r, minlength=rows)
+    out = np.full((rows, int(counts.max(initial=0))), np.nan)
+    out[r, np.arange(r.size) - np.repeat(np.cumsum(counts) - counts,
+                                         counts)] = values
+    return out
+
+
+def grid_minimizers(f, qs, rows, xtol=1e-9):
+    """Local minimizers of `rows` functions, located on the fixed slope
+    grid qs; f maps slopes of shape (rows, m) to values, row r being the
+    r-th function. A grid point below its left neighbour and not above its
+    right one brackets a minimizer (a flat bottom gives its left end);
+    golden-section search refines all brackets at once, and the grid point
+    is kept where it is lower. Returns (rows, k), padded with NaN."""
+    grid = np.broadcast_to(qs, (rows, len(qs)))
+    v = np.broadcast_to(f(grid), grid.shape)
+    r, i = np.nonzero((v[:, 1:-1] < v[:, :-2]) & (v[:, 1:-1] <= v[:, 2:]))
+    a, b, at, v_at = (_pad_rows(r, w, rows)
+                      for w in (qs[i], qs[i + 2], qs[i + 1], v[r, i + 1]))
+    # padded lanes hold NaN brackets, which the search leaves at once
+    x, fx = golden_section_min(lambda q: np.broadcast_to(f(q), q.shape),
+                               a, b, xtol=xtol)
+    return np.where(v_at < fx, at, x)
+
+
+def interval_min(f, lo, hi, minimizers):
+    """Minimum of q -> f(q) over [lo, hi], one interval per row: the least
+    of f(lo), f(hi) and f at the row's minimizers strictly inside. With the
+    minimizers of grid_minimizers, which do not depend on the interval,
+    this is the exact minimum of a fixed function, so it never rises as the
+    interval widens. f is as in grid_minimizers."""
+    m, lo, hi = minimizers, lo[:, None], hi[:, None]
+    q = np.concatenate([lo, hi, np.where((m > lo) & (m < hi), m, lo)], axis=1)
+    return np.min(np.broadcast_to(f(q), q.shape), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +265,8 @@ def probe_coercivity_2d(fn, level, x_samples=((0.0, 0.0),), ring_points=17):
 def find_minima(H, P, resolution=4096, merge_tol=1e-6):
     """All local minimizers of p -> H(p, 0) on [-P, P].
 
-    Grid scan at `resolution` samples, golden-section refinement to 1e-8,
-    duplicates within merge_tol merged. A sampled flat bottom (a plateau of
+    Grid scan at `resolution` samples, golden-section refinement to 1e-8
+    (all brackets in one call), duplicates within merge_tol merged. A sampled flat bottom (a plateau of
     equal values) contributes one representative at its midpoint.
     """
     if resolution < 64:
@@ -227,6 +278,7 @@ def find_minima(H, P, resolution=4096, merge_tol=1e-6):
     flat_tol = 1e-11 * scale
 
     found = []
+    brackets = []
     i = 1
     n = len(qs)
     while i < n - 1:
@@ -238,15 +290,16 @@ def find_minima(H, P, resolution=4096, merge_tol=1e-6):
             right_up = v[min(j + 1, n - 1)] > v[j] + flat_tol
             if left_up and right_up:
                 if j - i <= 1:
-                    x, _ = golden_section_min(
-                        lambda p: float(fn(p, 0.0)), qs[i - 1], qs[j + 1], xtol=1e-9
-                    )
-                    found.append(x)
+                    brackets.append((qs[i - 1], qs[j + 1]))
                 else:
                     found.append(0.5 * (qs[i] + qs[j]))
             i = j + 1
         else:
             i += 1
+    if brackets:
+        a, b = np.asarray(brackets).T
+        x, _ = golden_section_min(lambda p: fn(p, 0.0), a, b, xtol=1e-9)
+        found.extend(x.tolist())
 
     found.sort()
     merged = []
@@ -276,8 +329,8 @@ def rightward_min_threshold(H):
     k = int(np.nonzero(v <= gmin + 1e-12)[0][-1])
     lo = qs[max(k - 1, 0)]
     hi = qs[min(k + 1, len(qs) - 1)]
-    x, _ = golden_section_min(lambda p: float(H(p, 0.0)), lo, hi, xtol=1e-7)
-    return float(x)
+    x, _ = golden_section_min(lambda p: H(p, 0.0), lo, hi, xtol=1e-7)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -488,14 +541,8 @@ def max_form_2d(H1, H2, level=None):
 def parse_expression_2d(src, level=None, coercivity_bound=None):
     """Parse an expression in p1, p2, x1, x2 into a Hamiltonian2D."""
     e = expr.parse(src, variables=("p1", "p2", "x1", "x2"))
-
-    def fn(p1, p2, x1, x2):
-        p1, p2, x1, x2 = np.broadcast_arrays(
-            np.asarray(p1, dtype=float), np.asarray(p2, dtype=float),
-            np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
-        out = e(p1=p1, p2=p2, x1=x1, x2=x2)
-        return out if out.shape else float(out)
-
+    # make_hamiltonian2d converts and broadcasts the arguments and the value
+    fn = lambda p1, p2, x1, x2: e(p1=p1, p2=p2, x1=x1, x2=x2)
     return make_hamiltonian2d(fn, level=level, coercivity_bound=coercivity_bound,
                               source=f"expr2d({src})")
 
@@ -509,9 +556,9 @@ def reduce_2d(H2, axis, resolution=129):
     min_q max(H_own(p, x), H_other(q, 0)) = max(H_own(p, x), floor), with
     floor the least value of H_other over the transverse grid of [-P, P]
     and its minima in [-P, P]; no joint value is evaluated. Otherwise the
-    transverse minimum is sampled on [-P, P] (0 always included) and
-    sharpened by a bracketed elementwise search. Either way the reduced map
-    is then probed and analyzed like any other Hamiltonian.
+    transverse minimum is interval_min over [-P, P], its minimizers located
+    on that grid (0 always included). Either way the reduced map is then
+    probed and analyzed like any other Hamiltonian.
     """
     if resolution < 16:
         raise ValueError("resolution too coarse (need >= 16)")
@@ -532,42 +579,17 @@ def reduce_2d(H2, axis, resolution=129):
             out = np.maximum(own.fn(p, x), floor)
             return out if out.shape else float(out)
     else:
-        dq = 2.0 * P / (resolution - 1)
         base = H2.fn
 
         def fn(p, x):
-            p_arr, x_arr = np.broadcast_arrays(np.asarray(p, dtype=float),
-                                               np.asarray(x, dtype=float))
-            shape = p_arr.shape
-            pf = p_arr.reshape(-1, 1)
-            xf = x_arr.reshape(-1, 1)
-            if axis == 1:
-                grid = base(pf, qs[None, :], xf, 0.0)
-            else:
-                grid = base(qs[None, :], pf, 0.0, xf)
-            rows = np.arange(grid.shape[0])
-            best_idx = np.argmin(grid, axis=1)
-            best = grid[rows, best_idx]
-            q0 = qs[best_idx]
-            pfl = pf[:, 0]
-            xfl = xf[:, 0]
-            # two zoom rounds around the best sample sharpen the transverse
-            # minimum without a per-lane iteration loop
-            delta = dq
-            t = np.linspace(-1.0, 1.0, 9)
-            for _ in range(2):
-                qr = q0[:, None] + delta * t[None, :]
-                if axis == 1:
-                    vr = base(pfl[:, None], qr, xfl[:, None], 0.0)
-                else:
-                    vr = base(qr, pfl[:, None], 0.0, xfl[:, None])
-                bi = np.argmin(vr, axis=1)
-                cand = vr[rows, bi]
-                improved = cand < best
-                best = np.where(improved, cand, best)
-                q0 = np.where(improved, qr[rows, bi], q0)
-                delta = delta / 4.0
-            return best.reshape(shape) if shape else float(best[0])
+            p, x = np.broadcast_arrays(np.asarray(p, dtype=float),
+                                       np.asarray(x, dtype=float))
+            pf, xf = p.reshape(-1, 1), x.reshape(-1, 1)
+            f = ((lambda q: base(pf, q, xf, 0.0)) if axis == 1
+                 else (lambda q: base(q, pf, 0.0, xf)))
+            best = interval_min(f, np.full(pf.size, -P), np.full(pf.size, P),
+                                grid_minimizers(f, qs, pf.size))
+            return best.reshape(p.shape) if p.shape else float(best[0])
 
     level = H2.coercivity_level
     Pr = _probe_callable(

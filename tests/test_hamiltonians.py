@@ -231,13 +231,12 @@ _MAX_FORM_PART = st.tuples(
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(_MAX_FORM_PART, _MAX_FORM_PART, st.sampled_from([1, 2]))
 def test_max_form_reduction_matches_sampled_minimum(own, other, axis):
-    # the closed form of a max form against the transverse sampling of the
+    # the closed form of a max form against the transverse search of the
     # same joint function: never above it, and below it by at most the
-    # other part's slope bound times the final zoom spacing dq/16. Where the
-    # other part's minimizer lies on the transverse grid (abs_shift and
-    # quadratic with b = 0) the two agree bit for bit; elsewhere the sampled
-    # floor sits slightly above the exact one and can add a flat bottom,
-    # which moves minima and flags
+    # other part's slope bound times dq/16 (the bound of the two zoom rounds
+    # the search once made). Where the other part's minimizer lies on the
+    # transverse grid (abs_shift and quadratic with b = 0) the two agree
+    # bit for bit, minima and flags included
     specs = (own, other) if axis == 1 else (other, own)
     parts = [hm.make_builtin(f, b=b, c=c) for f, b, c in specs]
     H2 = hm.max_form_2d(*parts)
@@ -259,6 +258,45 @@ def test_max_form_reduction_matches_sampled_minimum(own, other, axis):
         assert np.array_equal(gap, np.zeros_like(gap))
         assert closed.minima == sampled.minima
         assert closed.flags == sampled.flags
+
+
+def test_sampled_reduction_of_max_expression_matches_max_form():
+    # a parsed max expression has no parts, so its transverse minimum is
+    # searched; the minimizer 0.3 of abs(p2 - 0.3) lies off the grid, and
+    # the search must still reach the exact floor -1 without a flat bottom
+    parsed = hm.parse_expression_2d("max(p1^2 - 1, abs(p2 - 0.3) - 1)")
+    closed = hm.max_form_2d(hm.make_builtin("quadratic", c=1.0),
+                            hm.make_builtin("abs_shift", b=0.3, c=1.0))
+    a, b = hm.reduce_2d(parsed, 1), hm.reduce_2d(closed, 1)
+    P = min(a.coercivity_bound, b.coercivity_bound)
+    ps = np.linspace(-P, P, 513)
+    assert np.max(np.abs(a(ps, 0.0) - b(ps, 0.0))) <= 1e-8
+    assert a.flags == b.flags
+
+
+class TestIntervalMin:
+    def test_exact_minimum_of_fixed_function(self):
+        # three wells of a fixed function; every interval's minimum is the
+        # least of its endpoints and the wells inside it
+        f = lambda q: np.cos(3.0 * q) + 0.1 * q
+        qs = np.linspace(-3.0, 3.0, 129)
+        rng = np.random.default_rng(3)
+        lo = rng.uniform(-3.0, 3.0, 200)
+        hi = np.maximum(lo, rng.uniform(-3.0, 3.0, 200))
+        m = hm.grid_minimizers(lambda q: f(q), qs, 200)
+        got = hm.interval_min(lambda q: f(q), lo, hi, m)
+        fine = np.linspace(0.0, 1.0, 200001)
+        for l, h, g in zip(lo, hi, got):
+            brute = f(l + fine * (h - l)).min()
+            assert brute - 1e-9 <= g <= brute + 1e-9
+
+    def test_golden_section_lanes_match_scalar_searches(self):
+        f = lambda p: np.abs(p - 0.3) + 0.2 * np.sin(5.0 * p)
+        a = np.array([-1.0, 0.0, 0.25, 1.0])
+        b = np.array([0.5, 0.7, 0.3, 1.0])
+        x, fx = hm.golden_section_min(f, a, b)
+        for k in range(len(a)):
+            assert (x[k], fx[k]) == hm.golden_section_min(f, a[k], b[k])
 
 
 class TestRightwardMinThreshold:
