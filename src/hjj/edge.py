@@ -160,9 +160,19 @@ class SolverParams:
     method: str = "auto"  # auto | sweep
 
     def __post_init__(self):
+        check_stopping_rule(self)
         if self.method not in ("auto", "sweep"):
             raise ValueError(f"unknown solver method {self.method!r}; "
                              "expected 'auto' or 'sweep'")
+
+
+def check_stopping_rule(params):
+    """Reject a tol that is not finite and positive, which no residual
+    ever meets, and a negative step cap."""
+    if not 0.0 < params.tol < np.inf:
+        raise ValueError(f"tol must be finite and > 0, got {params.tol!r}")
+    if params.max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {params.max_iters!r}")
 
 
 # ---------------------------------------------------------------------------

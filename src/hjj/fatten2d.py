@@ -19,12 +19,15 @@ is built; other 2-D H are searched on a fixed slope grid in each batch.
 
 solve_fat_state_constraint reaches the fixed point by damped semismooth
 Newton (Howard's algorithm) at fixed theta, on a Jacobian projected onto
-M-matrices (see _jacobian). Each step backtracks until max|R| strictly
-decreases. theta is raised inside the loop whenever the iterate needs more
-(theta <- 1.02 theta_req + 0.01, never lowered) and recorded in the report,
-where a residual of at most tol certifies the answer. A solve that stops
-short is not converged and is flagged "max_iters" or "newton_stalled";
-there is no second driver.
+M-matrices (see _jacobian). Each Newton system is one block tridiagonal
+chain over the breadth-first level sets of the tube's cells, eliminated by
+block Thomas in numpy (see LevelChain); the same search rejects a mask that
+is not connected. Each step backtracks until max|R| strictly decreases.
+theta is raised inside the loop whenever the iterate needs more (theta <-
+1.02 theta_req + 0.01, never lowered) and recorded in the report, where a
+residual of at most tol certifies the answer. A solve that stops short is
+not converged and is flagged "max_iters" or "newton_stalled"; there is no
+second driver.
 
 Traces along the two axis gridlines approximate the 1-D junction solution
 built from the reduced Hamiltonians H1(p1, x1) = min_p2 H(p1, p2, x1, 0) and
@@ -39,7 +42,7 @@ transverse slope (see hamiltonians.reduce_2d).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -50,6 +53,7 @@ from .edge import (
     EdgeSpec,
     GridFunction1D,
     SolveReport,
+    check_stopping_rule,
     node_slope,
 )
 from .hamiltonians import (
@@ -72,9 +76,91 @@ MIN_DAMPING = 1e-3
 FD_STEP = 1e-5
 
 
+class LevelChain:
+    """The mask's cells grouped into breadth-first level sets.
+
+    Level k holds the cells k stencil steps from cell 0, so a 5-point
+    stencil couples level k only to levels k - 1 and k + 1 (the grid graph
+    is bipartite). A matrix with that stencil is block tridiagonal in level
+    order, whatever the mask's shape, and solve() eliminates it by block
+    Thomas (block LU without pivoting between blocks, stable on block
+    diagonally dominant matrices; Golub & Van Loan, Matrix Computations,
+    block tridiagonal LU). A cell the search never reaches raises
+    ValueError: the mask is not connected."""
+
+    def __init__(self, mask):
+        # cells in row-major order; nbrs[d] numbers each cell's E/W/N/S
+        # neighbour, -1 where it is missing
+        n1, n2 = mask.shape
+        count = int(mask.sum())
+        ids = -np.ones((n1 + 2, n2 + 2), dtype=int)
+        ids[1:-1, 1:-1][mask] = np.arange(count)
+        I, J = self.I, self.J = np.nonzero(mask)
+        self.nbrs = np.stack([ids[I + 2, J + 1], ids[I, J + 1],
+                              ids[I + 1, J + 2], ids[I + 1, J]])
+        # pos: a cell's place in its level
+        level, pos = np.full(count, -1), np.empty(count, dtype=int)
+        level[0], k, front = 0, 0, np.zeros(1, dtype=int)
+        while front.size:
+            pos[front] = np.arange(front.size)
+            nxt = self.nbrs[:, front]
+            nxt = nxt[nxt >= 0]
+            k += 1
+            level[nxt[level[nxt] < 0]] = k
+            front = np.flatnonzero(level == k)
+        if np.any(level < 0):
+            raise ValueError("tube mask is not connected")
+        self.level, self.pos = level, pos
+        self.shape = (k, int(pos.max()) + 1)
+        # solve() writes the diagonal, the off-diagonal entries and the
+        # right-hand side into one padded array: block row k is
+        # [L_k | B_k | U_k | r_k], columns of levels k - 1, k, k + 1
+        w = self.shape[1]
+        self._has = self.nbrs >= 0
+        d, c = np.nonzero(self._has)
+        n = self.nbrs[d, c]
+        self._at = (np.concatenate([level, level[c], level]),
+                    np.concatenate([pos, pos[c], pos]),
+                    np.concatenate([w + pos,
+                                    (level[n] - level[c] + 1) * w + pos[n],
+                                    np.full(count, 3 * w)]))
+
+    def solve(self, diag, off, rhs):
+        """x with diag[i] x[i] + sum_d off[d, i] x[nbrs[d, i]] = rhs[i];
+        off[d, i] is ignored where nbrs[d, i] < 0. A non-finite entry or a
+        singular pivot block gives NaN, which callers treat as a
+        breakdown."""
+        nl, w = self.shape
+        M = np.zeros((nl, w, 3 * w + 1))
+        # padding cells solve x = 0
+        M[:, np.arange(w), w + np.arange(w)] = 1.0
+        M[self._at] = np.concatenate([diag, off[self._has], rhs])
+        # forward: [U_k | r_k] <- S_k^-1 [U_k | r_k - L_k y_(k-1)] with
+        # S_k = B_k - L_k S_(k-1)^-1 U_(k-1), the block row's Schur complement
+        G = M[:, :, 2 * w:]
+        try:
+            for k in range(nl):
+                if k:
+                    Z = M[k, :, :w] @ G[k - 1]
+                    M[k, :, w:2 * w] -= Z[:, :w]
+                    G[k, :, w] -= Z[:, w]
+                G[k] = np.linalg.solve(M[k, :, w:2 * w], G[k])
+            ok = np.all(np.isfinite(M))
+        except np.linalg.LinAlgError:
+            ok = False
+        if not ok:
+            return np.full(rhs.size, np.nan)
+        x = G[:, :, w].copy()
+        for k in range(nl - 2, -1, -1):
+            x[k] -= G[k, :, :w] @ x[k + 1]
+        return x[self.level, self.pos]
+
+
 @dataclass
 class FatDomain:
-    """Rasterized eps-wide L-shaped tube around the two arms."""
+    """Rasterized eps-wide L-shaped tube around the two arms; chain, the
+    mask's level sets, is built with it and rejects a mask that is not
+    connected."""
 
     a1: float
     a2: float
@@ -83,6 +169,10 @@ class FatDomain:
     x1: np.ndarray
     x2: np.ndarray
     mask: np.ndarray
+    chain: LevelChain = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.chain = LevelChain(self.mask)
 
     @property
     def shape(self):
@@ -112,14 +202,7 @@ def _rasterize(x1, x2, rects, h2):
     return mask
 
 
-def _check_connected(mask):
-    from scipy import ndimage
-    if ndimage.label(mask)[1] != 1:
-        raise ValueError("tube mask is not connected")
-
-
 def _validate_domain(dom):
-    _check_connected(dom.mask)
     # both segments' gridlines must lie inside the mask
     tol = 1e-9 * dom.h2
     j0 = int(np.argmin(np.abs(dom.x2)))
@@ -160,9 +243,7 @@ def build_rectangle_domain(a, epsilon, h2):
     x1 = _axis_coords(-a - e, e, h2)
     x2 = _axis_coords(-e, e, h2)
     rects = [(-a, e / 2.0, -e / 2.0, e / 2.0)]
-    dom = FatDomain(a, a, e, h2, x1, x2, _rasterize(x1, x2, rects, h2))
-    _check_connected(dom.mask)
-    return dom
+    return FatDomain(a, a, e, h2, x1, x2, _rasterize(x1, x2, rects, h2))
 
 
 @dataclass
@@ -193,19 +274,11 @@ class FatSystem:
     def __init__(self, H2: Hamiltonian2D, dom: FatDomain):
         self.H2 = H2
         self.dom = dom
-        m = dom.mask
-        n1, n2 = m.shape
-        ids = -np.ones((n1 + 2, n2 + 2), dtype=int)
-        count = int(m.sum())
-        ids[1:-1, 1:-1][m] = np.arange(count)
-        I, J = np.nonzero(m)
-        self.count = count
+        I, J = dom.chain.I, dom.chain.J
+        self.count = I.size
         self.X1 = dom.x1[I]
         self.X2 = dom.x2[J]
-        self.iE = ids[I + 2, J + 1]
-        self.iW = ids[I, J + 1]
-        self.iN = ids[I + 1, J + 2]
-        self.iS = ids[I + 1, J]
+        self.iE, self.iW, self.iN, self.iS = dom.chain.nbrs
         has_e, has_w = self.iE >= 0, self.iW >= 0
         has_n, has_s = self.iN >= 0, self.iS >= 0
         if np.any(~has_e & ~has_w) or np.any(~has_n & ~has_s):
@@ -380,16 +453,20 @@ class FatSolverParams:
     tol: float = 1e-7
     max_iters: int = 150
 
+    def __post_init__(self):
+        check_stopping_rule(self)
+
 
 def _jacobian(sys_, u, theta):
-    """Sparse 5-point Jacobian of the residual at fixed theta from central
+    """(diag, off) of the 5-point Jacobian of the residual at fixed theta,
+    off[d] the entries in the columns of the E/W/N/S neighbours (0 where
+    one is missing), in the form LevelChain.solve takes. Central
     differences, projected onto M-matrices (positive off-diagonal entries
     dropped, the diagonal raised to 1 + the sum of the off-diagonal
     magnitudes), because differences across a kink of H can otherwise leave
     negative diagonals. Colouring cell (I, J) by (I + 2J) mod 5 gives the
     five cells of every stencil five distinct colours, so one perturbation
     per colour yields every column."""
-    import scipy.sparse as sp
     colour = (sys_.I + 2 * sys_.J) % 5
     D = np.empty((5, sys_.count))
     for c in range(5):
@@ -398,29 +475,16 @@ def _jacobian(sys_, u, theta):
         Rm, _ = sys_.residual(u - e, theta)
         D[c] = (Rp - Rm) / (2.0 * FD_STEP)
     k = np.arange(sys_.count)
-    rows, cols, vals = [], [], []
-    off_sum = np.zeros(sys_.count)
-    for nbr, shift in ((sys_.iE, 1), (sys_.iW, -1), (sys_.iN, 2),
-                       (sys_.iS, -2)):
-        has = nbr >= 0
-        v = np.minimum(D[(colour[has] + shift) % 5, k[has]], 0.0)
-        off_sum[has] -= v
-        rows.append(k[has])
-        cols.append(nbr[has])
-        vals.append(v)
-    rows.append(k)
-    cols.append(k)
-    vals.append(np.maximum(D[colour, k], 1.0 + off_sum))
-    return sp.csc_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(sys_.count, sys_.count))
+    shift = np.array([[1], [-1], [2], [-2]])
+    off = np.where(sys_.dom.chain.nbrs >= 0,
+                   np.minimum(D[(colour + shift) % 5, k], 0.0), 0.0)
+    return np.maximum(D[colour, k], 1.0 - off.sum(axis=0)), off
 
 
 def _newton_2d(sys_, u, params):
     """Damped semismooth Newton at fixed theta; returns (u, theta, steps,
     residual, status), status "converged", "max_iters" or "newton_stalled"
     (a non-finite residual or a line search that cannot decrease it)."""
-    import scipy.sparse.linalg as spla
     theta = (-np.inf, -np.inf)
     steps = 0
     while True:
@@ -435,7 +499,7 @@ def _newton_2d(sys_, u, params):
             return u, theta, steps, res, "converged"
         if steps >= params.max_iters:
             return u, theta, steps, res, "max_iters"
-        d = spla.spsolve(_jacobian(sys_, u, theta), -R)
+        d = sys_.dom.chain.solve(*_jacobian(sys_, u, theta), -R)
         lam = 1.0
         while not np.max(np.abs(sys_.residual(u + lam * d, theta)[0])) < res:
             lam *= 0.5

@@ -168,6 +168,23 @@ class TestNewtonDriver:
         assert rep.flags == ("newton_stalled",)
         assert rep.iterations < ft.FatSolverParams().max_iters
 
+    @pytest.mark.parametrize("diag", [0.0, np.nan, np.inf],
+                             ids=["singular", "nan", "inf"])
+    def test_broken_pivot_is_flagged(self, monkeypatch, diag):
+        # a zero or non-finite Jacobian breaks the first level's pivot
+        # block: the chain solve returns NaN and the line search stalls,
+        # no exception
+        dom = ft.build_fat_domain(1.0, 1.0, 0.2, 0.05)
+        n = dom.chain.I.size
+        x = dom.chain.solve(np.full(n, diag), np.zeros((4, n)), np.ones(n))
+        assert np.all(np.isnan(x))
+        monkeypatch.setattr(ft, "_jacobian", lambda sys_, u, theta: (
+            np.full(sys_.count, diag), np.zeros((4, sys_.count))))
+        _, rep = ft.solve_fat_state_constraint(_shifted_max_form(), dom)
+        assert not rep.converged
+        assert rep.flags == ("newton_stalled",)
+        assert rep.iterations == 0
+
 
 class TestTrace:
     def test_symmetric_traces_agree(self, h_abs1):
@@ -310,4 +327,31 @@ def test_two_component_mask_rejected():
     mask = np.zeros((6, 6), dtype=bool)
     mask[:2, :2] = mask[4:, 4:] = True
     with pytest.raises(ValueError, match="not connected"):
-        ft._check_connected(mask)
+        ft.LevelChain(mask)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.booleans(), st.floats(0.08, 0.2), st.integers(4, 6),
+       st.floats(0.45, 1.0), st.floats(0.45, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_level_chain_solves_five_point_m_matrices(rect, eps, cells, a1, a2,
+                                                  seed):
+    # random strictly diagonally dominant M-matrices on the tube's stencil,
+    # some off-diagonal entries 0 as after the Jacobian's projection
+    dom = (ft.build_rectangle_domain(a1, eps, eps / cells) if rect
+           else ft.build_fat_domain(a1, a2, eps, eps / cells))
+    chain = dom.chain
+    has, n = chain.nbrs >= 0, chain.I.size
+    lev = chain.level
+    assert np.all(np.abs(lev[chain.nbrs[has]]
+                         - np.broadcast_to(lev, has.shape)[has]) <= 1)
+    rng = np.random.default_rng(seed)
+    off = np.where(has & (rng.uniform(size=has.shape) < 0.8),
+                   -rng.uniform(0.0, 2.0, has.shape), 0.0)
+    diag = -off.sum(axis=0) + rng.uniform(1e-3, 1.0, n)
+    A = np.diag(diag)
+    for d in range(4):
+        A[np.arange(n)[has[d]], chain.nbrs[d][has[d]]] = off[d][has[d]]
+    b = rng.normal(size=n)
+    want = np.linalg.solve(A, b)
+    got = chain.solve(diag, off, b)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))

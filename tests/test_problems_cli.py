@@ -259,6 +259,22 @@ class TestCli:
         assert "max_iters" in report["sweep"]["flags"]
         assert "max_iters" in report["flags"]
 
+    @pytest.mark.parametrize("sub, problem", [
+        ("solve-junction", "junction_abs12.json"),
+        ("fatten2d", "fatten_max.json")])
+    @pytest.mark.parametrize("option", [
+        ["--tol", "nan"], ["--tol", "-1"], ["--tol", "0"], ["--tol", "inf"],
+        ["--max-iters", "-5"]], ids=["tol-nan", "tol-negative", "tol-zero",
+                                     "tol-inf", "max-iters-negative"])
+    def test_bad_stopping_rule_rejected(self, tmp_path, capsys, sub, problem,
+                                        option):
+        # rejected before any solve: no residual meets such a tol, so the
+        # solve would run to its cap, and a negative cap is no cap
+        assert run_cli([sub, "--problem", os.path.join(FIXTURES, problem),
+                        "--out", str(tmp_path / "o")] + option) == 3
+        assert "validation error" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+
     def test_convergence_subcommand(self, tmp_path):
         data = minimal_problem()
         prob = tmp_path / "p.json"
@@ -530,11 +546,19 @@ class TestReports:
         assert not any(n.startswith(".tmp_") for n in os.listdir(tmp_path))
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(tmp_path):
+    # neither the import nor a 2-D study nor the verification checks load
+    # scipy
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    code = ("import sys, hjj.cli; print(sorted(m for m in sys.modules "
+    problem = os.path.abspath(os.path.join(FIXTURES, "fatten_max.json"))
+    code = ("import sys, hjj.cli\n"
+            f"assert hjj.cli.main(['fatten2d', '--problem', {problem!r}, "
+            f"'--out', {str(tmp_path / 'f')!r}]) == 0\n"
+            f"assert hjj.cli.main(['verify', '--out', "
+            f"{str(tmp_path / 'v')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip().splitlines()[-1] == "[]"
