@@ -32,6 +32,12 @@ EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
 EXIT_VALIDATION = 3
 
+DEFAULT_TOL = 1e-8
+
+# these run solvers with stopping rules of their own, so a --tol or
+# --max-iters given to them would be ignored: it is rejected instead
+_OWN_STOPPING_RULE = frozenset({"viscous-sweep", "verify"})
+
 # a fallback changes the scheme mid-solve and a cap or stall leaves it
 # unfinished: each makes the run fail even when the residual test passed
 _FAILURE_FLAGS = frozenset({"newton_fallback", "max_iters", "sweep_stalled"})
@@ -282,8 +288,9 @@ def build_parser():
         sp.add_argument("--problem", required=needs_problem,
                         help="problem JSON file")
         sp.add_argument("--out", default="hjj_out", help="output directory")
-        sp.add_argument("--tol", type=float, default=1e-8,
-                        help="solver residual tolerance")
+        sp.add_argument("--tol", type=float, default=None,
+                        help=f"solver residual tolerance (default: "
+                             f"{DEFAULT_TOL:g})")
         sp.add_argument("--max-iters", type=int, default=None,
                         help="cap on Newton steps (default: 200000 for the "
                              "1-D solvers, 150 for the 2-D tube)")
@@ -306,6 +313,15 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     fn, needs_problem = _COMMANDS[args.subcommand]
+    if args.subcommand in _OWN_STOPPING_RULE:
+        for option, value in (("--tol", args.tol),
+                              ("--max-iters", args.max_iters)):
+            if value is not None:
+                print(f"validation error: {option}: {args.subcommand} "
+                      "uses its own stopping rule", file=sys.stderr)
+                return EXIT_VALIDATION
+    if args.tol is None:
+        args.tol = DEFAULT_TOL
     t0 = time.perf_counter()
     out_dir = os.path.abspath(args.out)
     os.makedirs(out_dir, exist_ok=True)

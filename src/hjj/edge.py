@@ -236,7 +236,7 @@ def _edge_tables(H, edge):
         [np.asarray(H.minima, dtype=float), maxima]))
     # constant upper barrier: u = super_level is a discrete super-solution
     qs = np.linspace(-P, P, 2049)
-    hmin = min(float(np.min(np.asarray(H(qs, xx)))) for xx in xs)
+    hmin = float(np.min(H(qs[None, :], xs[:, None])))
     # the node envelope is built even for a Dirichlet node: a later
     # discretization of the same pair may own the node row
     env_node = SlopeEnvelope(H, x0=0.0, side="right")

@@ -15,6 +15,8 @@ works elementwise on numpy arrays as well as on floats.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _FUNCTIONS = {
@@ -165,34 +167,44 @@ class _Parser:
         raise ExprError(f"unexpected token {tok.text!r}", tok.pos)
 
 
-def _evaluate(node, env):
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": operator.pow,
+}
+
+
+def _compile(node):
+    """The AST as nested closures env -> value, one per node: the same
+    operations in the same order as a walk of the tree, without the walk."""
     kind = node[0]
     if kind == "num":
-        return node[1]
+        value = node[1]
+        return lambda env: value
     if kind == "var":
-        return env[node[1]]
+        name = node[1]
+        return lambda env: env[name]
     if kind == "neg":
-        return -_evaluate(node[1], env)
+        arg = _compile(node[1])
+        return lambda env: -arg(env)
     if kind == "call":
         _, fn = _FUNCTIONS[node[1]]
-        return fn(*[_evaluate(a, env) for a in node[2]])
-    a = _evaluate(node[1], env)
-    b = _evaluate(node[2], env)
-    if kind == "+":
-        return a + b
-    if kind == "-":
-        return a - b
-    if kind == "*":
-        return a * b
-    if kind == "/":
-        return a / b
-    if kind == "^":
-        return a ** b
-    raise AssertionError(f"bad node {kind}")
+        args = [_compile(a) for a in node[2]]
+        if len(args) == 1:
+            (a,) = args
+            return lambda env: fn(a(env))
+        a, b = args
+        return lambda env: fn(a(env), b(env))
+    op = _BINARY[kind]
+    a, b = _compile(node[1]), _compile(node[2])
+    return lambda env: op(a(env), b(env))
 
 
 class Expression:
-    """Parsed expression; callable with keyword arguments for its variables."""
+    """Parsed expression, compiled once into nested closures; callable with
+    keyword arguments for its variables."""
 
     def __init__(self, src, variables):
         self.src = src
@@ -203,9 +215,10 @@ class Expression:
         tail = parser.peek()
         if tail.kind != "end":
             raise ExprError(f"trailing input {tail.text!r}", tail.pos)
+        self._fn = _compile(self.ast)
 
     def __call__(self, **env):
-        return _evaluate(self.ast, env)
+        return self._fn(env)
 
     def __repr__(self):
         return f"Expression({self.src!r})"

@@ -301,14 +301,16 @@ class FatSystem:
             for (xa, xb) in pts:
                 combos.append((q, xa, xb))
         fn = H2.fn
+        # the tables pass the combo numbers as positions, one per row
+        Q, XA, XB = np.asarray(combos).T
 
         def shim1(s, idx):
-            q, xa, xb = combos[int(idx)]
-            return fn(s, q, xa, xb)
+            i = idx.astype(int)
+            return fn(s, Q[i], XA[i], XB[i])
 
         def shim2(s, idx):
-            q, xa, xb = combos[int(idx)]
-            return fn(q, s, xa, xb)
+            i = idx.astype(int)
+            return fn(Q[i], s, XA[i], XB[i])
 
         idxs = np.arange(len(combos), dtype=float)
         self.tab1 = SlopeLipschitzTable(shim1, idxs, span=S, samples=2048)

@@ -2,9 +2,10 @@
 
 A Hamiltonian is an evaluable slope-position map together with probed
 metadata: a coercivity bound P (H(+-q, x) >= level for all probed |q| >= P),
-the local minimizers of p -> H(p, 0), and sampled shape flags. All evaluation
-is vectorized over numpy arrays and free of mutable state, so Hamiltonian
-values can be shared across threads.
+the local minimizers of p -> H(p, 0), and sampled shape flags. Evaluation
+broadcasts over numpy arrays, so every probe of H over slopes and positions
+is one call: slopes along the rows, positions along the columns. A
+Hamiltonian keeps no mutable state.
 """
 
 from __future__ import annotations
@@ -191,11 +192,13 @@ def interval_min(f, lo, hi, minimizers):
 # ---------------------------------------------------------------------------
 
 def _min_over_ring_1d(fn, q, x_samples):
+    """min over x in x_samples of min(fn(q, x), fn(-q, x)), elementwise in q,
+    from one call of fn on the slopes (q, -q) against the positions."""
     q = np.asarray(q, dtype=float)
-    vals = np.inf * np.ones_like(q)
-    for x in x_samples:
-        vals = np.minimum(vals, np.minimum(fn(q, x), fn(-q, x)))
-    return vals
+    xs = np.asarray(x_samples, dtype=float)
+    v = np.broadcast_to(fn(np.concatenate([q, -q])[:, None], xs[None, :]),
+                        (2 * q.size, xs.size)).min(axis=1, initial=np.inf)
+    return np.minimum(v[:q.size], v[q.size:])
 
 
 def _probe_callable(ring_min, level, cap=COERCIVITY_CAP, resolution=1e-3):
@@ -265,9 +268,11 @@ def probe_coercivity_2d(fn, level, x_samples=((0.0, 0.0),), ring_points=17):
 def find_minima(H, P, resolution=4096, merge_tol=1e-6):
     """All local minimizers of p -> H(p, 0) on [-P, P].
 
-    Grid scan at `resolution` samples, golden-section refinement to 1e-8
-    (all brackets in one call), duplicates within merge_tol merged. A sampled flat bottom (a plateau of
-    equal values) contributes one representative at its midpoint.
+    Grid scan at `resolution` samples, golden-section refinement to 1e-9
+    (all brackets in one call), duplicates within merge_tol merged. A
+    sampled flat bottom (a plateau of equal values) contributes one
+    representative at its midpoint. The scan visits only the grid points
+    that are no higher than both neighbours, found in one comparison.
     """
     if resolution < 64:
         raise ValueError("resolution must be >= 64")
@@ -279,23 +284,24 @@ def find_minima(H, P, resolution=4096, merge_tol=1e-6):
 
     found = []
     brackets = []
-    i = 1
     n = len(qs)
-    while i < n - 1:
-        if v[i] <= v[i - 1] and v[i] <= v[i + 1]:
-            j = i
-            while j + 1 < n - 1 and abs(v[j + 1] - v[i]) <= flat_tol:
-                j += 1
-            left_up = v[i - 1] > v[i] + flat_tol
-            right_up = v[min(j + 1, n - 1)] > v[j] + flat_tol
-            if left_up and right_up:
-                if j - i <= 1:
-                    brackets.append((qs[i - 1], qs[j + 1]))
-                else:
-                    found.append(0.5 * (qs[i] + qs[j]))
-            i = j + 1
-        else:
-            i += 1
+    low = np.nonzero((v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:]))[0] + 1
+    resume = 1
+    for i in low.tolist():
+        # a scan from the left resumes past each visited point's plateau
+        if i < resume:
+            continue
+        j = i
+        while j + 1 < n - 1 and abs(v[j + 1] - v[i]) <= flat_tol:
+            j += 1
+        left_up = v[i - 1] > v[i] + flat_tol
+        right_up = v[min(j + 1, n - 1)] > v[j] + flat_tol
+        if left_up and right_up:
+            if j - i <= 1:
+                brackets.append((qs[i - 1], qs[j + 1]))
+            else:
+                found.append(0.5 * (qs[i] + qs[j]))
+        resume = j + 1
     if brackets:
         a, b = np.asarray(brackets).T
         x, _ = golden_section_min(lambda p: fn(p, 0.0), a, b, xtol=1e-9)
@@ -343,16 +349,9 @@ def _sample_shape_flags(fn, P, minima, resolution=2048):
     scale = 1.0 + float(np.max(np.abs(v)))
     d2 = v[2:] - 2.0 * v[1:-1] + v[:-2]
     convex = bool(np.all(d2 >= -1e-9 * scale))
-    d1 = np.diff(v)
-    flat_run = 0
-    max_run = 0
-    for step in d1:
-        if abs(step) <= 1e-11 * scale:
-            flat_run += 1
-            max_run = max(max_run, flat_run)
-        else:
-            flat_run = 0
-    no_flat = max_run < 2
+    # a flat part is two consecutive flat steps
+    flat = np.abs(np.diff(v)) <= 1e-11 * scale
+    no_flat = not np.any(flat[1:] & flat[:-1])
     quasiconvex = len(minima) == 1 and no_flat
     return ShapeFlags(quasiconvex=quasiconvex or convex and no_flat,
                       convex=convex, no_flat_parts=no_flat)
@@ -363,10 +362,12 @@ def validate_hamiltonian(H, x_samples=DEFAULT_X_SAMPLES, samples=512):
     minima sorted inside (-P, P), coercivity holds at +-P."""
     P = H.coercivity_bound
     qs = np.linspace(-P, P, samples)
-    for x in x_samples:
-        vals = np.asarray(H(qs, x), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"H({H.source}) not finite on [-P, P] at x={x}")
+    xs = np.asarray(x_samples, dtype=float)
+    finite = np.isfinite(np.broadcast_to(H(qs[None, :], xs[:, None]),
+                                         (xs.size, samples))).all(axis=1)
+    if not finite.all():
+        x = x_samples[int(np.argmin(finite))]
+        raise ValueError(f"H({H.source}) not finite on [-P, P] at x={x}")
     m = np.asarray(H.minima, dtype=float)
     if m.size:
         if np.any(np.diff(m) < 0):
@@ -384,6 +385,21 @@ def validate_hamiltonian(H, x_samples=DEFAULT_X_SAMPLES, samples=512):
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
+
+def _broadcasted(raw):
+    """raw, called with float arrays, returning a value of its arguments'
+    broadcast shape (a float for scalar arguments). The value is broadcast
+    and copied only when raw's has another shape, as for an expression
+    that omits a variable."""
+    def fn(*args):
+        arrs = [np.asarray(a, dtype=float) for a in args]
+        shape = np.broadcast_shapes(*[a.shape for a in arrs])
+        out = np.asarray(raw(*arrs), dtype=float)
+        if out.shape != shape:
+            out = np.broadcast_to(out, shape).copy()
+        return out if shape else float(out)
+    return fn
+
 
 def _default_level(fn, minima):
     probe_pts = [0.0] + [float(m) for m in minima]
@@ -445,13 +461,7 @@ def parse_expression(src, level=None, x_samples=DEFAULT_X_SAMPLES,
     determined by sampling p -> H(p, 0).
     """
     e = expr.parse(src, variables=("p", "x"))
-
-    def fn(p, x):
-        p, x = np.broadcast_arrays(np.asarray(p, dtype=float),
-                                   np.asarray(x, dtype=float))
-        out = e(p=p, x=x)
-        return out if out.shape else float(out)
-
+    fn = _broadcasted(lambda p, x: e(p=p, x=x))
     if level is None:
         level = 2.0 + abs(float(fn(0.0, 0.0)))
     P = _probe_callable(lambda q: _min_over_ring_1d(fn, q, x_samples), level)
@@ -501,17 +511,6 @@ def make_flux_limiter(H_list, A):
     return FluxLimiter(limiter_value=float(A), parts=parts)
 
 
-def _broadcasted_2d(raw):
-    def fn(p1, p2, x1, x2):
-        arrs = [np.asarray(a, dtype=float) for a in (p1, p2, x1, x2)]
-        shape = np.broadcast_shapes(*[a.shape for a in arrs])
-        out = np.asarray(raw(*arrs), dtype=float)
-        if out.shape != shape:
-            out = np.broadcast_to(out, shape).copy()
-        return out if shape else float(out)
-    return fn
-
-
 def make_hamiltonian2d(fn, level=None, coercivity_bound=None, source="custom",
                        x_samples=((0.0, 0.0),)):
     """Wrap a callable (p1, p2, x1, x2) -> value as a probed Hamiltonian2D.
@@ -519,7 +518,7 @@ def make_hamiltonian2d(fn, level=None, coercivity_bound=None, source="custom",
     Evaluation is broadcast-enforced, so callables ignoring some arguments
     still return full arrays. Pass coercivity_bound explicitly to bypass
     probing (degenerate test Hamiltonians that are not jointly coercive)."""
-    fn = _broadcasted_2d(fn)
+    fn = _broadcasted(fn)
     if level is None:
         level = 2.0 + abs(float(fn(0.0, 0.0, 0.0, 0.0)))
     if coercivity_bound is None:
@@ -572,12 +571,7 @@ def reduce_2d(H2, axis, resolution=129):
         m = np.asarray(other.minima, dtype=float)
         cands = np.union1d(qs, m[np.abs(m) <= P])
         floor = float(np.min(other.fn(cands, 0.0)))
-
-        def fn(p, x):
-            p, x = np.broadcast_arrays(np.asarray(p, dtype=float),
-                                       np.asarray(x, dtype=float))
-            out = np.maximum(own.fn(p, x), floor)
-            return out if out.shape else float(out)
+        fn = _broadcasted(lambda p, x: np.maximum(own.fn(p, x), floor))
     else:
         base = H2.fn
 
@@ -657,12 +651,15 @@ class SlopeLipschitzTable:
     def __init__(self, H, x_samples, span, samples=4096):
         s = np.linspace(-span, span, samples + 1)
         ds = s[1] - s[0]
+        xs = np.atleast_1d(np.asarray(x_samples, dtype=float))
+        v = np.asarray(H(s[None, :], xs[:, None]), dtype=float)
+        v = np.broadcast_to(v, np.broadcast_shapes(v.shape, (1, s.size)))
         d = np.zeros(samples)
-        for x in np.atleast_1d(np.asarray(x_samples, dtype=float)):
-            v = np.asarray(H(s, x), dtype=float)
-            if v.ndim == 0:
-                v = np.full(s.shape, float(v))
-            d = np.maximum(d, np.abs(np.diff(v)) / ds)
+        # one row's differences at a time keep the temporaries small;
+        # division by ds > 0 is monotone, so it commutes with the max
+        for row in v:
+            np.maximum(d, np.abs(np.diff(row)), out=d)
+        d /= ds
         self.s = s
         self.span = span
         self.n = samples

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hjj import expr
 from hjj import hamiltonians as hm
 
 
@@ -368,3 +369,199 @@ def test_ensure_level_raises_bound(h_abs):
     H2 = hm.ensure_level(h_abs, 9.0)
     assert H2.coercivity_bound >= 10.0 - 1e-3
     assert hm.ensure_level(H2, 1.0) is H2
+
+
+# ---------------------------------------------------------------------------
+# batched probing against the per-sample loops it replaced (oracles)
+# ---------------------------------------------------------------------------
+
+def _ring_min_loop(fn, q, x_samples):
+    q = np.asarray(q, dtype=float)
+    vals = np.inf * np.ones_like(q)
+    for x in x_samples:
+        vals = np.minimum(vals, np.minimum(fn(q, x), fn(-q, x)))
+    return vals
+
+
+def _find_minima_scan(fn, P, resolution=4096, merge_tol=1e-6):
+    qs = np.linspace(-P, P, resolution + 1)
+    v = np.asarray(fn(qs, 0.0), dtype=float)
+    flat_tol = 1e-11 * (1.0 + float(np.max(np.abs(v))))
+    found, brackets = [], []
+    i, n = 1, len(qs)
+    while i < n - 1:
+        if v[i] <= v[i - 1] and v[i] <= v[i + 1]:
+            j = i
+            while j + 1 < n - 1 and abs(v[j + 1] - v[i]) <= flat_tol:
+                j += 1
+            left_up = v[i - 1] > v[i] + flat_tol
+            right_up = v[min(j + 1, n - 1)] > v[j] + flat_tol
+            if left_up and right_up:
+                if j - i <= 1:
+                    brackets.append((qs[i - 1], qs[j + 1]))
+                else:
+                    found.append(0.5 * (qs[i] + qs[j]))
+            i = j + 1
+        else:
+            i += 1
+    if brackets:
+        a, b = np.asarray(brackets).T
+        x, _ = hm.golden_section_min(lambda p: fn(p, 0.0), a, b, xtol=1e-9)
+        found.extend(x.tolist())
+    found.sort()
+    merged = []
+    for x in found:
+        if merged and abs(x - merged[-1]) <= merge_tol:
+            if float(fn(x, 0.0)) < float(fn(merged[-1], 0.0)):
+                merged[-1] = x
+        else:
+            merged.append(x)
+    return np.asarray(merged)
+
+
+def _no_flat_loop(fn, P, resolution=2048):
+    v = np.asarray(fn(np.linspace(-P, P, resolution + 1), 0.0), dtype=float)
+    scale = 1.0 + float(np.max(np.abs(v)))
+    flat_run = max_run = 0
+    for step in np.diff(v):
+        if abs(step) <= 1e-11 * scale:
+            flat_run += 1
+            max_run = max(max_run, flat_run)
+        else:
+            flat_run = 0
+    return max_run < 2
+
+
+def _lipschitz_loop(H, x_samples, span, samples=4096):
+    s = np.linspace(-span, span, samples + 1)
+    d = np.zeros(samples)
+    for x in x_samples:
+        v = np.broadcast_to(np.asarray(H(s, x), dtype=float), s.shape)
+        d = np.maximum(d, np.abs(np.diff(v)) / (s[1] - s[0]))
+    return d
+
+
+def _parsed_fn(src):
+    e = expr.parse(src, variables=("p", "x"))
+    return hm._broadcasted(lambda p, x: e(p=p, x=x))
+
+
+def _batch_hamiltonian(form, b, c, a, w, k):
+    # the builtins and the x-dependent parsed forms of the expr_batch kind
+    if form in ("abs_shift", "quadratic", "double_well"):
+        return hm.make_builtin(form, b=b, c=c)
+    return hm.parse_expression({
+        "abs": f"abs(p - ({b!r})) - {c!r} + {a!r}*sin({w!r}*x)",
+        "max": f"max(abs(p - ({b!r})), {k!r}*(p - ({b!r}))^2) - {c!r} "
+               f"+ {a!r}*cos({w!r}*x)",
+        "quad_sin": f"{k!r}*(p - ({b!r}))^2 - {c!r} + {a!r}*sin({w!r}*x)^2",
+    }[form])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.sampled_from(["abs_shift", "quadratic", "double_well", "abs",
+                        "max", "quad_sin"]),
+       st.floats(-0.5, 0.5), st.floats(0.5, 2.0), st.floats(0.0, 0.3),
+       st.floats(0.5, 5.0), st.floats(0.3, 1.0))
+def test_batched_probe_matches_per_sample_loop(form, b, c, a, w, k):
+    # min and max are exact and each element is the same numpy value, so
+    # the one-call probes reproduce the per-sample loops bit for bit
+    H = _batch_hamiltonian(form, b, c, a, w, k)
+    xs = hm.DEFAULT_X_SAMPLES
+    P = H.coercivity_bound
+    assert hm._probe_callable(lambda q: _ring_min_loop(H.fn, q, xs),
+                              H.coercivity_level) == P
+    q = np.linspace(0.0, 2.0 * P, 257)
+    assert np.array_equal(hm._min_over_ring_1d(H.fn, q, xs),
+                          _ring_min_loop(H.fn, q, xs))
+    minima = hm.find_minima(H, P)
+    assert np.array_equal(minima, _find_minima_scan(H.fn, P))
+    flags = hm._sample_shape_flags(H.fn, P, minima)
+    assert flags.no_flat_parts == _no_flat_loop(H.fn, P)
+    if form in ("abs", "max", "quad_sin"):
+        assert H.minima == tuple(minima) and H.flags == flags
+    tab = hm.SlopeLipschitzTable(H, [0.0, -0.3, -0.7], span=2.0 * P + 2.0)
+    assert np.array_equal(tab.L[0], _lipschitz_loop(H, [0.0, -0.3, -0.7],
+                                                    2.0 * P + 2.0))
+
+
+@pytest.mark.parametrize("src, P, resolution, expected", [
+    # one flat bottom on [-1, 1]: its midpoint
+    ("max(abs(p) - 2, -1)", 4.0, 4096, [0.0]),
+    # two flat bottoms at different levels
+    ("min(max(abs(p - 2), 0.5), max(abs(p + 2), 1))", 5.0, 4096,
+     [-2.0, 2.0]),
+    # flat shoulders on 1.5 <= |p| <= 3, steps down to a flat bottom
+    ("max(min(abs(p) - 1, 0.5), -0.5) + max(abs(p) - 3, 0)", 4.0, 4096,
+     [0.0]),
+    # a kink at the grid's second point, -1 + 2/64
+    ("abs(p + 0.96875)", 1.0, 64, [-0.96875]),
+    # a flat part that starts at the grid's first point is no minimum
+    ("max(abs(p + 1) - 0.1, 0)", 1.0, 64, []),
+    # a kink midway between two points of the flag grid: one flat step,
+    # which is no flat part
+    ("abs(p - 0.00048828125)", 1.0, 64, [0.00048828125]),
+])
+def test_find_minima_prescan_matches_sequential_scan(src, P, resolution,
+                                                     expected):
+    fn = _parsed_fn(src)
+    got = hm.find_minima(fn, P, resolution=resolution)
+    assert np.array_equal(got, _find_minima_scan(fn, P, resolution))
+    no_flat = hm._sample_shape_flags(fn, P, got).no_flat_parts
+    assert no_flat == _no_flat_loop(fn, P)
+    assert no_flat == src.startswith("abs")
+    # a sampled plateau's midpoint is off by at most one grid step
+    np.testing.assert_allclose(got, expected, atol=2.0 * P / resolution)
+
+
+def test_find_minima_skips_the_visited_plateau():
+    # a flat bottom whose values drift within the flat tolerance: from its
+    # third point the left neighbour is higher by more than the tolerance,
+    # but the scan has passed that point with the plateau, as before
+    P, res = 1.0, 64
+    qs = np.linspace(-P, P, res + 1)
+    v = 4.0 * np.abs(qs) + 1.0
+    t = 1e-11 * (1.0 + v.max())
+    v[30:36] = 1.0 + 0.6 * t * np.array([0.0, 1.0, -1.0, -1.0, -1.0, -1.0])
+    fn = lambda p, x: np.interp(p, qs, v)
+    got = hm.find_minima(fn, P, resolution=res)
+    assert np.array_equal(got, _find_minima_scan(fn, P, res))
+    assert np.array_equal(got, [0.5 * (qs[30] + qs[35])])
+
+
+class TestParsedBroadcast:
+    SRC = "abs(p - 0.1) - 1 + 0.1*sin(2*x)"
+
+    @staticmethod
+    def formula(p, x):
+        return np.abs(p - 0.1) - 1 + 0.1 * np.sin(2 * x)
+
+    def test_scalar_gives_float(self):
+        H = hm.parse_expression(self.SRC)
+        v = H.fn(0.3, -0.2)
+        assert type(v) is float
+        assert v == self.formula(0.3, -0.2)
+
+    def test_outer_shape_matches_formula(self):
+        H = hm.parse_expression(self.SRC)
+        p = np.linspace(-2.0, 2.0, 7)[:, None]
+        x = np.linspace(-1.0, 0.0, 5)[None, :]
+        v = H.fn(p, x)
+        assert v.shape == (7, 5)
+        assert np.array_equal(v, self.formula(p, x))
+        assert np.array_equal(H.fn(p[:, 0], -0.5), self.formula(p[:, 0], -0.5))
+
+    @pytest.mark.parametrize("src, formula", [
+        ("(p - 0.2)^2 - 1", lambda p, x: (p - 0.2) ** 2 - 1),
+        ("0.5*x", lambda p, x: 0.5 * x),
+        ("3", lambda p, x: 3.0)], ids=["no_x", "no_p", "constant"])
+    def test_omitted_variables_still_broadcast(self, src, formula):
+        fn = _parsed_fn(src)
+        p = np.linspace(-2.0, 2.0, 7)[:, None]
+        x = np.linspace(-1.0, 0.0, 5)[None, :]
+        v = fn(p, x)
+        assert v.shape == (7, 5) and v.flags.writeable
+        assert np.array_equal(v, np.broadcast_to(formula(p, x), (7, 5)))
+        assert fn(p[:, 0], 0.0).shape == (7,)
+        assert fn(0.0, x[0]).shape == (5,)
+        assert type(fn(0.5, -0.5)) is float

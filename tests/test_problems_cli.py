@@ -221,6 +221,7 @@ class TestCli:
             outs.append((out / "sweep.csv").read_bytes())
         assert outs[0] == outs[1]
         report = json.loads((tmp_path / "a" / "report.json").read_text())
+        assert report["tolerances"] == {"tol": 1e-8}
         assert report["sweep"]["classification"] == "selects_state_constraint"
         assert report["sweep"]["reference_converged"]
 
@@ -273,6 +274,23 @@ class TestCli:
         assert run_cli([sub, "--problem", os.path.join(FIXTURES, problem),
                         "--out", str(tmp_path / "o")] + option) == 3
         assert "validation error" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    @pytest.mark.parametrize("sub, problem", [
+        ("viscous-sweep", "sweep_abs.json"), ("verify", None)])
+    @pytest.mark.parametrize("option", [
+        ["--tol", "1e-6"], ["--tol", "1e-8"], ["--max-iters", "5"]],
+        ids=["tol", "tol-default-value", "max-iters"])
+    def test_own_stopping_rule_rejects_options(self, tmp_path, capsys, sub,
+                                               problem, option):
+        # these solvers never read --tol or --max-iters, so any explicit
+        # value, even the default one, is refused rather than ignored
+        argv = [sub, "--out", str(tmp_path / "o")] + option
+        if problem:
+            argv += ["--problem", os.path.join(FIXTURES, problem)]
+        assert run_cli(argv) == 3
+        err = capsys.readouterr().err
+        assert "validation error" in err and option[0] in err
         assert not (tmp_path / "o" / "report.json").exists()
 
     def test_convergence_subcommand(self, tmp_path):
@@ -377,12 +395,13 @@ class TestCli:
         ("far_bc", {"kind": "dirichlet", "value": None}, "far_bc.value"),
         ("length", float("inf"), "length"),
         ("hamiltonian", {"expr": 3}, "hamiltonian.expr"),
+        ("hamiltonian", {"expr": "3"}, "hamiltonian"),
         ("hamiltonian", {"family": "abs_shift", "b": True, "c": 1.0},
          "hamiltonian"),
         ("hamiltonian", {"family": "abs_shift", "c": 1.0, "minima": [100.0]},
          "hamiltonian.minima"),
     ], ids=["slope_string", "slope_bool", "value_null", "length_inf",
-            "expr_int", "b_bool", "minima_outside"])
+            "expr_int", "expr_constant", "b_bool", "minima_outside"])
     def test_malformed_field_exit_code(self, tmp_path, capsys, key, value,
                                        field):
         data = minimal_problem()
