@@ -12,6 +12,7 @@ verification checks, 3 validation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -278,7 +279,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The hjj argument parser, built once per process: parse_args fills a
+    new namespace on every call, so consecutive main calls share nothing."""
     p = argparse.ArgumentParser(
         prog="hjj",
         description="Stationary Hamilton-Jacobi solvers on junction networks")

@@ -303,20 +303,23 @@ class EdgeDiscretization:
         [lo, hi] = [min, max](p-, p+), and the midpoint samples
         lo + t (hi - lo) (cover for x-dependent H whose critical slopes
         drift)."""
-        pm = np.asarray(pm, dtype=float)
-        pp = np.asarray(pp, dtype=float)
         lo = np.minimum(pm, pp)
         hi = np.maximum(pm, pp)
-        return np.stack([pm, pp] + [np.clip(c, lo, hi) for c in self.crit]
-                        + [lo + t * (hi - lo) for t in GODUNOV_MIDPOINTS])
+        k = len(self.crit) + 2
+        cands = np.empty((k + len(GODUNOV_MIDPOINTS),) + np.shape(lo))
+        cands[0], cands[1] = pm, pp
+        cands[2:k] = np.minimum(np.maximum.outer(self.crit, lo), hi)
+        cands[k:] = lo + np.multiply.outer(GODUNOV_MIDPOINTS, hi - lo)
+        return cands
 
     def godunov_flux(self, pm, pp, x):
         """Sampled-Godunov numerical Hamiltonian: min of H over [p-, p+]
         when p- <= p+, max over [p+, p-] otherwise, taken over
-        godunov_candidates."""
+        godunov_candidates. A scalar call returns a float."""
         vals = np.asarray(self.H(self.godunov_candidates(pm, pp), x))
-        return np.where(np.asarray(pm) <= np.asarray(pp), vals.min(axis=0),
-                        vals.max(axis=0))
+        out = np.where(np.asarray(pm) <= np.asarray(pp), vals.min(axis=0),
+                       vals.max(axis=0))
+        return out if out.shape else float(out)
 
     def _godunov_slopes(self, pm, pp, x):
         """The Godunov flux G(p-, p+) and its generalised derivatives
@@ -374,7 +377,7 @@ class EdgeDiscretization:
         if flux == "godunov":
             R[1:-1] = u[1:-1] + self.godunov_flux(pc[:-1], pc[1:], self.x[1:-1])
             if isinstance(far, Neumann):
-                R[0] = u[0] + float(self.godunov_flux(g, float(pc[0]), self.x[0]))
+                R[0] = u[0] + self.godunov_flux(g, float(pc[0]), self.x[0])
         else:
             avg = 0.5 * (pc[:-1] + pc[1:])
             R[1:-1] = u[1:-1] + np.asarray(self.H(avg, self.x[1:-1])) \
@@ -481,36 +484,43 @@ class EdgeDiscretization:
     # -- scalar nodal equations (Gauss-Seidel driver) -------------------------
 
     def nodal_residual(self, u, j, v):
-        """Godunov residual of row j with the center value replaced by v.
+        """Godunov residual of row j with the center value replaced by v,
+        for a scalar v (a float back) or an array of trial values (one
+        residual each, from one flux evaluation).
 
         Slope arguments of H are clamped to the tabulated span; linear
         penalty terms keep the map strictly increasing in v (slope >= 1)
         and finite for any candidate value."""
         h = self.h
         S = self.theta_tab.span
-        clamp = lambda q: min(max(q, -S), S)
+        v = np.asarray(v, dtype=float)
+        clamp = lambda q: np.minimum(np.maximum(q, -S), S)
+        excess = lambda q: np.maximum(q - S, 0.0)
         if j == 0:
             far = self.edge.far_bc
             pp = (u[1] - v) / h
             if isinstance(far, Neumann):
-                return v + float(self.godunov_flux(far.slope, clamp(pp),
-                                                   self.x[0])) \
-                    + max(-pp - S, 0.0)
-            return v + self.env_far(clamp(pp)) + max(-pp - S, 0.0)
-        pm = (v - u[j - 1]) / h
-        pp = (u[j + 1] - v) / h
-        return v + float(self.godunov_flux(clamp(pm), clamp(pp), self.x[j])) \
-            + max(pm - S, 0.0) + max(-pp - S, 0.0)
+                r = v + self.godunov_flux(far.slope, clamp(pp), self.x[0]) \
+                    + excess(-pp)
+            else:
+                r = v + self.env_far(clamp(pp)) + excess(-pp)
+        else:
+            pm = (v - u[j - 1]) / h
+            pp = (u[j + 1] - v) / h
+            r = v + self.godunov_flux(clamp(pm), clamp(pp), self.x[j]) \
+                + excess(pm) + excess(-pp)
+        return r if r.shape else float(r)
 
     def gauss_seidel_sweep(self, u, tol):
         """One forward+backward Godunov sweep solving each free row's nodal
-        equation exactly; the junction solver owns the node row."""
+        equation to 0.1 tol by _solve_increasing, which evaluates
+        nodal_residual at a value and its two difference neighbours in
+        one call per Newton step; the junction solver owns the node row."""
         n = self.edge.n_cells
         for j in list(range(n)) + list(range(n - 1, -1, -1)):
             if not self.pinned[j]:
                 u[j] = _solve_increasing(
-                    lambda w: self.nodal_residual(u, j, w), u[j], 0.1 * tol,
-                    scale=self.h)
+                    lambda w: self.nodal_residual(u, j, w), u[j], 0.1 * tol)
         return u
 
 
@@ -519,57 +529,51 @@ def _value_and_slope(f, p, x):
     one vectorized evaluation."""
     p = np.asarray(p, dtype=float)
     d = 1e-7 * (1.0 + np.abs(p))
-    v = np.asarray(f(np.stack([p, p + d, p - d]), x), dtype=float)
+    v = np.asarray(f(np.array((p, p + d, p - d)), x), dtype=float)
     return v[0], (v[1] - v[2]) / (2.0 * d)
 
 
-def _solve_increasing(f, v0, tol, scale):
-    """Root of a strictly increasing scalar function with slope >= 1.
+def _solve_increasing(f, v0, tol):
+    """Root of a strictly increasing scalar function with slope >= 1, by
+    safeguarded Newton after rtsafe (Press et al., Numerical Recipes).
 
-    The slope bound places the root within |f(v0)| of v0, giving a safe
-    initial bracket; inside it a bisection-guarded secant finishes."""
-    f0 = f(v0)
-    if abs(f0) <= tol:
+    f maps an array of trial values to their residuals; each step takes
+    f and its central difference from one call. The slope bound places
+    the root within |f(v0)| of v0, so that bracket needs no evaluation;
+    every new value narrows it by its sign. A Newton step that leaves the
+    bracket bisects instead, and so does one that shows no progress: its
+    size is more than half the step before the last one and |f| has not
+    halved since the previous value. The search stops at |f| <= tol or a
+    bracket of relative width 1e-14, and after 100 steps returns the
+    bracket's midpoint."""
+    def value_and_slope(v):
+        return _value_and_slope(lambda w, _: f(w), v, None)
+
+    v = v0
+    fv, df = value_and_slope(v)
+    if abs(fv) <= tol:
         return v0
-    width = abs(f0) * (1.0 + 1e-12) + 1e-15
-    if f0 > 0:
-        lo, hi, fhi = v0 - width, v0, f0
-        flo = f(lo)
-        while flo > 0 and width < 1e12:
-            hi, fhi = lo, flo
-            width *= 2.0
-            lo -= width
-            flo = f(lo)
-    else:
-        lo, flo, hi = v0, f0, v0 + width
-        fhi = f(hi)
-        while fhi < 0 and width < 1e12:
-            lo, flo = hi, fhi
-            width *= 2.0
-            hi += width
-            fhi = f(hi)
-    side = 0
+    width = abs(fv) * (1.0 + 1e-12) + 1e-15
+    lo, hi = (v - width, v) if fv > 0 else (v, v + width)
+    step = last = width
+    f_prev = np.inf
     for _ in range(100):
-        if fhi > flo:
-            mid = (flo * hi - fhi * lo) / (flo - fhi)
+        progress = abs(fv) <= 0.5 * max(f_prev, abs(last * df))
+        if df > 0 and lo < v - fv / df < hi and progress:
+            last, step = step, fv / df
+            v = v - step
         else:
-            mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= tol or hi - lo <= 1e-14 * (1.0 + abs(mid)):
-            return mid
-        if fm > 0:
-            hi, fhi = mid, fm
-            if side == 1:
-                flo *= 0.5
-            side = 1
+            last, step = step, 0.5 * (hi - lo)
+            v = lo + step
+        f_prev = abs(fv)
+        fv, df = value_and_slope(v)
+        if abs(fv) <= tol or hi - lo <= 1e-14 * (1.0 + abs(v)):
+            return float(v)
+        if fv > 0:
+            hi = v
         else:
-            lo, flo = mid, fm
-            if side == -1:
-                fhi *= 0.5
-            side = -1
-    return 0.5 * (lo + hi)
+            lo = v
+    return float(0.5 * (lo + hi))
 
 
 # ---------------------------------------------------------------------------

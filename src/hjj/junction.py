@@ -199,17 +199,13 @@ class JunctionDiscretization(FlatLayout):
         cond = problem.junction_condition
         self.floor = cond.A if isinstance(cond, FluxLimited) else -np.inf
         self.node_pin = cond.value if isinstance(cond, Dirichlet) else None
-        self._index()
-
-    def _index(self):
-        self.h_min = min(d.h for d in self.discs)
         self.lay_out([d.edge for d in self.discs])
 
     def coarsened(self, factor):
         """The same junction with every edge's cell count divided by factor."""
         c = copy.copy(self)
         c.discs = [d.coarsened(d.edge.n_cells // factor) for d in self.discs]
-        c._index()
+        c.lay_out([d.edge for d in c.discs])
         return c
 
     # -- flat state -----------------------------------------------------------
@@ -232,16 +228,20 @@ class JunctionDiscretization(FlatLayout):
     # -- residuals --------------------------------------------------------------
 
     def node_residual(self, us, u0):
-        """R0 = u0 + max(A, max_i envelope-min_i(p_in_i)); a pinned node
-        reports zero."""
+        """R0 = u0 + max(A, max_i envelope-min_i(p_in_i)), with p_in_i
+        clamped to edge i's slope span; a pinned node reports zero. u0 is
+        a scalar (a float back) or an array of trial node values, one
+        residual each, as the sweeps' nodal solve evaluates them."""
         if self.node_pin is not None:
             return 0.0
+        u0 = np.asarray(u0, dtype=float)
         worst = self.floor
         for d, u in zip(self.discs, us):
             S = d.theta_tab.span
-            p_in = min(max((u0 - u[-2]) / d.h, -S), S)
-            worst = max(worst, d.env_node(p_in))
-        return u0 + worst
+            p_in = np.minimum(np.maximum((u0 - u[-2]) / d.h, -S), S)
+            worst = np.maximum(worst, d.env_node(p_in))
+        r = u0 + worst
+        return r if r.shape else float(r)
 
     def residuals(self, us, u0, thetas=None, flux="lax_friedrichs"):
         """Per-edge residual vectors and the node residual."""
@@ -439,8 +439,7 @@ def _sweeps(jd, tol):
             d.gauss_seidel_sweep(u, tol)
         if jd.node_pin is None:
             u0 = _solve_increasing(
-                lambda v: jd.node_residual(us, v), u0, 0.1 * tol,
-                scale=jd.h_min)
+                lambda v: jd.node_residual(us, v), u0, 0.1 * tol)
             for u in us:
                 u[-1] = u0
         sweeps += 1

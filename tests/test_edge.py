@@ -466,3 +466,152 @@ class TestSchemeProperties:
             errs.append(np.max(np.abs(u.values - exact)))
         orders = np.log2(np.asarray(errs[:-1]) / np.asarray(errs[1:]))
         assert np.all(orders >= 0.9)
+
+
+def _clip_stack_candidates(disc, pm, pp):
+    """The Godunov candidates built one np.clip per critical slope and
+    stacked: the reference godunov_candidates must equal bit for bit."""
+    pm = np.asarray(pm, dtype=float)
+    pp = np.asarray(pp, dtype=float)
+    lo, hi = np.minimum(pm, pp), np.maximum(pm, pp)
+    return np.stack([pm, pp] + [np.clip(c, lo, hi) for c in disc.crit]
+                    + [lo + t * (hi - lo) for t in ed.GODUNOV_MIDPOINTS])
+
+
+def _bisection_root(f, v0):
+    """Root of a scalar increasing f with slope >= 1 by plain bisection on
+    the bracket the slope bound gives, to the last representable digit."""
+    f0 = f(v0)
+    width = abs(f0) * (1.0 + 1e-9) + 1e-12
+    lo, hi = (v0 - width, v0) if f0 > 0 else (v0, v0 + width)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if f(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+
+
+# slopes to the neighbour values, as multiples of the clamp span S = 2P + 2
+_SPANS = st.integers(-300, 300).map(lambda i: i / 100)
+# the 100-step loop of _solve_increasing and its first evaluation
+_NODAL_CAP = 101
+
+
+@st.composite
+def nodal_rows(draw):
+    """One nodal equation (H, H2, far, n, row, v0, left, right): row "far"
+    (row 0, or row 1 behind a pinned Dirichlet far end), "interior" or
+    "node"; left and right are the neighbour values, for the node row its
+    neighbours on the edges of H and H2. Their slopes from v0 reach 3 S,
+    so the penalty terms are active and a double well's first residual
+    reaches 1e4."""
+    H, H2 = draw(hamiltonians()), draw(hamiltonians())
+    far, n = draw(far_conditions), draw(st.sampled_from((12, 200)))
+    row = draw(st.sampled_from(("far", "interior", "node")))
+    v0, a, b = draw(_COEF), draw(_SPANS), draw(_SPANS)
+    span = lambda G: (2.0 * G.coercivity_bound + 2.0) / n
+    left = v0 - a * span(H)
+    right = v0 - b * span(H2) if row == "node" else v0 + b * span(H)
+    return H, H2, far, n, row, v0, left, right
+
+
+class TestNodalSolve:
+    @properties
+    @given(case=nodal_rows())
+    # the root sits on the kink of |p|: the residual's slope is 1 on one
+    # side and 1 + 1/h = 13 on the other (39 Illinois calls)
+    @example(case=(hm.ensure_level(hm.make_builtin("abs_shift", c=1.0), 11.0),
+                   hm.make_builtin("abs_shift", c=1.0), ed.StateConstraint(),
+                   12, "interior", 2.0, 0.9999999003405889, 2.0))
+    # the node row of the double well + abs junction at its sweeps' start:
+    # the double well at the clamped slope gives f0 = 2.2e4 (65 calls)
+    @example(case=(hm.ensure_level(
+                       hm.make_builtin("double_well", b=-2.0, c=0.0), 11.0),
+                   hm.ensure_level(hm.make_builtin("abs_shift", c=1.0), 11.0),
+                   ed.StateConstraint(), 200, "node", 2.0,
+                   -0.7358838279660489, 0.9999999990008989))
+    def test_matches_bisection(self, case):
+        H, H2, far, n, row, v0, left, right = case
+        tol = 1e-9
+        spec = ed.EdgeSpec(1.0, n, far_bc=far)
+        if row == "node":
+            jd = jn.JunctionDiscretization(
+                jn.JunctionProblem([spec, spec], [H, H2]))
+            us = [np.full(n + 1, v0) for _ in range(2)]
+            us[0][-2], us[1][-2] = left, right
+            f = lambda w: jd.node_residual(us, w)
+        else:
+            disc = ed.EdgeDiscretization(H, spec, "external")
+            j = n // 2 if row == "interior" else int(disc.pinned[0])
+            u = np.full(n + 1, v0)
+            u[j + 1] = right
+            if j:
+                u[j - 1] = left
+            f = lambda w: disc.nodal_residual(u, j, w)
+        calls = []
+
+        def counted(w):
+            calls.append(w)
+            return f(w)
+
+        v = ed._solve_increasing(counted, v0, tol)
+        assert len(calls) < _NODAL_CAP
+        fv = f(v)
+        assert type(fv) is float
+        # |f| <= tol, or the root within the final bracket's width of v
+        w = 1e-14 * (1.0 + abs(v))
+        assert abs(fv) <= tol or f(v - w) <= 0.0 <= f(v + w)
+        r = _bisection_root(f, v0)
+        assert abs(v - r) <= tol + 1e-13 * (1.0 + abs(r))
+
+    @pytest.mark.parametrize("H", [
+        hm.make_builtin("double_well", b=-2.0, c=0.0),
+        hm.make_builtin("abs_shift", b=0.3, c=1.0),
+        hm.make_builtin("expression", src="(p-0.8*sin(3*x))^2-1"),
+    ], ids=["double_well", "abs_shift", "x-dependent"])
+    def test_candidates_match_clip_stack(self, H):
+        # the broadcast construction equals the per-slope clip + stack bit
+        # for bit, for scalars, 1-D arrays and the Neumann row's mixed
+        # (float, float) call
+        disc = ed.EdgeDiscretization(H, ed.EdgeSpec(1.0, 64), "external")
+        rng = np.random.default_rng(3)
+        P = H.coercivity_bound
+        pm, pp = rng.uniform(-2 * P, 2 * P, (2, 50))
+        pm[:5] = pp[:5]
+        for a, b in ((pm, pp), (float(pm[7]), float(pp[7])), (pm[0], pp[0]),
+                     (0.0, float(pp[9]))):
+            got = disc.godunov_candidates(a, b)
+            ref = _clip_stack_candidates(disc, a, b)
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+        x = disc.x[1:51]
+        vals = H(_clip_stack_candidates(disc, pm, pp), x)
+        assert disc.godunov_flux(pm, pp, x).tobytes() == np.where(
+            pm <= pp, vals.min(0), vals.max(0)).tobytes()
+        pc = np.clip(np.diff(rng.uniform(0, 1, 65)) / disc.h,
+                     -disc.theta_tab.span, disc.theta_tab.span)
+        g = disc.godunov_flux(0.0, float(pc[0]), disc.x[0])
+        ref = H(_clip_stack_candidates(disc, 0.0, float(pc[0])), disc.x[0])
+        assert g == (ref.min() if pc[0] >= 0.0 else ref.max())
+
+    def test_scalar_calls_return_float(self):
+        H = hm.make_builtin("double_well", b=-2.0, c=0.0)
+        spec = ed.EdgeSpec(1.0, 16, far_bc=ed.Neumann(0.3))
+        disc = ed.EdgeDiscretization(H, spec, "external")
+        u = np.linspace(0.0, 1.0, 17)
+        assert type(disc.godunov_flux(-0.5, 0.2, 0.0)) is float
+        trial = np.array([0.1, 0.4, 2.0])
+        for j in (0, 5):
+            assert type(disc.nodal_residual(u, j, 0.4)) is float
+            # an array of trial values gives each one's scalar residual
+            assert disc.nodal_residual(u, j, trial).tolist() == \
+                [disc.nodal_residual(u, j, v) for v in trial]
+        jd = jn.JunctionDiscretization(jn.JunctionProblem(
+            [spec, spec], [H, hm.make_builtin("abs_shift", c=1.0)]))
+        us = [u, u]
+        assert type(jd.node_residual(us, 1.0)) is float
+        assert jd.node_residual(us, trial).tolist() == \
+            [jd.node_residual(us, v) for v in trial]

@@ -419,10 +419,28 @@ def _godunov_cases():
 
 class TestGodunovNewton:
     @pytest.mark.parametrize("case", list(_godunov_cases()))
-    def test_matches_sweeps(self, case):
+    def test_matches_sweeps(self, case, monkeypatch):
+        calls = []
+
+        def counted(f, v0, tol, solve=ed._solve_increasing):
+            n = len(calls)
+            calls.append(0)
+
+            def g(w):
+                calls[n] += 1
+                return f(w)
+            return solve(g, v0, tol)
+
+        for module in (ed, jn):
+            monkeypatch.setattr(module, "_solve_increasing", counted)
         prob = jn.make_junction_problem(*_godunov_cases()[case])
         sol, rep = jn.solve_system(prob)
         ref, rep_ref = jn.solve_system(prob, ed.SolverParams(method="sweep"))
+        # every nodal solve of the sweeps ends well inside its 100-step cap
+        assert max(calls) < 50
+        for r in (rep, rep_ref):
+            assert type(r.converged) is bool
+            assert type(r.final_residual) is float
         assert rep.converged and rep_ref.converged
         assert rep.method == "godunov_newton" and rep.flux == "godunov"
         assert rep.flags == ()

@@ -206,6 +206,22 @@ class TestCli:
         assert report["solve"]["bound_minus_A_ok"]
         assert [n for n, _ in report["solve"]["levels"]] == [8, 16, 32, 64]
 
+    def test_consecutive_calls_carry_nothing_over(self, tmp_path):
+        # main reuses one parser: an option given to one call must not
+        # reach the next, nor the tolerance one call filled in
+        prob = tmp_path / "p.json"
+        write_problem(minimal_problem(), prob)
+        reports = []
+        for extra in (["--edge", "1", "--tol", "1e-6"], []):
+            out = tmp_path / f"out{len(reports)}"
+            assert run_cli(["solve-edge", "--problem", str(prob),
+                            "--out", str(out)] + extra) == 0
+            reports.append(json.loads((out / "report.json").read_text()))
+        assert cli.build_parser() is cli.build_parser()
+        assert [r["solve"]["edge"] for r in reports] == [1, 0]
+        assert [r["tolerances"]["tol"] for r in reports] == \
+            [1e-6, cli.DEFAULT_TOL]
+
     def test_viscous_sweep_and_determinism(self, tmp_path):
         data = minimal_problem(viscous={"eps_list": [0.4, 0.2, 0.1]})
         for e in data["edges"]:
