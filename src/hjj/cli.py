@@ -67,10 +67,6 @@ def _solved(rep):
     return rep.converged and not _FAILURE_FLAGS.intersection(rep.flags)
 
 
-def _diag_dict(d):
-    return rp.jsonable(d)
-
-
 def _finish(report, out_dir, t0, code):
     report["timings"]["wall_time"] = time.perf_counter() - t0
     rp.write_report_json(os.path.join(out_dir, "report.json"), report)
@@ -123,7 +119,7 @@ def cmd_solve_junction(args, pf, out_dir, t0):
         "node_value": solc.node_value, "converged": repc.converged,
     }
     report["cross_solver_gap"] = gap
-    report["diagnostics"] = _diag_dict(jn.node_diagnostics(sol, pf.problem))
+    report["diagnostics"] = rp.jsonable(jn.node_diagnostics(sol, pf.problem))
     report["flags"].extend(rep.flags + repc.flags)
     rp.emit_plot_script(report, "profiles", out_dir)
     ok = _solved(rep) and _solved(repc)
@@ -147,7 +143,7 @@ def cmd_flux_limited(args, pf, out_dir, t0):
         "iterations": rep.iterations, "converged": rep.converged,
         "method": rep.method, "flux": rep.flux, "levels": rep.levels,
     }
-    report["diagnostics"] = _diag_dict(jn.node_diagnostics(sol, pf.problem))
+    report["diagnostics"] = rp.jsonable(jn.node_diagnostics(sol, pf.problem))
     report["flags"].extend(rep.flags)
     rp.emit_plot_script(report, "profiles", out_dir)
     code = EXIT_OK if _solved(rep) else EXIT_NOT_CONVERGED

@@ -349,12 +349,13 @@ class EdgeDiscretization:
         Gp = d * np.where(tie, 1.0, np.where(up, wh, wl))
         return G, np.maximum(Gm, 0.0), np.minimum(Gp, 0.0)
 
-    def residual(self, u, theta=None, flux="lax_friedrichs"):
+    def residual(self, u, theta=None, flux="lax_friedrichs", clamp=True):
         """Full residual vector and the per-point theta actually used.
 
         Pinned rows report zero. theta, when given, must cover interior
         points (used by the monotonicity property tests). The Godunov flux
-        uses no theta, so it returns theta as given, or None."""
+        uses no theta, so it returns theta as given, or None. With clamp
+        False the slopes stay unclamped, as in the linearizations."""
         h = self.h
         n = self.edge.n_cells
         p = np.diff(u) / h
@@ -363,7 +364,7 @@ class EdgeDiscretization:
         far = self.edge.far_bc
         g = far.slope if isinstance(far, Neumann) else 0.0
         if theta is not None:
-            th = np.broadcast_to(np.asarray(theta, dtype=float), (n + 1,)).copy()
+            th = np.full(n + 1, theta, dtype=float)
         elif flux == "godunov":
             th = None
         else:
@@ -373,7 +374,7 @@ class EdgeDiscretization:
         # slopes beyond it would outrun the dissipation bound (the clamp is
         # inactive at the fixed point, whose slopes obey the Lipschitz bound)
         S = self.theta_tab.span
-        pc = np.clip(p, -S, S)
+        pc = np.clip(p, -S, S) if clamp else p
         if flux == "godunov":
             R[1:-1] = u[1:-1] + self.godunov_flux(pc[:-1], pc[1:], self.x[1:-1])
             if isinstance(far, Neumann):

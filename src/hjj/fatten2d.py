@@ -17,17 +17,17 @@ the local minima of H inside it. Every row of a residual is one batch. A
 max form's local minimizers are its parts', found per cell when FatSystem
 is built; other 2-D H are searched on a fixed slope grid in each batch.
 
-solve_fat_state_constraint reaches the fixed point by damped semismooth
-Newton (Howard's algorithm) at fixed theta, on a Jacobian projected onto
-M-matrices (see _jacobian). Each Newton system is one block tridiagonal
-chain over the breadth-first level sets of the tube's cells, eliminated by
-block Thomas in numpy (see LevelChain); the same search rejects a mask that
-is not connected. Each step backtracks until max|R| strictly decreases.
-theta is raised inside the loop whenever the iterate needs more (theta <-
-1.02 theta_req + 0.01, never lowered) and recorded in the report, where a
-residual of at most tol certifies the answer. A solve that stops short is
-not converged and is flagged "max_iters" or "newton_stalled"; there is no
-second driver.
+solve_fat_state_constraint reaches the fixed point by junction.newton,
+damped semismooth Newton (Howard's algorithm) at fixed theta, on a Jacobian
+projected onto M-matrices (see _jacobian). Each Newton system is one block
+tridiagonal chain over the breadth-first level sets of the tube's cells,
+eliminated by block Thomas in numpy (see LevelChain); the same search
+rejects a mask that is not connected. Each step is halved until max|R|
+strictly decreases. junction.newton raises theta at each accepted point
+by the 1-D rule, from the slope ranges padded by edge.THETA_PAD, and the
+report records it; a residual of at most tol there certifies the answer.
+A solve that stops short is not converged and is flagged "max_iters", or
+"newton_stalled" after a breakdown; there is no second driver.
 
 Traces along the two axis gridlines approximate the 1-D junction solution
 built from the reduced Hamiltonians H1(p1, x1) = min_p2 H(p1, p2, x1, 0) and
@@ -49,6 +49,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .edge import (
     CFL,
+    THETA_PAD,
     EdgeDiscretization,
     EdgeSpec,
     GridFunction1D,
@@ -65,13 +66,11 @@ from .hamiltonians import (
     interval_min,
     reduce_2d,
 )
-from .junction import make_junction_problem, solve_junction_direct
+from .junction import make_junction_problem, newton, solve_junction_direct
 
 # points of the fixed slope grid on [-span, span] on which the boundary and
 # corner rows locate the local minimizers they minimize over
 N_SLOPE_GRID = 129
-# the line search halves the step down to this fraction, then gives up
-MIN_DAMPING = 1e-3
 # central-difference step of the Jacobian columns
 FD_STEP = 1e-5
 
@@ -382,21 +381,30 @@ class FatSystem:
 
     # -- residual -----------------------------------------------------------
 
-    def residual(self, u, theta=None):
-        h, S, P = self.dom.h2, self.span, self.P
+    def _slopes(self, u):
+        """One-sided slopes (p1-, p1+, p2-, p2+) clipped to the span, NaN
+        where the neighbour is missing."""
+        h, S = self.dom.h2, self.span
         uE, uW, uN, uS = (self._neighbor(u, i)
                           for i in (self.iE, self.iW, self.iN, self.iS))
-        p1m = np.clip(np.where(self.iW >= 0, (u - uW) / h, np.nan), -S, S)
-        p1p = np.clip(np.where(self.iE >= 0, (uE - u) / h, np.nan), -S, S)
-        p2m = np.clip(np.where(self.iS >= 0, (u - uS) / h, np.nan), -S, S)
-        p2p = np.clip(np.where(self.iN >= 0, (uN - u) / h, np.nan), -S, S)
-        if theta is None:
-            th1 = self.tab1.range_max(np.fmin(p1m, p1p) - 1.0,
-                                      np.fmax(p1m, p1p) + 1.0)
-            th2 = self.tab2.range_max(np.fmin(p2m, p2p) - 1.0,
-                                      np.fmax(p2m, p2p) + 1.0)
-        else:
-            th1, th2 = theta
+        return (np.clip(np.where(self.iW >= 0, (u - uW) / h, np.nan), -S, S),
+                np.clip(np.where(self.iE >= 0, (uE - u) / h, np.nan), -S, S),
+                np.clip(np.where(self.iS >= 0, (u - uS) / h, np.nan), -S, S),
+                np.clip(np.where(self.iN >= 0, (uN - u) / h, np.nan), -S, S))
+
+    def required_theta(self, u):
+        """[theta1, theta2] per cell: bounds of |dH/dp_k| over the cell's
+        slope range in direction k, padded by edge.THETA_PAD."""
+        p1m, p1p, p2m, p2p = self._slopes(u)
+        return [tab.range_max(np.fmin(a, b) - THETA_PAD,
+                              np.fmax(a, b) + THETA_PAD)
+                for tab, a, b in ((self.tab1, p1m, p1p),
+                                  (self.tab2, p2m, p2p))]
+
+    def residual(self, u, theta=None):
+        P = self.P
+        p1m, p1p, p2m, p2p = self._slopes(u)
+        th1, th2 = self.required_theta(u) if theta is None else theta
         # inward-admissible slope intervals: [p-, P] without the outward
         # neighbour, [-P, p+] without the inward one
         lo1 = np.where(self.mode1 == 1, p1m, -P)
@@ -483,47 +491,24 @@ def _jacobian(sys_, u, theta):
     return np.maximum(D[colour, k], 1.0 - off.sum(axis=0)), off
 
 
-def _newton_2d(sys_, u, params):
-    """Damped semismooth Newton at fixed theta; returns (u, theta, steps,
-    residual, status), status "converged", "max_iters" or "newton_stalled"
-    (a non-finite residual or a line search that cannot decrease it)."""
-    theta = (-np.inf, -np.inf)
-    steps = 0
-    while True:
-        _, req = sys_.residual(u)
-        theta = tuple(np.where(r > t, 1.02 * r + 0.01, t)
-                      for t, r in zip(theta, req))
-        R, _ = sys_.residual(u, theta)
-        res = float(np.max(np.abs(R)))
-        if not np.isfinite(res):
-            return u, theta, steps, res, "newton_stalled"
-        if res <= params.tol:
-            return u, theta, steps, res, "converged"
-        if steps >= params.max_iters:
-            return u, theta, steps, res, "max_iters"
-        d = sys_.dom.chain.solve(*_jacobian(sys_, u, theta), -R)
-        lam = 1.0
-        while not np.max(np.abs(sys_.residual(u + lam * d, theta)[0])) < res:
-            lam *= 0.5
-            if lam < MIN_DAMPING:
-                return u, theta, steps, res, "newton_stalled"
-        u = u + lam * d
-        steps += 1
-
-
 def solve_fat_state_constraint(H2, dom, params=None):
     """Solve the 2-D state-constraint problem on the tube (every boundary
     cell uses the inward-admissible slope minimization) by damped
-    semismooth Newton. The report's method is "newton_2d" and its theta
-    the per-cell (theta1, theta2) of the scheme at the answer."""
+    semismooth Newton, junction.newton. The report's method is "newton_2d"
+    and its theta the per-cell [theta1, theta2] of the scheme at the
+    answer."""
     params = params or FatSolverParams()
     t0 = time.perf_counter()
     sys_ = FatSystem(H2, dom)
-    u, theta, steps, res, status = _newton_2d(sys_, sys_.default_init(),
-                                              params)
+    u, theta, steps, res, status = newton(
+        lambda u, theta: sys_.residual(u, theta)[0],
+        lambda u, R, theta: dom.chain.solve(*_jacobian(sys_, u, theta), -R),
+        sys_.default_init(), params.tol, params.max_iters,
+        required_theta=sys_.required_theta)
     ok = status == "converged"
+    flag = "newton_stalled" if status == "breakdown" else status
     rep = SolveReport(steps, res, ok, time.perf_counter() - t0, "newton_2d",
-                      flags=() if ok else (status,), theta=list(theta))
+                      flags=() if ok else (flag,), theta=theta)
     return sys_.to_grid(u), rep
 
 

@@ -1,5 +1,5 @@
-"""K-edge junction problems glued at x = 0, and the one driver that solves
-every first-order system of the package.
+"""K-edge junction problems glued at x = 0, the driver that solves every
+first-order system of the package, and newton, the package's Newton loop.
 
 The junction system has K edge blocks (edge.EdgeDiscretization) and one
 node row. Its junction conditions:
@@ -28,10 +28,10 @@ whose Jacobians are M-matrix arrowheads (K tridiagonal blocks bordered by
 the node row), and semismooth Newton -- Howard's policy iteration --
 reaches its fixed point in a few solve_arrowhead calls. A coarse-to-fine
 cascade (n/8, n/4, n/2, n) supplies the start, because from a constant the
-policy switch moves about two cells per step. theta is raised inside the
-iteration whenever the iterate needs more (theta <- 1.02 theta_req + 0.01,
-never lowered), so every linear system stays an M-matrix, and the report
-records it.
+policy switch moves about two cells per step. newton raises theta at each
+accepted point whenever the iterate needs more (theta <- 1.02 theta_req +
+0.01, never lowered), so every linear system stays an M-matrix, and the
+report records it.
 
 A problem with a non-convex Hamiltonian is solved on the sampled-Godunov
 scheme (Bardi and Osher's min-max flux) by the same cascade, with the
@@ -39,8 +39,9 @@ generalised Jacobian of EdgeDiscretization.godunov_linearization, again an
 M-matrix arrowhead. Howard's argument (Bokanowski, Maroso and Zidani)
 covers a maximum of affine maps, not a min-max, so the coarsest level is
 solved by Gauss-Seidel sweeps from the constant super-solution and each
-Newton step is halved until the residual strictly decreases. The sweeps on
-the finest grid are also where a Newton breakdown ends (flagged
+Newton step is halved until the residual strictly decreases; a rejected
+trial costs one residual, no Jacobian. The sweeps on the finest grid are
+also where a Newton breakdown ends (flagged
 "newton_fallback"). Under either flux the rows have unit row sums and
 non-positive off-diagonals, so a state whose residual is at most tol lies
 within tol of the scheme's fixed point: the residual certifies the answer
@@ -78,15 +79,15 @@ from .hamiltonians import (
 
 # Newton levels below the finest only seed the next one
 COARSE_TOL = 1e-6
-# a residual this many times above its value at the level start (or 1) is
-# a Newton breakdown
+# a residual this many times above its value at the Newton start (or 1) is
+# a breakdown
 BREAKDOWN_GROWTH = 1e6
+# smallest step factor of the Newton line search
+MIN_STEP = 1e-3
 # Gauss-Seidel sweeps before the sweep driver gives up with "max_iters"
 MAX_SWEEPS = 3000
 # Newton steps per cascade level on the Godunov scheme before it breaks down
 MAX_GODUNOV_STEPS = 50
-# smallest damping factor of the Godunov line search
-MIN_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -227,17 +228,18 @@ class JunctionDiscretization(FlatLayout):
 
     # -- residuals --------------------------------------------------------------
 
-    def node_residual(self, us, u0):
+    def node_residual(self, us, u0, clamp=True):
         """R0 = u0 + max(A, max_i envelope-min_i(p_in_i)), with p_in_i
-        clamped to edge i's slope span; a pinned node reports zero. u0 is
-        a scalar (a float back) or an array of trial node values, one
-        residual each, as the sweeps' nodal solve evaluates them."""
+        clamped to edge i's slope span unless clamp is False; a pinned node
+        reports zero. u0 is a scalar (a float back) or an array of trial
+        node values, one residual each, as the sweeps' nodal solve
+        evaluates them."""
         if self.node_pin is not None:
             return 0.0
         u0 = np.asarray(u0, dtype=float)
         worst = self.floor
         for d, u in zip(self.discs, us):
-            S = d.theta_tab.span
+            S = d.theta_tab.span if clamp else np.inf
             p_in = np.minimum(np.maximum((u0 - u[-2]) / d.h, -S), S)
             worst = np.maximum(worst, d.env_node(p_in))
         r = u0 + worst
@@ -253,21 +255,22 @@ class JunctionDiscretization(FlatLayout):
     def max_residual(self, Rs, r0):
         return max(abs(r0), max(float(np.max(np.abs(R))) for R in Rs))
 
-    def linearization(self, z, flux, thetas=None):
-        """Residual of the flat state under flux -- "lax_friedrichs" at the
-        fixed thetas or "godunov" -- with unclamped slopes, and its Jacobian
-        for solve_arrowhead. The node row differentiates the active
-        envelope; where A binds it is a unit row."""
+    # -- Newton -----------------------------------------------------------------
+
+    def jacobian(self, z, flux, thetas=None):
+        """The Jacobian, for solve_arrowhead, of the flat residual with
+        unclamped slopes under flux: "lax_friedrichs" at the fixed thetas
+        or "godunov". The node row differentiates the active envelope;
+        where A binds it is a unit row."""
         us = self.split(z)
-        r0, slope, active = 0.0, 0.0, None
+        slope, active = 0.0, None
         if self.node_pin is None:
             best = self.floor
             for i, (d, u) in enumerate(zip(self.discs, us)):
                 e, de = _value_and_slope(lambda q, x: d.env_node(q),
                                          (z[-1] - u[-2]) / d.h, 0.0)
                 if e > best:
-                    best, active, slope = float(e), i, float(de) / d.h
-            r0 = z[-1] + best
+                    best, active, slope = e, i, float(de) / d.h
         node_row = [{} for _ in self.discs]
         if active is not None:
             node_row[active] = {self.discs[active].edge.n_cells - 1: -slope}
@@ -276,8 +279,30 @@ class JunctionDiscretization(FlatLayout):
         else:
             lins = [d.lf_linearization(u, th)
                     for d, u, th in zip(self.discs, us, thetas)]
-        R = np.concatenate([lin[0] for lin in lins] + [[r0]])
-        return R, ([lin[1:] for lin in lins], node_row, 1.0 + slope)
+        return [lin[1:] for lin in lins], node_row, 1.0 + slope
+
+    def newton(self, z, tol, budget, flux):
+        """newton() on the flat residual with unclamped slopes under flux:
+        Howard's whole step on the Lax-Friedrichs scheme, a damped one on
+        the Godunov min-max. Pinned rows are identity rows with zero
+        residual, so no step moves them."""
+        def residual(z, thetas):
+            us = self.split(z)
+            Rs = [d.residual(u, th, flux, clamp=False)[0][:-1] for d, u, th
+                  in zip(self.discs, us, thetas or [None] * len(us))]
+            return np.concatenate(
+                Rs + [[self.node_residual(us, z[-1], clamp=False)]])
+
+        def step(z, R, thetas):
+            return solve_arrowhead(self.jacobian(z, flux, thetas), -R)
+
+        def required_theta(z):
+            return [d.required_theta(u)
+                    for d, u in zip(self.discs, self.split(z))]
+
+        lf = flux == "lax_friedrichs"
+        return newton(residual, step, z, tol, budget, damped=not lf,
+                      required_theta=required_theta if lf else None)
 
 
 def solve_arrowhead(jac, rhs):
@@ -327,52 +352,51 @@ def solve_arrowhead(jac, rhs):
 # the driver
 # ---------------------------------------------------------------------------
 
-def _newton(jd, z, tol, budget, flux):
-    """Semismooth Newton on one system under flux; returns (z, thetas,
-    steps, status) with status "converged", "max_iters" or "breakdown".
+def newton(residual, step, z, tol, budget, damped=True,
+           required_theta=None):
+    """The package's one Newton loop, for residual(z, theta) = 0; returns
+    (z, theta, steps, res, status) with res = max|R| at z and status
+    "converged" (res <= tol), "max_iters" (budget steps taken) or
+    "breakdown".
 
-    A Lax-Friedrichs step is Howard's full step, at a theta raised to what
-    the iterate needs. The Godunov flux is a min-max, not a maximum of
-    affine maps, so its step is halved, down to MIN_STEP, until max|R|
-    strictly decreases; a step that does not decrease it even at MIN_STEP
-    is a breakdown."""
-    thetas = None
-
-    def linearize(z):
-        nonlocal thetas
-        if flux == "godunov":
-            return jd.linearization(z, flux)
-        req = [d.required_theta(u) for d, u in zip(jd.discs, jd.split(z))]
-        if thetas is None:
-            thetas = [1.02 * r + 0.01 for r in req]
-        else:
-            thetas = [np.where(r > t, 1.02 * r + 0.01, t)
-                      for t, r in zip(thetas, req)]
-        return jd.linearization(z, flux, thetas)
-
-    R, J = linearize(z)
-    res = res_start = float(np.max(np.abs(R)))
-    steps = 0
+    step(z, R, theta) is the Newton step -J^-1 R with J built at z. It is
+    called only at accepted points, so a rejected trial costs one
+    residual. A damped step is halved, down to MIN_STEP, until max|R|
+    strictly decreases; an undamped one is taken whole. A scheme with a
+    dissipation coefficient passes required_theta(z), the least theta per
+    block at z, and theta is raised at every accepted point to
+    1.02 theta_req + 0.01 wherever it needs more, never lowered. A
+    non-finite residual, one BREAKDOWN_GROWTH times above its start (or
+    1), and a line search that fails at MIN_STEP are breakdowns."""
+    theta, R, steps = None, None, 0
     while True:
+        if required_theta is not None:
+            req = required_theta(z)
+            theta = [np.where(r > t, 1.02 * r + 0.01, t)
+                     for t, r in zip(theta or [-np.inf] * len(req), req)]
+        if R is None or theta is not None:
+            R = residual(z, theta)
+        res = float(np.max(np.abs(R)))
+        if not steps:
+            res_start = res
         if not np.isfinite(res) or \
                 res > BREAKDOWN_GROWTH * max(res_start, 1.0):
-            return z, thetas, steps, "breakdown"
+            return z, theta, steps, res, "breakdown"
         if res <= tol:
-            return z, thetas, steps, "converged"
+            return z, theta, steps, res, "converged"
         if steps >= budget:
-            return z, thetas, steps, "max_iters"
-        dz = solve_arrowhead(J, -R)
-        step = 1.0
+            return z, theta, steps, res, "max_iters"
+        dz = step(z, R, theta)
+        lam = 1.0
         while True:
-            z_new = jd.pin(z + step * dz)
-            R, J = linearize(z_new)
-            res_new = float(np.max(np.abs(R)))
-            if flux != "godunov" or res_new < res:
+            z_new = z + lam * dz
+            R = residual(z_new, theta) if damped else None
+            if R is None or np.max(np.abs(R)) < res:
                 break
-            step *= 0.5
-            if step < MIN_STEP:
-                return z, thetas, steps, "breakdown"
-        z, res = z_new, res_new
+            lam *= 0.5
+            if lam < MIN_STEP:
+                return z, theta, steps, res, "breakdown"
+        z = z_new
         steps += 1
 
 
@@ -414,7 +438,7 @@ def _newton_cascade(jd, z, params, flux):
         budget = params.max_iters - steps
         if flux == "godunov":
             budget = min(budget, MAX_GODUNOV_STEPS)
-        z, thetas, n, status = _newton(s, z, tol, budget, flux)
+        z, thetas, n, _, status = s.newton(z, tol, budget, flux)
         steps += n
         levels.append((cells, n))
         if flux == "godunov" and status == "max_iters":

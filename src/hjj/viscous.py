@@ -8,22 +8,22 @@ For a diffusion strength eps > 0 the system
 is discretized with central differences inside the edges and a second-order
 one-sided stencil for the junction slope sum (first-order stencils pollute
 the O(eps) boundary layer), on the flat state of junction.FlatLayout. The
-nonlinear system is solved by damped Newton; its arrowhead Jacobian goes to
-junction.solve_arrowhead, and its dH/dp entries are the central differences
-of edge._value_and_slope (step 1e-7 (1 + |p|), tolerant of kinked
-Hamiltonians). A cold start is warm-started by a continuation that halves
-eps from CONTINUATION_START down to the target; a stage that fails is
-retried once in four geometric steps from the last accepted eps. The solve
-returns the shared edge.SolveReport with method "newton", flux "central",
-levels (eps, Newton steps) per continuation stage, and the flag "max_iters"
-when a stage does not converge.
+nonlinear system is solved by junction.newton with every step damped (the
+step is halved until max|R| strictly decreases); its arrowhead Jacobian
+goes to junction.solve_arrowhead, and its dH/dp entries are the central
+differences of edge._value_and_slope (step 1e-7 (1 + |p|), tolerant of
+kinked Hamiltonians). A cold start is warm-started by a continuation that
+halves eps from CONTINUATION_START down to the target; a stage that fails
+is retried once in four geometric steps from the last accepted eps. The
+solve returns the shared edge.SolveReport with method "newton", flux
+"central", levels (eps, Newton steps) per continuation stage, iterations
+counting accepted steps only, and the flag "max_iters" when a stage does
+not converge.
 
 The constants below are fixed: no caller tunes them.
 
     NEWTON_TOL          max|R| at which a Newton stage stops
     MAX_NEWTON          Newton steps per stage
-    DAMPING, MIN_STEP   the line search multiplies the step by DAMPING
-                        until max|R| decreases, down to MIN_STEP
     CONTINUATION_START  first eps of a cold start
     DELTA_SC            how close the extrapolated limit must come to the
                         state-constraint value to select it
@@ -57,6 +57,7 @@ from .junction import (
     FlatLayout,
     JunctionGridFunction,
     JunctionProblem,
+    newton,
     solve_arrowhead,
     solve_junction_direct,
 )
@@ -68,8 +69,6 @@ NO_GUARANTEE = "no_guarantee"
 
 NEWTON_TOL = 1e-10
 MAX_NEWTON = 60
-DAMPING = 0.5
-MIN_STEP = 1.0 / 64
 CONTINUATION_START = 1.0
 DELTA_SC = 5e-2
 DELTA_KIRCHHOFF = 5e-2
@@ -169,24 +168,13 @@ class _ViscousSystem(FlatLayout):
         return blocks, node_row, node_diag
 
     def newton(self, z, eps):
-        """Damped Newton at fixed eps; returns (z, res, iters, ok)."""
-        res = float(np.max(np.abs(self.residual(z, eps))))
-        for it in range(MAX_NEWTON):
-            if res <= NEWTON_TOL:
-                return z, res, it, True
-            step = solve_arrowhead(self.jacobian(z, eps),
-                                   -self.residual(z, eps))
-            s = 1.0
-            while s >= MIN_STEP:
-                z_try = z + s * step
-                res_try = float(np.max(np.abs(self.residual(z_try, eps))))
-                if res_try <= (1.0 - 1e-4 * s) * res:
-                    z, res = z_try, res_try
-                    break
-                s *= DAMPING
-            else:
-                return z, res, it + 1, False
-        return z, res, MAX_NEWTON, res <= NEWTON_TOL
+        """junction.newton at fixed eps, every step damped; returns (z,
+        res, steps, ok)."""
+        z, _, steps, res, status = newton(
+            lambda z, _: self.residual(z, eps),
+            lambda z, R, _: solve_arrowhead(self.jacobian(z, eps), -R),
+            z, NEWTON_TOL, MAX_NEWTON)
+        return z, res, steps, status == "converged"
 
 
 def _continuation_schedule(start, target):
@@ -244,8 +232,7 @@ def solve_viscous_kirchhoff(problem: JunctionProblem, params: ViscousParams,
             ratio = (eps / eps_prev) ** 0.25
             pending += [(eps, False)] + [(eps_prev * ratio ** k, False)
                                          for k in (3, 2, 1)]
-    if not flags:
-        res = float(np.max(np.abs(sys_.residual(z, params.epsilon))))
+    # the last stage run is the target eps: res is the answer's residual
     return _assemble(sys_, z), SolveReport(
         iterations=total, final_residual=res, converged=not flags,
         wall_time=time.perf_counter() - t0, method="newton", flux="central",

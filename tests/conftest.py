@@ -26,3 +26,36 @@ def _dense_arrowhead(jac):
 @pytest.fixture(scope="session")
 def dense_arrowhead():
     return _dense_arrowhead
+
+
+@pytest.fixture
+def step_factors(monkeypatch):
+    """install(module, scale) makes module.newton, the shared Newton
+    driver as that module calls it, take scale times each solved step, and
+    returns the list it fills with the step factor of every point the
+    driver evaluates after a step: a trial of the line search, or an
+    accepted point whose residual is redone at a raised theta."""
+    from hjj import junction as jn
+
+    def install(module, scale=1.0):
+        factors = []
+        driver = jn.newton
+
+        def newton(residual, step, z, *args, **kwargs):
+            last = []
+
+            def scaled(z, R, theta):
+                last[:] = [z, scale * step(z, R, theta)]
+                return last[1]
+
+            def logged(z, theta):
+                if last:
+                    z0, dz = last
+                    k = np.argmax(np.abs(dz))
+                    factors.append((z[k] - z0[k]) / dz[k])
+                return residual(z, theta)
+            return driver(logged, scaled, z, *args, **kwargs)
+
+        monkeypatch.setattr(module, "newton", newton)
+        return factors
+    return install

@@ -149,6 +149,19 @@ class TestNewtonDriver:
         for th, r in zip(rep.theta, req):
             assert np.all(th >= r)
 
+    def test_line_search_halves_a_tripled_step(self, step_factors):
+        # a step three times the Newton direction overshoots; halving it
+        # until max|R| decreases still certifies the fixed point
+        H2 = _shifted_max_form()
+        dom = ft.build_fat_domain(1.0, 1.0, 0.2, 0.025)
+        factors = step_factors(ft, scale=3.0)
+        u2, rep = ft.solve_fat_state_constraint(H2, dom)
+        assert rep.converged and rep.flags == ()
+        assert min(factors) < 0.75
+        R, _ = ft.FatSystem(H2, dom).residual(u2.values[dom.mask],
+                                              theta=tuple(rep.theta))
+        assert np.max(np.abs(R)) <= ft.FatSolverParams().tol
+
     def test_step_cap(self):
         dom = ft.build_fat_domain(1.0, 1.0, 0.2, 0.05)
         _, rep = ft.solve_fat_state_constraint(

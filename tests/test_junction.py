@@ -357,10 +357,11 @@ class TestNewtonDriver:
 
         residual = ed.EdgeDiscretization.residual
 
-        def godunov_only(self, u, theta=None, flux="lax_friedrichs"):
+        def godunov_only(self, u, theta=None, flux="lax_friedrichs",
+                         **kwargs):
             if flux != "godunov":
                 no_lax_friedrichs()
-            return residual(self, u, theta, flux)
+            return residual(self, u, theta, flux, **kwargs)
 
         monkeypatch.setattr(ed.EdgeDiscretization, "lf_linearization",
                             no_lax_friedrichs)
@@ -445,6 +446,44 @@ class TestGodunovNewton:
         assert rep.method == "godunov_newton" and rep.flux == "godunov"
         assert rep.flags == ()
         assert rep.iterations == sum(s for _, s in rep.levels)
+        for a, b in zip(sol.per_edge, ref.per_edge):
+            assert np.max(np.abs(a.values - b.values)) <= 1e-9
+
+    def test_rejected_trials_build_no_jacobian(self, monkeypatch,
+                                               step_factors):
+        # pinned well below its state-constraint value, the double well
+        # makes the line search reject many trial steps; each costs one
+        # residual, and a Jacobian is built only at the accepted points
+        builds = []
+        jacobian = jn.JunctionDiscretization.jacobian
+
+        def counted(self, z, flux, thetas=None):
+            builds.append(flux)
+            return jacobian(self, z, flux, thetas)
+
+        monkeypatch.setattr(jn.JunctionDiscretization, "jacobian", counted)
+        trials = step_factors(jn)
+        e = ed.EdgeSpec(1.0, 200, far_bc=ed.StateConstraint())
+        prob = jn.make_junction_problem([e], [_dwell(-2.0, 0.0)],
+                                        ed.Dirichlet(-1.5))
+        sol, rep = jn.solve_system(prob)
+        assert rep.converged and rep.flags == ()
+        assert rep.method == "godunov_newton"
+        assert rep.levels == ((25, 9), (50, 15), (100, 4), (200, 10))
+        assert builds == ["godunov"] * 29
+        assert len(trials) > 29 and min(trials) < 0.75
+
+    def test_line_search_halves_a_tripled_step(self, step_factors):
+        # a step three times the Newton direction overshoots; halving it
+        # until max|R| decreases still reaches the unpatched answer
+        prob = jn.make_junction_problem(*_godunov_cases()["dwell+abs1"])
+        params = ed.SolverParams(tol=1e-10)
+        ref, _ = jn.solve_system(prob, params)
+        factors = step_factors(jn, scale=3.0)
+        sol, rep = jn.solve_system(prob, params)
+        assert rep.converged and rep.flags == ()
+        assert rep.method == "godunov_newton"
+        assert min(factors) < 0.75
         for a, b in zip(sol.per_edge, ref.per_edge):
             assert np.max(np.abs(a.values - b.values)) <= 1e-9
 

@@ -371,7 +371,7 @@ class TestCli:
     def test_report_levels(self, tmp_path, monkeypatch):
         # the direct solve runs first; record what its cascade ran
         ran = []
-        sweeps, newton = jn._sweeps, jn._newton
+        sweeps, newton = jn._sweeps, jn.JunctionDiscretization.newton
 
         def record_sweeps(s, tol):
             out = sweeps(s, tol)
@@ -384,7 +384,8 @@ class TestCli:
             return out
 
         monkeypatch.setattr(jn, "_sweeps", record_sweeps)
-        monkeypatch.setattr(jn, "_newton", record_newton)
+        monkeypatch.setattr(jn.JunctionDiscretization, "newton",
+                            record_newton)
         prob = tmp_path / "p.json"
         write_problem(double_well_problem(), prob)
         out = tmp_path / "out"

@@ -119,6 +119,21 @@ class TestSolveViscous:
         assert eps[5:] == [0.25, 0.2]
         assert rep.iterations == 1 + sum(steps for _, steps in rep.levels)
 
+    def test_line_search_halves_a_tripled_step(self, prob_quad_asymmetric,
+                                               step_factors):
+        # no measured viscous step needs damping; a step three times the
+        # Newton direction does, and the stages still reach the answer
+        ref, _ = vs.solve_viscous_kirchhoff(prob_quad_asymmetric,
+                                            vs.ViscousParams(0.2))
+        factors = step_factors(vs, scale=3.0)
+        sol, rep = vs.solve_viscous_kirchhoff(prob_quad_asymmetric,
+                                              vs.ViscousParams(0.2))
+        assert rep.converged and rep.flags == ()
+        assert [e for e, _ in rep.levels] == [1.0, 0.5, 0.25, 0.2]
+        assert min(factors) < 0.75
+        for a, b in zip(sol.per_edge, ref.per_edge):
+            assert np.max(np.abs(a.values - b.values)) <= 1e-9
+
     def test_failed_solve_flags_max_iters(self, prob_quad_asymmetric,
                                           monkeypatch):
         monkeypatch.setattr(vs, "MAX_NEWTON", 1)
