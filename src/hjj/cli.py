@@ -39,8 +39,8 @@ DEFAULT_TOL = 1e-8
 # --max-iters given to them would be ignored: it is rejected instead
 _OWN_STOPPING_RULE = frozenset({"viscous-sweep", "verify"})
 
-# a fallback changes the scheme mid-solve and a cap or stall leaves it
-# unfinished: each makes the run fail even when the residual test passed
+# a Newton breakdown that the sweeps had to finish, a cap and a stall each
+# make the run fail even when the residual test passed
 _FAILURE_FLAGS = frozenset({"newton_fallback", "max_iters", "sweep_stalled"})
 
 

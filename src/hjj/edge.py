@@ -112,18 +112,19 @@ class GridFunction1D:
 class SolveReport:
     """What one solve did.
 
-    iterations counts Newton steps over every cascade level or
-    continuation stage and Gauss-Seidel sweeps together; method names the
-    driver ("newton" on the Lax-Friedrichs scheme, "godunov_newton" on the
-    Godunov scheme, "godunov_sweep", "newton+godunov_sweep" or
-    "godunov_newton+godunov_sweep" after a Newton breakdown,
-    "constructive", and "newton_2d" for the 2-D tube) and flux the scheme
-    whose fixed point was reached
-    ("lax_friedrichs", "godunov", or "central" for the viscous system of
-    viscous.solve_viscous_kirchhoff, whose method is "newton"). flags lists
-    every cap, stall and fallback: "max_iters", "sweep_stalled",
-    "newton_stalled", "newton_fallback", "lipschitz_exceeded",
-    "dirichlet_not_attained".
+    method names the driver: "newton" (the Newton cascade on the
+    Lax-Friedrichs scheme), "godunov_newton" (the cascade on the Godunov
+    scheme, whose sweeps solve the coarsest level of a cold solve and any
+    level Newton could not), "constructive", "newton_2d" for the 2-D tube,
+    and "newton" for the viscous system of viscous.solve_viscous_kirchhoff.
+    flux names the scheme whose fixed point was sought: "lax_friedrichs",
+    "godunov", or "central" for the viscous system; a solve never changes
+    it. iterations counts Newton steps and Gauss-Seidel sweeps over every
+    cascade level or continuation stage. flags lists every cap, stall and
+    rescue: "max_iters", "sweep_stalled", "newton_stalled" (a
+    Lax-Friedrichs or 2-D Newton breakdown, which ends the solve),
+    "newton_fallback" (the sweeps finished a Godunov level after a Newton
+    breakdown), "lipschitz_exceeded", "dirichlet_not_attained".
     """
 
     iterations: int
@@ -133,37 +134,28 @@ class SolveReport:
     method: str
     flux: str = "lax_friedrichs"
     flags: tuple = ()
-    # dissipation coefficients of the converged Lax-Friedrichs scheme: one
-    # array per edge, or per slope direction for the 2-D tube; None when
-    # the Godunov flux finished the solve
+    # dissipation coefficients of the Lax-Friedrichs scheme at the answer:
+    # one array per edge, or per slope direction for the 2-D tube; None
+    # under the Godunov flux and after a 1-D breakdown on a coarse level
     theta: Optional[list] = None
-    # (cells of the first edge, Newton steps) per coarse-to-fine level,
-    # except the coarsest level of "godunov_newton", which holds (cells,
-    # Gauss-Seidel sweeps); empty for the sweeps alone; for the viscous
-    # system (eps, Newton steps) per continuation stage
+    # (cells of the first edge, Newton steps + sweeps) per coarse-to-fine
+    # level; for the viscous system (eps, Newton steps) per continuation
+    # stage
     levels: tuple = ()
 
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Driver configuration.
-
-    method "auto" runs semismooth Newton on the Lax-Friedrichs scheme when
-    every Hamiltonian is convex and on the Godunov scheme otherwise;
-    "sweep" forces the Godunov Gauss-Seidel sweeps. Any other method
-    raises ValueError. max_iters caps Newton steps; junction.MAX_SWEEPS
-    caps the sweeps and junction.MAX_GODUNOV_STEPS each Godunov level.
-    """
+    """Stopping rule of the 1-D solves: tol bounds max|R| and max_iters
+    caps the Newton steps; junction.MAX_SWEEPS caps the sweeps and
+    junction.MAX_GODUNOV_STEPS each Godunov level. The flux follows from
+    the Hamiltonians (see junction.solve_system)."""
 
     tol: float = 1e-8
     max_iters: int = 200_000
-    method: str = "auto"  # auto | sweep
 
     def __post_init__(self):
         check_stopping_rule(self)
-        if self.method not in ("auto", "sweep"):
-            raise ValueError(f"unknown solver method {self.method!r}; "
-                             "expected 'auto' or 'sweep'")
 
 
 def check_stopping_rule(params):
@@ -406,25 +398,24 @@ class EdgeDiscretization:
     # -- Newton linearization -------------------------------------------------
 
     def lf_linearization(self, u, theta):
-        """Lax-Friedrichs residual of rows 0..n-1 at fixed theta, with
-        unclamped slopes, and its tridiagonal Jacobian (sub, diag, sup):
-        row j couples to u_{j-1}, u_j and u_{j+1} (u_n is the node value).
+        """Tridiagonal Jacobian (sub, diag, sup) of the Lax-Friedrichs
+        residual of rows 0..n-1 at fixed theta, with unclamped slopes: row
+        j couples to u_{j-1}, u_j and u_{j+1} (u_n is the node value).
 
         dH/dp comes from one central difference at each row's averaged
         slope, so at a kink the entries form a subgradient. With theta >=
-        |dH/dp| every row is an M-matrix row. Pinned rows are identity rows
-        with zero residual."""
+        |dH/dp| every row is an M-matrix row. Pinned rows are identity
+        rows."""
         h = self.h
         n = self.edge.n_cells
         p = np.diff(u) / h
-        R = np.zeros(n)
         sub = np.zeros(n)
         diag = np.ones(n)
         sup = np.zeros(n)
 
         th = theta[1:n]
-        Ha, dH = _value_and_slope(self.H, 0.5 * (p[:-1] + p[1:]), self.x[1:-1])
-        R[1:] = u[1:n] + Ha - 0.5 * th * (p[1:] - p[:-1])
+        _, dH = _value_and_slope(self.H, 0.5 * (p[:-1] + p[1:]),
+                                 self.x[1:-1])
         sub[1:] = -(dH + th) / (2.0 * h)
         diag[1:] = 1.0 + th / h
         sup[1:] = (dH - th) / (2.0 * h)
@@ -432,18 +423,17 @@ class EdgeDiscretization:
         far = self.edge.far_bc
         if isinstance(far, Neumann):
             th0 = theta[0]
-            H0, d0 = _value_and_slope(self.H, 0.5 * (far.slope + p[0]),
-                                      self.x[0])
-            R[0] = u[0] + H0 - 0.5 * th0 * (p[0] - far.slope)
+            _, d0 = _value_and_slope(self.H, 0.5 * (far.slope + p[0]),
+                                     self.x[0])
             diag[0] = 1.0 + (th0 - d0) / (2.0 * h)
             sup[0] = (d0 - th0) / (2.0 * h)
         elif isinstance(far, StateConstraint):
-            self._far_state_constraint_row(u, p, R, diag, sup)
-        return R, sub, diag, sup
+            diag[0], sup[0] = self._far_state_constraint_row(p[0])
+        return sub, diag, sup
 
     def godunov_linearization(self, u):
-        """Godunov residual of rows 0..n-1, with unclamped slopes, and its
-        tridiagonal Jacobian (sub, diag, sup) in the layout of
+        """Tridiagonal Jacobian (sub, diag, sup) of the Godunov residual of
+        rows 0..n-1, with unclamped slopes, in the layout of
         lf_linearization.
 
         Row j is u_j + G(p-, p+) with the generalised derivatives of
@@ -452,35 +442,30 @@ class EdgeDiscretization:
         h = self.h
         n = self.edge.n_cells
         p = np.diff(u) / h
-        R = np.zeros(n)
         sub = np.zeros(n)
         diag = np.ones(n)
         sup = np.zeros(n)
 
-        G, Gm, Gp = self._godunov_slopes(p[:-1], p[1:], self.x[1:-1])
-        R[1:] = u[1:n] + G
+        _, Gm, Gp = self._godunov_slopes(p[:-1], p[1:], self.x[1:-1])
         sub[1:] = -Gm / h
         diag[1:] = 1.0 + (Gm - Gp) / h
         sup[1:] = Gp / h
 
         far = self.edge.far_bc
         if isinstance(far, Neumann):
-            G0, _, Gp0 = self._godunov_slopes(np.array([far.slope]), p[:1],
-                                              self.x[0])
-            R[0] = u[0] + G0[0]
+            _, _, Gp0 = self._godunov_slopes(np.array([far.slope]), p[:1],
+                                             self.x[0])
             diag[0] = 1.0 - Gp0[0] / h
             sup[0] = Gp0[0] / h
         elif isinstance(far, StateConstraint):
-            self._far_state_constraint_row(u, p, R, diag, sup)
-        return R, sub, diag, sup
+            diag[0], sup[0] = self._far_state_constraint_row(p[0])
+        return sub, diag, sup
 
-    def _far_state_constraint_row(self, u, p, R, diag, sup):
-        """Row 0 of a state-constraint far end, u_0 + env_far(p_0), and its
-        derivative, written in place; it is the same for both fluxes."""
-        e0, d0 = _value_and_slope(lambda q, x: self.env_far(q), p[0], 0.0)
-        R[0] = u[0] + e0
-        diag[0] = 1.0 - d0 / self.h
-        sup[0] = d0 / self.h
+    def _far_state_constraint_row(self, p0):
+        """(diag, sup) of row 0 of a state-constraint far end,
+        u_0 + env_far(p_0), which is the same for both fluxes."""
+        _, d0 = _value_and_slope(lambda q, x: self.env_far(q), p0, 0.0)
+        return 1.0 - d0 / self.h, d0 / self.h
 
     # -- scalar nodal equations (Gauss-Seidel driver) -------------------------
 

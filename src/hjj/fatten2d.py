@@ -54,6 +54,7 @@ from .edge import (
     EdgeSpec,
     GridFunction1D,
     SolveReport,
+    StateConstraint,
     check_stopping_rule,
     node_slope,
 )
@@ -570,16 +571,18 @@ def fattening_study(H2, eps_list, a1=1.0, a2=1.0, h2_over_eps=0.125,
     Hamiltonians; records trace errors, reduced-equation residuals on the
     traces, and the junction supersolution residual of the trace values.
     The 2-D grid spacing is eps * h2_over_eps, or h2 for every eps when
-    given. params configures the 2-D solves, solver_params the 1-D
-    reference."""
+    given. The reference has state-constraint far ends, the tube's own
+    condition on its whole boundary. params configures the 2-D solves,
+    solver_params the 1-D reference."""
     eps_arr = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps_list must decrease strictly")
 
     H1r = reduce_2d(H2, 1)
     H2r = reduce_2d(H2, 2)
+    sc = StateConstraint()
     prob = make_junction_problem(
-        [EdgeSpec(a1, n_1d), EdgeSpec(a2, n_1d)], [H1r, H2r])
+        [EdgeSpec(a1, n_1d, sc), EdgeSpec(a2, n_1d, sc)], [H1r, H2r])
     u_hat, rep_hat = solve_junction_direct(prob, solver_params)
 
     records = []

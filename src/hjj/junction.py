@@ -22,7 +22,7 @@ solution from per-edge solves instead: each edge's own constrained solution
 is computed, the node value is the smallest of their node values, and the
 remaining edges are re-solved with that value as Dirichlet data.
 
-solve_system picks the driver. When every Hamiltonian is convex, the
+solve_system picks the flux. When every Hamiltonian is convex, the
 Lax-Friedrichs residual with theta held fixed is a maximum of affine maps
 whose Jacobians are M-matrix arrowheads (K tridiagonal blocks bordered by
 the node row), and semismooth Newton -- Howard's policy iteration --
@@ -37,15 +37,17 @@ A problem with a non-convex Hamiltonian is solved on the sampled-Godunov
 scheme (Bardi and Osher's min-max flux) by the same cascade, with the
 generalised Jacobian of EdgeDiscretization.godunov_linearization, again an
 M-matrix arrowhead. Howard's argument (Bokanowski, Maroso and Zidani)
-covers a maximum of affine maps, not a min-max, so the coarsest level is
-solved by Gauss-Seidel sweeps from the constant super-solution and each
-Newton step is halved until the residual strictly decreases; a rejected
-trial costs one residual, no Jacobian. The sweeps on the finest grid are
-also where a Newton breakdown ends (flagged
-"newton_fallback"). Under either flux the rows have unit row sums and
-non-positive off-diagonals, so a state whose residual is at most tol lies
-within tol of the scheme's fixed point: the residual certifies the answer
-without a second solve to compare against.
+covers a maximum of affine maps, not a min-max, so each Newton step is
+halved until the residual strictly decreases (a rejected trial costs one
+residual, no Jacobian), and Gauss-Seidel sweeps from the constant
+super-solution solve the coarsest level of a cold solve and any level on
+which Newton breaks down (flagged "newton_fallback"); the cascade goes on
+from their answer. A Lax-Friedrichs breakdown ends the solve unconverged
+(flagged "newton_stalled"): no solve changes its scheme. Under either flux
+the rows have unit row sums and non-positive off-diagonals, so a state
+whose residual is at most tol lies within tol of the scheme's fixed point:
+the residual certifies the answer without a second solve to compare
+against.
 """
 
 from __future__ import annotations
@@ -275,11 +277,12 @@ class JunctionDiscretization(FlatLayout):
         if active is not None:
             node_row[active] = {self.discs[active].edge.n_cells - 1: -slope}
         if flux == "godunov":
-            lins = [d.godunov_linearization(u) for d, u in zip(self.discs, us)]
+            blocks = [d.godunov_linearization(u)
+                      for d, u in zip(self.discs, us)]
         else:
-            lins = [d.lf_linearization(u, th)
-                    for d, u, th in zip(self.discs, us, thetas)]
-        return [lin[1:] for lin in lins], node_row, 1.0 + slope
+            blocks = [d.lf_linearization(u, th)
+                      for d, u, th in zip(self.discs, us, thetas)]
+        return blocks, node_row, 1.0 + slope
 
     def newton(self, z, tol, budget, flux):
         """newton() on the flat residual with unclamped slopes under flux:
@@ -367,8 +370,10 @@ def newton(residual, step, z, tol, budget, damped=True,
     block at z, and theta is raised at every accepted point to
     1.02 theta_req + 0.01 wherever it needs more, never lowered. A
     non-finite residual, one BREAKDOWN_GROWTH times above its start (or
-    1), and a line search that fails at MIN_STEP are breakdowns."""
-    theta, R, steps = None, None, 0
+    1), and a line search that fails at MIN_STEP are breakdowns; a
+    breakdown returns the last point that passed this test, with its
+    theta and res, so an undamped step to a non-finite point is undone."""
+    theta, R, steps, kept = None, None, 0, None
     while True:
         if required_theta is not None:
             req = required_theta(z)
@@ -381,7 +386,10 @@ def newton(residual, step, z, tol, budget, damped=True,
             res_start = res
         if not np.isfinite(res) or \
                 res > BREAKDOWN_GROWTH * max(res_start, 1.0):
+            # an undamped step lands here: go back to the point before it
+            z, theta, res = kept or (z, theta, res)
             return z, theta, steps, res, "breakdown"
+        kept = z, theta, res
         if res <= tol:
             return z, theta, steps, res, "converged"
         if steps >= budget:
@@ -407,45 +415,69 @@ def _coarse_factors(jd):
             if all(d.edge.n_cells // f >= 8 for d in jd.discs)]
 
 
-def _newton_cascade(jd, z, params, flux):
-    """Newton on n/8, n/4, n/2 and n, each level started from the previous
-    one's solution. From a cold start (z None) the Lax-Friedrichs cascade
-    begins at the constant super-solution; the Godunov one solves its
-    coarsest level by the sweeps, because from a constant Newton on the
-    min-max flux does not converge. A warm start (the flat state z) runs
-    Newton on the finest grid alone. A Godunov level that hits its step
-    cap, min(MAX_GODUNOV_STEPS, what is left of max_iters), breaks down.
-    Returns (z, thetas, levels, status) with levels (cells of the first
-    edge, sweeps or Newton steps) per level."""
+def _cascade(jd, z, params, flux):
+    """Solve jd level by level under flux: n/8, n/4, n/2 and n from a cold
+    start (z None), each level started from the previous one's answer, or
+    the finest grid alone from the warm start z, a flat state.
+
+    Newton solves each level. A cold Lax-Friedrichs cascade starts it at
+    the constant super-solution. On the Godunov scheme Newton has no start
+    on the coarsest level of a cold solve, because from a constant Newton
+    on the min-max flux does not converge: the sweeps solve that level.
+    They also solve any Godunov level where Newton breaks down or hits
+    its step cap, min(MAX_GODUNOV_STEPS, what is left of max_iters), and
+    the cascade goes on from their answer, flagged "newton_fallback". A
+    Lax-Friedrichs breakdown ends the solve, flagged "newton_stalled": its
+    last finite iterate is carried to the finest grid, with theta None if
+    it stopped on a coarse level. On the finest grid the clamped residual
+    under flux must meet tol too, or Newton has broken down there.
+
+    Returns (z, thetas, res, levels, flags) with res the clamped residual
+    of z and levels (cells of the first edge, Newton steps + sweeps) per
+    level solved."""
     systems = [jd] if z is not None else \
         [jd.coarsened(f) for f in _coarse_factors(jd)] + [jd]
-    levels = []
-    steps = 0
+    levels, flags = [], []
+    thetas, steps, status = None, 0, None
     for k, s in enumerate(systems):
         tol = params.tol if s is jd else max(params.tol, COARSE_TOL)
-        cells = s.discs[0].edge.n_cells
         if k:
             z = s.interpolate(systems[k - 1], z)
-        elif flux == "godunov" and z is None:
-            us, u0, sweeps, _, flag = _sweeps(s, tol)
-            levels.append((cells, sweeps))
-            if flag:
-                return None, None, tuple(levels), "breakdown"
-            z = s.join(us, u0)
-            continue
-        elif z is None:
+        elif z is None and flux == "lax_friedrichs":
             z = s.pin(np.full(s.size, max(d.super_level for d in s.discs)))
-        budget = params.max_iters - steps
-        if flux == "godunov":
-            budget = min(budget, MAX_GODUNOV_STEPS)
-        z, thetas, n, _, status = s.newton(z, tol, budget, flux)
-        steps += n
-        levels.append((cells, n))
-        if flux == "godunov" and status == "max_iters":
-            status = "breakdown"
         if status == "breakdown":
-            break
-    return z, thetas, tuple(levels), status
+            # a stalled Lax-Friedrichs solve only carries its iterate up
+            thetas = None
+            continue
+        n, status = 0, None
+        if z is not None:
+            budget = params.max_iters - steps
+            if flux == "godunov":
+                budget = min(budget, MAX_GODUNOV_STEPS)
+            z, thetas, n, res, status = s.newton(z, tol, budget, flux)
+            steps += n
+            if flux == "godunov" and status == "max_iters":
+                status = "breakdown"
+        if s is jd and status in ("converged", "max_iters"):
+            # Newton's residual leaves the slopes unclamped
+            res = jd.max_residual(*jd.residuals(
+                jd.split(z), float(z[-1]), thetas=thetas, flux=flux))
+            if status == "converged" and res > tol:
+                status = "breakdown"
+        if flux == "godunov" and status != "converged":
+            if status:
+                flags.append("newton_fallback")
+            us, u0, sweeps, res, flag = _sweeps(s, tol)
+            z, n, status = s.join(us, u0), n + sweeps, None
+            flags += [flag] if flag else []
+        levels.append((s.discs[0].edge.n_cells, n))
+    if status == "breakdown":
+        flags.append("newton_stalled")
+        res = jd.max_residual(*jd.residuals(
+            jd.split(z), float(z[-1]), thetas=thetas, flux=flux))
+    elif status == "max_iters":
+        flags.append("max_iters")
+    return z, thetas, res, tuple(levels), list(dict.fromkeys(flags))
 
 
 def _sweeps(jd, tol):
@@ -482,69 +514,36 @@ def _sweeps(jd, tol):
 
 def solve_system(problem, params=None, init=None):
     """Solve the junction system of problem -- state-constraint,
-    flux-limited or Dirichlet node -- and report what was done.
-
-    method "auto" runs the Newton cascade: on the Lax-Friedrichs scheme
-    when every Hamiltonian is convex ("newton"), on the Godunov scheme
-    otherwise ("godunov_newton", its coarsest level solved by the sweeps).
-    "sweep", and a cold non-convex solve too small for a coarse level
-    (fewer than 16 cells on some edge), run the sweeps alone. A Newton
-    breakdown (non-finite values, a residual that grows by
+    flux-limited or Dirichlet node -- by the cascade (see _cascade) and
+    report what was done: method "newton" on the Lax-Friedrichs scheme
+    when every Hamiltonian is convex, "godunov_newton" on the Godunov
+    scheme otherwise. The scheme never changes during a solve. A Newton
+    breakdown is a non-finite residual, one that grows by
     BREAKDOWN_GROWTH, a failed Godunov line search or step cap, or an
     answer whose clamped residual under its own flux misses the
-    tolerance) hands the solve to the sweeps on the finest grid and flags
-    "newton_fallback". init, per-edge value arrays, warm-starts Newton on
-    the finest grid; the sweeps always start from the constant
+    tolerance. init, per-edge value arrays, warm-starts Newton on the
+    finest grid; the sweeps always start from the constant
     super-solution."""
     params = params or SolverParams()
     t0 = time.perf_counter()
     jd = JunctionDiscretization(problem)
     z = None if init is None else jd.pin(jd.join(init, float(init[0][-1])))
-    if params.method == "sweep":
-        method = "godunov_sweep"
-    elif all(H.flags.convex for H in problem.hamiltonians):
-        method = "newton"
-    elif z is not None or _coarse_factors(jd):
-        method = "godunov_newton"
-    else:
-        method = "godunov_sweep"
-    flags = []
-    thetas = None
-    levels = ()
-    it = 0
-    if method != "godunov_sweep":
-        flux = "lax_friedrichs" if method == "newton" else "godunov"
-        zn, thetas, levels, status = _newton_cascade(jd, z, params, flux)
-        it = sum(count for _, count in levels)
-        if status != "breakdown":
-            us, u0 = jd.split(zn), float(zn[-1])
-            res = jd.max_residual(*jd.residuals(us, u0, thetas=thetas,
-                                                flux=flux))
-            if status == "max_iters":
-                flags.append("max_iters")
-            elif res > params.tol:
-                status = "breakdown"
-        if status == "breakdown":
-            flags.append("newton_fallback")
-            method += "+godunov_sweep"
-    if method.endswith("godunov_sweep"):
-        us, u0, sweeps, res, flag = _sweeps(jd, params.tol)
-        it += sweeps
-        thetas = None
-        if flag:
-            flags.append(flag)
-
+    convex = all(H.flags.convex for H in problem.hamiltonians)
+    flux = "lax_friedrichs" if convex else "godunov"
+    z, thetas, res, levels, flags = _cascade(jd, z, params, flux)
+    us, u0 = jd.split(z), float(z[-1])
     grids = [GridFunction1D(u, e, "generic")
              for u, e in zip(us, problem.edges)]
     for g, H in zip(grids, problem.hamiltonians):
         if g.discrete_lipschitz() > 2.0 * H.coercivity_bound + 1e-6:
             flags.append("lipschitz_exceeded")
     rep = SolveReport(
-        iterations=it, final_residual=res, converged=res <= params.tol,
-        wall_time=time.perf_counter() - t0, method=method,
-        flux="lax_friedrichs" if thetas is not None else "godunov",
+        iterations=sum(count for _, count in levels), final_residual=res,
+        converged=res <= params.tol and "newton_stalled" not in flags,
+        wall_time=time.perf_counter() - t0,
+        method="newton" if convex else "godunov_newton", flux=flux,
         flags=tuple(flags), theta=thetas, levels=levels)
-    return JunctionGridFunction(grids, float(u0)), rep
+    return JunctionGridFunction(grids, u0), rep
 
 
 def junction_scheme_residuals(sol, problem, report):

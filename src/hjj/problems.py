@@ -21,7 +21,9 @@ Schema (version 1):
 Hamiltonian specs are either a builtin family with parameters or
 {"expr": "..."} over p, x; an optional "minima" list overrides detection.
 2-D specs are {"expr": "..."} over p1, p2, x1, x2 or
-{"max_form": [spec, spec]}.
+{"max_form": [spec, spec]}. A fattening study reads only "length" and
+"n_cells" of the two edges: its 1-D reference has state-constraint far
+ends, the tube's own boundary condition, whatever "far_bc" says.
 """
 
 from __future__ import annotations

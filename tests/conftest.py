@@ -1,5 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+from hjj import edge as ed
+from hjj import junction as jn
+
+# every property test is reproducible and untimed; each sets its own
+# max_examples
+settings.register_profile("hjj", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("hjj")
 
 
 def _dense_arrowhead(jac):
@@ -28,6 +38,23 @@ def dense_arrowhead():
     return _dense_arrowhead
 
 
+def _sweep_solve(problem, tol=ed.SolverParams().tol):
+    """The Godunov Gauss-Seidel sweeps alone on the finest grid of problem,
+    the oracle of the Newton cascade, as a solve_system-like (solution,
+    report) pair."""
+    jd = jn.JunctionDiscretization(problem)
+    us, u0, sweeps, res, flag = jn._sweeps(jd, tol)
+    grids = [ed.GridFunction1D(u, e) for u, e in zip(us, problem.edges)]
+    rep = ed.SolveReport(sweeps, res, res <= tol, 0.0, "sweeps",
+                         flux="godunov", flags=(flag,) if flag else ())
+    return jn.JunctionGridFunction(grids, u0), rep
+
+
+@pytest.fixture(scope="session")
+def sweep_solve():
+    return _sweep_solve
+
+
 @pytest.fixture
 def step_factors(monkeypatch):
     """install(module, scale) makes module.newton, the shared Newton
@@ -35,8 +62,6 @@ def step_factors(monkeypatch):
     returns the list it fills with the step factor of every point the
     driver evaluates after a step: a trial of the line search, or an
     accepted point whose residual is redone at a raised theta."""
-    from hjj import junction as jn
-
     def install(module, scale=1.0):
         factors = []
         driver = jn.newton

@@ -169,11 +169,6 @@ class TestSolveEdge:
         assert not rep.converged and rep.flags == ("max_iters",)
         assert rep.final_residual > params.tol
 
-    @pytest.mark.parametrize("method", ["bogus", "jacobi", "newton"])
-    def test_unknown_method_rejected(self, method):
-        with pytest.raises(ValueError, match="unknown solver method"):
-            ed.SolverParams(method=method)
-
     def test_lipschitz_bound(self, sc_abs, dir_abs, h_abs):
         for u, rep in (sc_abs, dir_abs):
             assert u.discrete_lipschitz() <= 2.0 * h_abs.coercivity_bound
@@ -181,23 +176,22 @@ class TestSolveEdge:
 
 
 class TestStiffHamiltonian:
-    def test_double_well_sweep_residual(self):
-        # non-convex, so both methods solve the Godunov scheme, "auto" by
-        # Newton and "sweep" by the sweeps; each answer is certified by
-        # re-evaluating the Godunov residual
+    def test_double_well_sweep_residual(self, sweep_solve):
+        # non-convex, so the edge solve runs the Godunov cascade; it and
+        # the sweeps alone solve the Godunov scheme, and each answer is
+        # certified by re-evaluating the Godunov residual
         H = hm.make_builtin("double_well", b=-2.0, c=0.0)
         spec = ed.EdgeSpec(1.0, 64, far_bc=ed.StateConstraint())
         prob = jn.JunctionProblem([spec], [H], ed.StateConstraint())
-        for method, driver in (("auto", "godunov_newton"),
-                               ("sweep", "godunov_sweep")):
-            params = ed.SolverParams(method=method)
-            u, rep = ed.solve_edge(H, spec, ed.StateConstraint(), params)
-            assert rep.method == driver and rep.flux == "godunov"
-            assert rep.converged
-            Rs, r0 = jn.junction_scheme_residuals(
-                jn.JunctionGridFunction([u], u.node_value), prob, rep)
-            assert abs(r0) <= params.tol
-            assert np.max(np.abs(Rs[0])) <= params.tol
+        tol = ed.SolverParams().tol
+        u, rep = ed.solve_edge(H, spec, ed.StateConstraint())
+        assert rep.method == "godunov_newton"
+        for sol, r in ((jn.JunctionGridFunction([u], u.node_value), rep),
+                       sweep_solve(prob)):
+            assert r.flux == "godunov" and r.converged
+            Rs, r0 = jn.junction_scheme_residuals(sol, prob, r)
+            assert abs(r0) <= tol
+            assert np.max(np.abs(Rs[0])) <= tol
 
     def test_warm_start_runs_godunov_newton(self):
         # init warm-starts Newton on the finest grid alone; from the
@@ -315,8 +309,7 @@ far_conditions = st.one_of(
 
 seeds = st.integers(0, 2 ** 32 - 1)
 
-properties = settings(derandomize=True, database=None, deadline=None,
-                      max_examples=100)
+properties = settings(max_examples=100)
 
 
 class TestSchemeProperties:
@@ -404,13 +397,11 @@ class TestSchemeProperties:
         disc = ed.EdgeDiscretization(H, spec, "external")
         h, P = spec.h, H.coercivity_bound
         u = np.cumsum(rng.uniform(-2 * P, 2 * P, 65) * h)
-        R, sub, diag, sup = disc.godunov_linearization(u)
+        sub, diag, sup = disc.godunov_linearization(u)
         rows = slice(0 if isinstance(far, ed.Neumann) else 1, 64)
         assert np.all(sub[1:] <= 0.0) and np.all(sup[rows] <= 0.0)
         np.testing.assert_allclose((sub + diag + sup)[rows], 1.0,
                                    rtol=1e-12)
-        R_res, _ = disc.residual(u, flux="godunov")
-        np.testing.assert_allclose(R, R_res[:-1], rtol=1e-12, atol=1e-12)
 
         def selection(u):
             p = np.diff(u) / h

@@ -235,11 +235,26 @@ class TestStudy:
             assert r.node_super_residual >= -5e-2
             assert max(r.reduced_residuals) <= 3.0 * (r.epsilon + r.h2)
 
+    def test_non_convex_traces_converge_to_state_constraint_reference(self):
+        # the tube imposes the state constraint on its whole boundary, so
+        # the reference does at its far ends; against a Neumann reference
+        # this trace error reads 0.5625 at every eps. The reduced
+        # reference max(double well, min quadratic) is non-convex.
+        H2 = hm.max_form_2d(hm.make_builtin("double_well", b=0.5, c=0.3),
+                            hm.make_builtin("quadratic", b=0.0, c=1.0))
+        rep = ft.fattening_study(H2, [0.1, 0.05, 0.025], n_1d=400,
+                                 h2_over_eps=0.125)
+        assert rep.reference_converged
+        assert all(r.converged for r in rep.records)
+        errs = [r.trace_error for r in rep.records]
+        # criterion 9's rule
+        assert max(errs) <= 0.1
+        assert all(b <= a + 1e-9 for a, b in zip(errs, errs[1:]))
+
     def test_anisotropic_quadratic(self):
         H2 = hm.parse_expression_2d("p1^2 + 10*p2^2 - 2")
         rep = ft.fattening_study(
-            H2, [0.2], a1=0.5, a2=0.5, h2_over_eps=0.25, n_1d=160,
-            solver_params=ed.SolverParams(method="sweep"))
+            H2, [0.2], a1=0.5, a2=0.5, h2_over_eps=0.25, n_1d=160)
         assert rep.reference_converged
         r = rep.records[0]
         assert r.converged
@@ -302,7 +317,7 @@ _COUPLED = ("(p1 - 0.3)^2 + 2*(p2 + 0.17)^2 + 0.8*(p1 - 0.3)*(p2 + 0.17) - 1"
             " + 0.2*x1")
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(st.one_of(st.sampled_from(["x-dependent", "coupled"]),
                  st.tuples(_ROW_PART, _ROW_PART)),
        st.integers(0, 2 ** 32 - 1))
@@ -343,7 +358,7 @@ def test_two_component_mask_rejected():
         ft.LevelChain(mask)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(st.booleans(), st.floats(0.08, 0.2), st.integers(4, 6),
        st.floats(0.45, 1.0), st.floats(0.45, 1.0), st.integers(0, 2 ** 32 - 1))
 def test_level_chain_solves_five_point_m_matrices(rect, eps, cells, a1, a2,

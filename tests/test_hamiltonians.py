@@ -229,7 +229,7 @@ _MAX_FORM_PART = st.tuples(
     st.floats(0.5, 2.0))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(_MAX_FORM_PART, _MAX_FORM_PART, st.sampled_from([1, 2]))
 def test_max_form_reduction_matches_sampled_minimum(own, other, axis):
     # the closed form of a max form against the transverse search of the
@@ -458,7 +458,7 @@ def _batch_hamiltonian(form, b, c, a, w, k):
     }[form])
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(st.sampled_from(["abs_shift", "quadratic", "double_well", "abs",
                         "max", "quad_sin"]),
        st.floats(-0.5, 0.5), st.floats(0.5, 2.0), st.floats(0.0, 0.3),

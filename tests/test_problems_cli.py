@@ -8,6 +8,7 @@ import pytest
 
 from hjj import cli
 from hjj import edge as ed
+from hjj import fatten2d as ft
 from hjj import junction as jn
 from hjj import reports as rp
 from hjj import viscous as vs
@@ -338,8 +339,9 @@ class TestCli:
         assert "max_iters" in report["flags"]
 
     def test_newton_fallback_exit_code(self, tmp_path, monkeypatch):
-        # a linear solve that returns NaN breaks Newton down; the sweeps
-        # still finish, but the changed scheme must not pass silently
+        # a linear solve that returns NaN breaks Newton down; on the
+        # Lax-Friedrichs scheme nothing falls back, and the stalled solve
+        # fails the run
         monkeypatch.setattr(jn, "solve_arrowhead",
                             lambda J, b: np.full(len(b), np.nan))
         prob = tmp_path / "p.json"
@@ -348,13 +350,16 @@ class TestCli:
         assert run_cli(["solve-junction", "--problem", str(prob),
                         "--out", str(out)]) == 2
         report = json.loads((out / "report.json").read_text())
-        assert report["direct"]["converged"]
-        assert report["direct"]["flux"] == "godunov"
-        assert "newton_fallback" in report["flags"]
+        assert not report["direct"]["converged"]
+        assert report["direct"]["flux"] == "lax_friedrichs"
+        assert np.isfinite(report["direct"]["node_value"])
+        assert "newton_stalled" in report["flags"]
+        assert "newton_fallback" not in report["flags"]
 
-    def test_godunov_newton_fallback_exit_code(self, tmp_path, monkeypatch):
-        # the same breakdown on a double well: the sweeps finish the
-        # Godunov solve on the finest grid, and the run fails
+    def test_godunov_newton_fallback_exit_code(self, tmp_path, monkeypatch,
+                                               sweep_solve):
+        # the same breakdown on a double well: the sweeps finish each
+        # Godunov level, and the run fails
         monkeypatch.setattr(jn, "solve_arrowhead",
                             lambda J, b: np.full(len(b), np.nan))
         prob = tmp_path / "p.json"
@@ -364,9 +369,11 @@ class TestCli:
                         "--out", str(out)]) == 2
         report = json.loads((out / "report.json").read_text())
         assert report["direct"]["converged"]
-        assert report["direct"]["method"] == "godunov_newton+godunov_sweep"
+        assert report["direct"]["method"] == "godunov_newton"
         assert report["direct"]["flux"] == "godunov"
         assert "newton_fallback" in report["flags"]
+        ref, _ = sweep_solve(load_problem(str(prob)).problem)
+        assert report["direct"]["node_value"] == ref.node_value
 
     def test_report_levels(self, tmp_path, monkeypatch):
         # the direct solve runs first; record what its cascade ran
@@ -510,12 +517,17 @@ class TestCliHeavySubcommands:
 
     @pytest.mark.parametrize("max_iters, stalled", [(3, False),
                                                     (100000, True)])
-    def test_fatten2d_fails_on_2d_solve_alone(self, tmp_path, max_iters,
-                                              stalled):
-        # at tol 1e-300 the 1-D reference still converges (its residual is
-        # exactly 0), while the 2-D solve either reaches a small cap or,
-        # under a large one, stops when the line search cannot decrease
-        # its residual any further
+    def test_fatten2d_fails_on_2d_solve_alone(self, tmp_path, monkeypatch,
+                                              max_iters, stalled):
+        # --tol 1e-300 and --max-iters reach the 2-D solves alone: the 1-D
+        # reference keeps the default stopping rule and converges, while
+        # the 2-D solve either reaches a small cap or, under a large one,
+        # stops when the line search cannot decrease its residual any
+        # further
+        solver_params = cli._solver_params
+        monkeypatch.setattr(
+            cli, "_solver_params", lambda args, cls=ed.SolverParams:
+            solver_params(args, cls) if cls is ft.FatSolverParams else cls())
         data = minimal_problem(
             fatten=_max_form_fatten([0.2], h2_over_eps=0.25))
         prob = tmp_path / "p.json"

@@ -325,7 +325,7 @@ def _viscous_systems(draw):
     return sys_, rng.uniform(-1.0, 1.0, sys_.size), draw(st.floats(1e-3, 1.0))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(_viscous_systems())
 def test_jacobian_matches_residual_differences(dense_arrowhead, case):
     sys_, z, eps = case
