@@ -11,11 +11,17 @@ Grammar (precedence low to high):
 Functions: abs, exp, sin, cos (1 argument), min, max (2 arguments).
 Variable names are restricted to the set passed to parse(); evaluation
 works elementwise on numpy arrays as well as on floats.
+
+The grammar is unchanged. With '^' read as '**' it is a subset of Python's
+expression grammar with the same precedence, so Python's parser (ast) reads
+it, and a whitelist walk over the syntax tree rejects the rest of Python.
 """
 
 from __future__ import annotations
 
+import ast
 import operator
+import re
 
 import numpy as np
 
@@ -28,6 +34,21 @@ _FUNCTIONS = {
     "max": (2, np.maximum),
 }
 
+_BINARY = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
+
+# a character outside the grammar's alphabet
+_STRAY = re.compile(r"[^\sA-Za-z0-9_+\-*/^(),.]")
+# leading zeros of a number, which Python rejects on an integer ("01");
+# not inside a name, a number or a signed exponent
+_LEADING_ZEROS = re.compile(r"(?<![\w.])(?<![0-9.][eE][+-])0+(?=[0-9])")
+_NUMBER = re.compile(r"[0-9]*\.?[0-9]*(?:[eE][+-]?[0-9]+)?")
+
 
 class ExprError(ValueError):
     """Syntax or semantic error in an expression, with source position."""
@@ -37,169 +58,49 @@ class ExprError(ValueError):
         self.position = position
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-
-def _tokenize(src):
-    tokens = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^(),":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (src[j].isdigit() or src[j] == "."):
-                j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            try:
-                float(src[i:j])
-            except ValueError:
-                raise ExprError(f"bad number literal '{src[i:j]}'", i) from None
-            tokens.append(_Token("num", src[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", src[i:j], i))
-            i = j
-            continue
-        raise ExprError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, variables):
-        self.tokens = tokens
-        self.pos = 0
-        self.variables = variables
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok.kind != kind:
-            raise ExprError(f"expected {kind!r}, found {tok.text!r}", tok.pos)
-        return tok
-
-    def expr(self):
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            node = (op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.next().kind
-            node = (op, node, self.unary())
-        return node
-
-    def unary(self):
-        if self.peek().kind == "-":
-            self.next()
-            return ("neg", self.unary())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.peek().kind == "^":
-            self.next()
-            node = ("^", node, self.unary())
-        return node
-
-    def atom(self):
-        tok = self.next()
-        if tok.kind == "num":
-            return ("num", float(tok.text))
-        if tok.kind == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        if tok.kind == "name":
-            if self.peek().kind == "(":
-                if tok.text not in _FUNCTIONS:
-                    raise ExprError(f"unknown function '{tok.text}'", tok.pos)
-                arity, _ = _FUNCTIONS[tok.text]
-                self.next()
-                args = [self.expr()]
-                while self.peek().kind == ",":
-                    self.next()
-                    args.append(self.expr())
-                self.expect(")")
-                if len(args) != arity:
-                    raise ExprError(
-                        f"function '{tok.text}' takes {arity} argument(s), got {len(args)}",
-                        tok.pos,
-                    )
-                return ("call", tok.text, args)
-            if tok.text not in self.variables:
-                raise ExprError(f"unknown identifier '{tok.text}'", tok.pos)
-            return ("var", tok.text)
-        raise ExprError(f"unexpected token {tok.text!r}", tok.pos)
-
-
-_BINARY = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "^": operator.pow,
-}
-
-
-def _compile(node):
-    """The AST as nested closures env -> value, one per node: the same
-    operations in the same order as a walk of the tree, without the walk."""
-    kind = node[0]
-    if kind == "num":
-        value = node[1]
+def _compile(node, text, variables, fail):
+    """The syntax tree as nested closures env -> value, one per node: the
+    same operations in the same order as a walk of the tree, without the
+    walk. text is the parsed source; fail(message, offset) rejects a node."""
+    at = node.col_offset
+    if isinstance(node, ast.Constant):
+        literal = text[at:node.end_col_offset]
+        if not _NUMBER.fullmatch(literal):
+            fail(f"unexpected token {literal!r}", at)
+        value = float(literal)
         return lambda env: value
-    if kind == "var":
-        name = node[1]
+    if isinstance(node, ast.Name):
+        if node.id not in variables:
+            fail(f"unknown identifier '{node.id}'", at)
+        name = node.id
         return lambda env: env[name]
-    if kind == "neg":
-        arg = _compile(node[1])
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        arg = _compile(node.operand, text, variables, fail)
         return lambda env: -arg(env)
-    if kind == "call":
-        _, fn = _FUNCTIONS[node[1]]
-        args = [_compile(a) for a in node[2]]
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        op = _BINARY[type(node.op)]
+        a = _compile(node.left, text, variables, fail)
+        b = _compile(node.right, text, variables, fail)
+        return lambda env: op(a(env), b(env))
+    # a call names its function directly: not "(abs)(p)"
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.col_offset == at:
+        name = node.func.id
+        if name not in _FUNCTIONS:
+            fail(f"unknown function '{name}'", at)
+        arity, fn = _FUNCTIONS[name]
+        if len(node.args) != arity or node.keywords:
+            fail(f"function '{name}' takes {arity} argument(s), "
+                 f"got {len(node.args) + len(node.keywords)}", at)
+        if "," in text[node.args[-1].end_col_offset:node.end_col_offset]:
+            fail("unexpected token ')'", node.end_col_offset - 1)
+        args = [_compile(a, text, variables, fail) for a in node.args]
         if len(args) == 1:
             (a,) = args
             return lambda env: fn(a(env))
         a, b = args
         return lambda env: fn(a(env), b(env))
-    op = _BINARY[kind]
-    a, b = _compile(node[1]), _compile(node[2])
-    return lambda env: op(a(env), b(env))
+    fail(f"unexpected {text[at:node.end_col_offset]!r}", at)
 
 
 class Expression:
@@ -209,13 +110,30 @@ class Expression:
     def __init__(self, src, variables):
         self.src = src
         self.variables = tuple(variables)
-        tokens = _tokenize(src)
-        parser = _Parser(tokens, set(self.variables))
-        self.ast = parser.expr()
-        tail = parser.peek()
-        if tail.kind != "end":
-            raise ExprError(f"trailing input {tail.text!r}", tail.pos)
-        self._fn = _compile(self.ast)
+        if stray := _STRAY.search(src):
+            raise ExprError(f"unexpected character {stray[0]!r}",
+                            stray.start())
+        if "**" in src:
+            raise ExprError("unexpected token '*'", src.index("**") + 1)
+        text = _LEADING_ZEROS.sub(lambda m: " " * len(m[0]),
+                                  re.sub(r"\s", " ", src)).replace("^", "**")
+        body = text.lstrip()
+
+        def fail(message, offset):
+            # an offset into body back into src: the indent, less one per '^'
+            k = offset + len(text) - len(body)
+            raise ExprError(message, k - text.count("**", 0, k))
+
+        try:
+            tree = ast.parse(body, mode="eval")
+        except SyntaxError as err:
+            at = max((err.offset or 1) - 1, 0)
+            try:  # a whole expression before the error: trailing input
+                ast.parse(body[:at], mode="eval")
+            except SyntaxError:
+                fail(err.msg, at)
+            fail(f"trailing input {body[at:].strip()!r}", at)
+        self._fn = _compile(tree.body, body, set(self.variables), fail)
 
     def __call__(self, **env):
         return self._fn(env)

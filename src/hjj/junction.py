@@ -370,10 +370,13 @@ def newton(residual, step, z, tol, budget, damped=True,
     block at z, and theta is raised at every accepted point to
     1.02 theta_req + 0.01 wherever it needs more, never lowered. A
     non-finite residual, one BREAKDOWN_GROWTH times above its start (or
-    1), and a line search that fails at MIN_STEP are breakdowns; a
-    breakdown returns the last point that passed this test, with its
-    theta and res, so an undamped step to a non-finite point is undone."""
-    theta, R, steps, kept = None, None, 0, None
+    1), and a line search that fails at MIN_STEP are breakdowns. A
+    breakdown or the step cap returns the accepted point of least res
+    that passed this test, with its theta: an undamped step to a
+    non-finite point is undone, and an undamped solve that drifts away
+    from its fixed point returns the point nearest to it. A converged
+    solve, and a damped one at fixed theta, end at that point anyway."""
+    theta, R, steps, best = None, None, 0, None
     while True:
         if required_theta is not None:
             req = required_theta(z)
@@ -386,13 +389,14 @@ def newton(residual, step, z, tol, budget, damped=True,
             res_start = res
         if not np.isfinite(res) or \
                 res > BREAKDOWN_GROWTH * max(res_start, 1.0):
-            # an undamped step lands here: go back to the point before it
-            z, theta, res = kept or (z, theta, res)
+            z, theta, res = best or (z, theta, res)
             return z, theta, steps, res, "breakdown"
-        kept = z, theta, res
+        if best is None or res < best[2]:
+            best = z, theta, res
         if res <= tol:
             return z, theta, steps, res, "converged"
         if steps >= budget:
+            z, theta, res = best
             return z, theta, steps, res, "max_iters"
         dz = step(z, R, theta)
         lam = 1.0
@@ -403,6 +407,7 @@ def newton(residual, step, z, tol, budget, damped=True,
                 break
             lam *= 0.5
             if lam < MIN_STEP:
+                z, theta, res = best
                 return z, theta, steps, res, "breakdown"
         z = z_new
         steps += 1
@@ -428,7 +433,7 @@ def _cascade(jd, z, params, flux):
     its step cap, min(MAX_GODUNOV_STEPS, what is left of max_iters), and
     the cascade goes on from their answer, flagged "newton_fallback". A
     Lax-Friedrichs breakdown ends the solve, flagged "newton_stalled": its
-    last finite iterate is carried to the finest grid, with theta None if
+    best finite iterate is carried to the finest grid, with theta None if
     it stopped on a coarse level. On the finest grid the clamped residual
     under flux must meet tol too, or Newton has broken down there.
 
@@ -639,20 +644,16 @@ def node_diagnostics(sol: JunctionGridFunction, problem: JunctionProblem,
     The state-constraint residual uses the scheme's own first-order inward
     quotients, so it vanishes (to solver tolerance) on converged direct
     solutions; the reported slopes are the order-2 one-sided values."""
+    cond = problem.junction_condition
     jd = JunctionDiscretization(problem)
+    jd.floor = -np.inf  # the state-constraint row: no flux-limiter floor A
     us = [g.values for g in sol.per_edge]
     sc_res = jd.node_residual(us, sol.node_value)
-    if isinstance(problem.junction_condition, FluxLimited):
-        sc_res = sol.node_value + max(
-            d.env_node(min(max((sol.node_value - u[-2]) / d.h,
-                               -d.theta_tab.span), d.theta_tab.span))
-            for d, u in zip(jd.discs, us))
 
     slopes = tuple(node_slope(g, order=2) for g in sol.per_edge)
     flux_res = None
-    if isinstance(problem.junction_condition, FluxLimited):
-        lim = make_flux_limiter(problem.hamiltonians,
-                                problem.junction_condition.A)
+    if isinstance(cond, FluxLimited):
+        lim = make_flux_limiter(problem.hamiltonians, cond.A)
         flux_res = float(sol.node_value + lim(list(slopes)))
 
     bars, unders = [], []

@@ -25,6 +25,11 @@ def test_precedence():
     assert parse("-2^2", ())() == -4.0
     assert parse("(2 + 3) * 4", ())() == 20.0
     assert parse("7 / 2 / 2", ())() == 1.75
+    assert parse("a - b - c", ("a", "b", "c"))(a=1.0, b=2.0, c=3.0) == -4.0
+    assert parse("a / b * c", ("a", "b", "c"))(a=1.0, b=4.0, c=2.0) == 0.5
+    assert parse("2^-1", ())() == 0.5
+    assert parse("-p^2", ("p",))(p=3.0) == -9.0
+    assert parse("2*-3", ())() == -6.0
 
 
 def test_unary_minus_and_functions():
@@ -41,6 +46,19 @@ def test_array_evaluation():
 
 def test_scientific_literals():
     assert parse("1e-3 + 2.5E2", ())() == pytest.approx(250.001)
+
+
+def test_whitespace_accepted():
+    assert parse("\tp +\n 1")(p=1.0, x=0.0) == 2.0
+    assert parse("  max( p ,x )\n")(p=1.0, x=3.0) == 3.0
+
+
+@pytest.mark.parametrize("src", [
+    "p**2", "0x1", "1_0", "1j", "True", "+p", "p % 2", "p // 2", "p < 1",
+    "[p]", "p.real", "max(p, x=1)", "p if x else 1", "(p, x)", "~p"])
+def test_python_only_forms_rejected(src):
+    with pytest.raises(ExprError):
+        parse(src)
 
 
 def test_syntax_error_has_position():

@@ -376,6 +376,21 @@ class TestNewtonDriver:
         assert rep.theta is None
         assert [n for n, _ in rep.levels] == [12, 24, 48]
 
+    def test_step_cap_returns_best_point(self):
+        # the state-constraint reference of fatten_max's max form: at
+        # tol=1e-300 the finest level comes within 1.4e-14 of its fixed
+        # point, and further Howard steps drift back up, to 5e-8 at step 50
+        H2 = hm.max_form_2d(hm.make_builtin("abs_shift", c=1.0),
+                            hm.make_builtin("abs_shift", c=2.0))
+        e = ed.EdgeSpec(1.0, 64, far_bc=ed.StateConstraint())
+        prob = jn.make_junction_problem(
+            [e, e], [hm.reduce_2d(H2, 1), hm.reduce_2d(H2, 2)])
+        sol, rep = jn.solve_junction_direct(
+            prob, ed.SolverParams(tol=1e-300, max_iters=50))
+        assert rep.flags == ("max_iters",) and rep.iterations == 50
+        assert rep.final_residual <= 1e-13
+        assert sol.node_value == pytest.approx(1.0, abs=1e-13)
+
     def test_breakdown_falls_back_to_sweeps(self, h_abs1, h_abs2,
                                             monkeypatch):
         # no fallback on the Lax-Friedrichs scheme: a breakdown on the

@@ -497,6 +497,24 @@ class TestCliHeavySubcommands:
         assert all(r["method"] == "newton_2d" for r in recs)
         assert report["flags"] == []
 
+    def test_fatten2d_non_convex_sample(self, tmp_path):
+        # the max form of a double well and a quadratic: its reduced
+        # reference is non-convex
+        out = tmp_path / "out"
+        assert run_cli(["fatten2d", "--problem",
+                        os.path.join(FIXTURES, "fatten_dwell.json"),
+                        "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["fatten"]["reference_converged"]
+        assert report["fatten"]["reference_node_value"] == pytest.approx(0.3)
+        recs = report["fatten"]["records"]
+        assert [r["epsilon"] for r in recs] == [0.1, 0.05]
+        assert all(r["converged"] for r in recs)
+        errs = [r["trace_error"] for r in recs]
+        # criterion 9's rule
+        assert max(errs) <= 0.1
+        assert all(b <= a + 1e-9 for a, b in zip(errs, errs[1:]))
+
     def test_fatten2d_honours_tol_and_max_iters(self, tmp_path):
         data = minimal_problem(
             fatten=_max_form_fatten([0.2], h2_over_eps=0.25))
