@@ -11,9 +11,7 @@ from .edge import (
     SolveReport,
     SolverParams,
     StateConstraint,
-    boundary_supersolution_residual,
     check_dirichlet_structure,
-    lax_friedrichs_flux,
     node_slope,
     one_sided_quotients,
     solve_edge,

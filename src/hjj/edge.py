@@ -14,13 +14,14 @@ relaxation u <- u - dt R with dt_j = CFL * h / (theta_j + h), defines the
 scheme's monotonicity.
 
 This module holds the edge block of that system: its residual under
-either flux, the tridiagonal linearizations the Newton driver needs (one
-per flux), and the nonlinear Gauss-Seidel sweep. The sampled-Godunov flux
-is a different monotone scheme with its own fixed point; it agrees with
-Lax-Friedrichs to O(h) in the interior but not inside boundary layers, so
-every report names the flux that produced its answer. The driver itself
-lives in junction.py: an edge solve is a K = 1 junction whose node row is
-the state-constraint envelope or a pinned Dirichlet value.
+either flux, the tridiagonal linearization the Newton driver needs (one
+row formula, with each flux's partial derivatives), and the nonlinear
+Gauss-Seidel sweep. The sampled-Godunov flux is a different monotone
+scheme with its own fixed point; it agrees with Lax-Friedrichs to O(h) in
+the interior but not inside boundary layers, so every report names the
+flux that produced its answer. The driver itself lives in junction.py: an
+edge solve is a K = 1 junction whose node row is the state-constraint
+envelope or a pinned Dirichlet value.
 """
 
 from __future__ import annotations
@@ -168,32 +169,6 @@ def check_stopping_rule(params):
 
 
 # ---------------------------------------------------------------------------
-# flux and boundary residual primitives
-# ---------------------------------------------------------------------------
-
-def lax_friedrichs_flux(H, p_minus, p_plus, theta, x=0.0):
-    """Monotone numerical Hamiltonian H((p- + p+)/2, x) - (theta/2)(p+ - p-).
-
-    Nondecreasing in p_minus and nonincreasing in p_plus provided theta
-    bounds |dH/dp| on the relevant slope range.
-    """
-    return H((np.asarray(p_minus) + np.asarray(p_plus)) / 2.0, x) \
-        - (theta / 2.0) * (np.asarray(p_plus) - np.asarray(p_minus))
-
-
-def boundary_supersolution_residual(H, u0, u_in, h):
-    """Junction-end supersolution residual u0 + min_{q in [p_in, P]} H(q, 0)
-    with p_in = (u0 - u_in)/h, the inward difference quotient.
-
-    Admissible test slopes for a function touching from below at the right
-    endpoint are exactly q >= p_in; the binding inequality is the envelope
-    minimum over them.
-    """
-    env = SlopeEnvelope(H, x0=0.0, side="right")
-    return float(u0 + env((u0 - u_in) / h))
-
-
-# ---------------------------------------------------------------------------
 # discretization context
 # ---------------------------------------------------------------------------
 
@@ -273,20 +248,20 @@ class EdgeDiscretization:
 
     # -- vectorized residual ------------------------------------------------
 
+    def _slope_pairs(self, p):
+        """(p-, p+) of rows 0..n-1 for the edge slopes p: row j's flux
+        reads F(p_{j-1}, p_j), and row 0's p- is the ghost slope of a
+        Neumann far end, or p_0 where row 0 is not a flux row."""
+        far = self.edge.far_bc
+        g = far.slope if isinstance(far, Neumann) else p[0]
+        return np.concatenate(([g], p[:-1])), p
+
     def required_theta(self, u):
         """Smallest admissible dissipation per row: theta_j bounds |dH/dp|
         over [min(p-, p+) - pad, max(p-, p+) + pad] at the state u."""
-        p = np.diff(u) / self.h
-        n = self.edge.n_cells
-        far = self.edge.far_bc
-        lo = np.empty(n + 1)
-        hi = np.empty(n + 1)
-        lo[1:-1] = np.minimum(p[:-1], p[1:])
-        hi[1:-1] = np.maximum(p[:-1], p[1:])
-        g = far.slope if isinstance(far, Neumann) else p[0]
-        lo[0] = min(g, p[0])
-        hi[0] = max(g, p[0])
-        lo[n] = hi[n] = p[-1]
+        pm, pp = self._slope_pairs(np.diff(u) / self.h)
+        lo = np.concatenate((np.minimum(pm, pp), pp[-1:]))
+        hi = np.concatenate((np.maximum(pm, pp), pp[-1:]))
         return self.theta_tab.range_max(lo - THETA_PAD, hi + THETA_PAD)
 
     def godunov_candidates(self, pm, pp):
@@ -314,8 +289,8 @@ class EdgeDiscretization:
         return out if out.shape else float(out)
 
     def _godunov_slopes(self, pm, pp, x):
-        """The Godunov flux G(p-, p+) and its generalised derivatives
-        (G_m, G_p) = (dG/dp-, dG/dp+), taken from the selected candidate:
+        """The generalised derivatives (G_m, G_p) = (dG/dp-, dG/dp+) of the
+        Godunov flux G(p-, p+), taken from the selected candidate:
         H' there, with weight 1 on the endpoint it moves with (an endpoint,
         or a critical slope clipped to lo or hi), 0 for an interior
         critical slope, and (1 - t, t) on (lo, hi) for a midpoint sample.
@@ -334,27 +309,27 @@ class EdgeDiscretization:
         w_lo = np.concatenate([[up, ~up], crit <= lo, 1.0 - t])
         w_hi = np.concatenate([[~up, up], crit >= hi, t])
         k = np.where(up, vals.argmin(axis=0), vals.argmax(axis=0))[None]
-        G, d, wl, wh = (np.take_along_axis(a, k, axis=0)[0]
-                        for a in (vals, dH, w_lo, w_hi))
+        d, wl, wh = (np.take_along_axis(a, k, axis=0)[0]
+                     for a in (dH, w_lo, w_hi))
         tie = pm == pp
         Gm = d * np.where(tie, 1.0, np.where(up, wl, wh))
         Gp = d * np.where(tie, 1.0, np.where(up, wh, wl))
-        return G, np.maximum(Gm, 0.0), np.minimum(Gp, 0.0)
+        return np.maximum(Gm, 0.0), np.minimum(Gp, 0.0)
 
     def residual(self, u, theta=None, flux="lax_friedrichs", clamp=True):
         """Full residual vector and the per-point theta actually used.
 
-        Pinned rows report zero. theta, when given, must cover interior
-        points (used by the monotonicity property tests). The Godunov flux
-        uses no theta, so it returns theta as given, or None. With clamp
-        False the slopes stay unclamped, as in the linearizations."""
+        Row j < n is u_j + F(p-, p+) with the slopes of _slope_pairs, a
+        state-constraint far row u_0 + env_far(p_0). Pinned rows report
+        zero. theta, when given, must cover interior points (used by the
+        monotonicity property tests). The Godunov flux uses no theta, so it
+        returns theta as given, or None. With clamp False the slopes stay
+        unclamped, as in the linearization."""
         h = self.h
         n = self.edge.n_cells
         p = np.diff(u) / h
         R = np.zeros(n + 1)
 
-        far = self.edge.far_bc
-        g = far.slope if isinstance(far, Neumann) else 0.0
         if theta is not None:
             th = np.full(n + 1, theta, dtype=float)
         elif flux == "godunov":
@@ -367,18 +342,15 @@ class EdgeDiscretization:
         # inactive at the fixed point, whose slopes obey the Lipschitz bound)
         S = self.theta_tab.span
         pc = np.clip(p, -S, S) if clamp else p
+        pm, pp = self._slope_pairs(pc)
         if flux == "godunov":
-            R[1:-1] = u[1:-1] + self.godunov_flux(pc[:-1], pc[1:], self.x[1:-1])
-            if isinstance(far, Neumann):
-                R[0] = u[0] + self.godunov_flux(g, float(pc[0]), self.x[0])
+            R[:-1] = u[:-1] + self.godunov_flux(pm, pp, self.x[:-1])
         else:
-            avg = 0.5 * (pc[:-1] + pc[1:])
-            R[1:-1] = u[1:-1] + np.asarray(self.H(avg, self.x[1:-1])) \
-                - 0.5 * th[1:-1] * (p[1:] - p[:-1])
-            if isinstance(far, Neumann):
-                R[0] = u[0] + float(self.H(0.5 * (g + float(pc[0])), self.x[0])) \
-                    - 0.5 * th[0] * (p[0] - g)
-        if isinstance(far, StateConstraint):
+            Hbar = np.asarray(self.H(0.5 * (pm + pp), self.x[:-1]))
+            # the dissipation reads the unclamped slopes
+            jump = p - (pm if pc is p else self._slope_pairs(p)[0])
+            R[:-1] = u[:-1] + Hbar - 0.5 * th[:-1] * jump
+        if isinstance(self.edge.far_bc, StateConstraint):
             R[0] = u[0] + self.env_far(float(pc[0]))
 
         if isinstance(self.node_bc, StateConstraint):
@@ -397,75 +369,35 @@ class EdgeDiscretization:
 
     # -- Newton linearization -------------------------------------------------
 
-    def lf_linearization(self, u, theta):
-        """Tridiagonal Jacobian (sub, diag, sup) of the Lax-Friedrichs
-        residual of rows 0..n-1 at fixed theta, with unclamped slopes: row
-        j couples to u_{j-1}, u_j and u_{j+1} (u_n is the node value).
+    def linearization(self, u, theta, flux):
+        """Tridiagonal Jacobian (sub, diag, sup) of rows 0..n-1 of the
+        residual under flux, at fixed theta for Lax-Friedrichs (None for
+        Godunov), with unclamped slopes: row j couples to u_{j-1}, u_j and
+        u_{j+1} (u_n is the node value).
 
-        dH/dp comes from one central difference at each row's averaged
-        slope, so at a kink the entries form a subgradient. With theta >=
-        |dH/dp| every row is an M-matrix row. Pinned rows are identity
-        rows."""
+        Row j is u_j + F(p-, p+), so sub = -F_m/h, diag = 1 + (F_m - F_p)/h
+        and sup = F_p/h, an M-matrix row with unit row sum when F_m >= 0 >=
+        F_p. Only the partials depend on the flux: (dH/dp +- theta)/2 for
+        Lax-Friedrichs, with dH/dp one central difference at the averaged
+        slope (a subgradient at a kink), and the generalised derivatives of
+        _godunov_slopes for Godunov. Row 0's p- is the Neumann ghost slope,
+        so F_m = 0 there; at a state-constraint far end F is env_far(p+),
+        and a pinned Dirichlet far row has F_p = 0 too, an identity row."""
         h = self.h
-        n = self.edge.n_cells
-        p = np.diff(u) / h
-        sub = np.zeros(n)
-        diag = np.ones(n)
-        sup = np.zeros(n)
-
-        th = theta[1:n]
-        _, dH = _value_and_slope(self.H, 0.5 * (p[:-1] + p[1:]),
-                                 self.x[1:-1])
-        sub[1:] = -(dH + th) / (2.0 * h)
-        diag[1:] = 1.0 + th / h
-        sup[1:] = (dH - th) / (2.0 * h)
-
+        pm, pp = self._slope_pairs(np.diff(u) / h)
+        if flux == "godunov":
+            Fm, Fp = self._godunov_slopes(pm, pp, self.x[:-1])
+        else:
+            _, dH = _value_and_slope(self.H, 0.5 * (pm + pp), self.x[:-1])
+            Fm, Fp = 0.5 * (dH + theta[:-1]), 0.5 * (dH - theta[:-1])
+        Fm[0] = 0.0
         far = self.edge.far_bc
-        if isinstance(far, Neumann):
-            th0 = theta[0]
-            _, d0 = _value_and_slope(self.H, 0.5 * (far.slope + p[0]),
-                                     self.x[0])
-            diag[0] = 1.0 + (th0 - d0) / (2.0 * h)
-            sup[0] = (d0 - th0) / (2.0 * h)
-        elif isinstance(far, StateConstraint):
-            diag[0], sup[0] = self._far_state_constraint_row(p[0])
-        return sub, diag, sup
-
-    def godunov_linearization(self, u):
-        """Tridiagonal Jacobian (sub, diag, sup) of the Godunov residual of
-        rows 0..n-1, with unclamped slopes, in the layout of
-        lf_linearization.
-
-        Row j is u_j + G(p-, p+) with the generalised derivatives of
-        _godunov_slopes, so sub = -G_m/h <= 0, sup = G_p/h <= 0 and every
-        interior row sums to 1. The far rows follow lf_linearization."""
-        h = self.h
-        n = self.edge.n_cells
-        p = np.diff(u) / h
-        sub = np.zeros(n)
-        diag = np.ones(n)
-        sup = np.zeros(n)
-
-        _, Gm, Gp = self._godunov_slopes(p[:-1], p[1:], self.x[1:-1])
-        sub[1:] = -Gm / h
-        diag[1:] = 1.0 + (Gm - Gp) / h
-        sup[1:] = Gp / h
-
-        far = self.edge.far_bc
-        if isinstance(far, Neumann):
-            _, _, Gp0 = self._godunov_slopes(np.array([far.slope]), p[:1],
-                                             self.x[0])
-            diag[0] = 1.0 - Gp0[0] / h
-            sup[0] = Gp0[0] / h
-        elif isinstance(far, StateConstraint):
-            diag[0], sup[0] = self._far_state_constraint_row(p[0])
-        return sub, diag, sup
-
-    def _far_state_constraint_row(self, p0):
-        """(diag, sup) of row 0 of a state-constraint far end,
-        u_0 + env_far(p_0), which is the same for both fluxes."""
-        _, d0 = _value_and_slope(lambda q, x: self.env_far(q), p0, 0.0)
-        return 1.0 - d0 / self.h, d0 / self.h
+        if isinstance(far, StateConstraint):
+            _, Fp[0] = _value_and_slope(lambda q, x: self.env_far(q), pp[0],
+                                        0.0)
+        elif isinstance(far, Dirichlet):
+            Fp[0] = 0.0
+        return -Fm / h, 1.0 + (Fm - Fp) / h, Fp / h
 
     # -- scalar nodal equations (Gauss-Seidel driver) -------------------------
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import ast
 import operator
 import re
+import warnings
 
 import numpy as np
 
@@ -124,15 +125,19 @@ class Expression:
             k = offset + len(text) - len(body)
             raise ExprError(message, k - text.count("**", 0, k))
 
-        try:
-            tree = ast.parse(body, mode="eval")
-        except SyntaxError as err:
-            at = max((err.offset or 1) - 1, 0)
-            try:  # a whole expression before the error: trailing input
-                ast.parse(body[:at], mode="eval")
-            except SyntaxError:
-                fail(err.msg, at)
-            fail(f"trailing input {body[at:].strip()!r}", at)
+        # Python warns of a number that runs into a keyword ("1or p")
+        # before the walk below rejects the keyword
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SyntaxWarning)
+            try:
+                tree = ast.parse(body, mode="eval")
+            except SyntaxError as err:
+                at = max((err.offset or 1) - 1, 0)
+                try:  # a whole expression before the error: trailing input
+                    ast.parse(body[:at], mode="eval")
+                except SyntaxError:
+                    fail(err.msg, at)
+                fail(f"trailing input {body[at:].strip()!r}", at)
         self._fn = _compile(tree.body, body, set(self.variables), fail)
 
     def __call__(self, **env):

@@ -35,7 +35,7 @@ report records it.
 
 A problem with a non-convex Hamiltonian is solved on the sampled-Godunov
 scheme (Bardi and Osher's min-max flux) by the same cascade, with the
-generalised Jacobian of EdgeDiscretization.godunov_linearization, again an
+generalised Jacobian of EdgeDiscretization.linearization, again an
 M-matrix arrowhead. Howard's argument (Bokanowski, Maroso and Zidani)
 covers a maximum of affine maps, not a min-max, so each Newton step is
 halved until the residual strictly decreases (a rejected trial costs one
@@ -276,12 +276,8 @@ class JunctionDiscretization(FlatLayout):
         node_row = [{} for _ in self.discs]
         if active is not None:
             node_row[active] = {self.discs[active].edge.n_cells - 1: -slope}
-        if flux == "godunov":
-            blocks = [d.godunov_linearization(u)
-                      for d, u in zip(self.discs, us)]
-        else:
-            blocks = [d.lf_linearization(u, th)
-                      for d, u, th in zip(self.discs, us, thetas)]
+        blocks = [d.linearization(u, th, flux) for d, u, th
+                  in zip(self.discs, us, thetas or [None] * len(us))]
         return blocks, node_row, 1.0 + slope
 
     def newton(self, z, tol, budget, flux):

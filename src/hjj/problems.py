@@ -152,9 +152,6 @@ class ProblemFile:
     def k(self):
         return self.problem.k
 
-    def to_json(self):
-        return json.dumps(self.raw, indent=2, sort_keys=True)
-
 
 def parse_problem_dict(data):
     _require(isinstance(data, dict), "<root>", "problem file must be an object")

@@ -91,29 +91,46 @@ class TestEdgeTables:
             gc.enable()
 
 
+def lf_row(H, pm, pp, theta):
+    """Lax-Friedrichs flux F(p-, p+) at theta: interior row 4 of an
+    8-cell edge, u_4 = 0 and the slopes p- and p+ on either side."""
+    h = 0.125
+    u = np.zeros(9)
+    u[3], u[5] = -pm * h, pp * h
+    disc = ed.EdgeDiscretization(H, ed.EdgeSpec(1.0, 8), "external")
+    return disc.residual(u, theta=theta)[0][4]
+
+
 class TestLaxFriedrichsFlux:
     def test_consistency(self, h_abs):
-        assert ed.lax_friedrichs_flux(h_abs, 1.0, 1.0, 1.0) == 0.0
+        assert lf_row(h_abs, 1.0, 1.0, 1.0) == 0.0
 
     def test_dissipation(self, h_abs):
-        assert ed.lax_friedrichs_flux(h_abs, 0.0, 2.0, 1.0) == -1.0
+        assert lf_row(h_abs, 0.0, 2.0, 1.0) == -1.0
 
     def test_quadratic(self, h_quad):
-        assert ed.lax_friedrichs_flux(h_quad, 2.0, 0.0, 4.0) == 3.0
+        assert lf_row(h_quad, 2.0, 0.0, 4.0) == 3.0
+
+
+def node_row(H, u0, u_in):
+    """Node row of a K = 1 state-constraint junction on a 10-cell edge,
+    u0 + min over q in [p_in, P] of H(q, 0) with p_in = (u0 - u_in)/h."""
+    u = np.zeros(11)
+    u[-2:] = u_in, u0
+    jd = jn.JunctionDiscretization(
+        jn.JunctionProblem([ed.EdgeSpec(1.0, 10)], [H]))
+    return jd.node_residual([u], u0)
 
 
 class TestBoundaryResidual:
     def test_state_constraint_solution_residual_zero(self, h_abs):
-        assert ed.boundary_supersolution_residual(h_abs, 1.0, 1.0, 0.1) == \
-            pytest.approx(0.0, abs=1e-12)
+        assert node_row(h_abs, 1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_negative_inward_slope(self, h_abs):
-        assert ed.boundary_supersolution_residual(h_abs, 0.0, 0.1, 0.1) == \
-            pytest.approx(-1.0, abs=1e-12)
+        assert node_row(h_abs, 0.0, 0.1) == pytest.approx(-1.0, abs=1e-12)
 
     def test_quadratic(self, h_quad):
-        assert ed.boundary_supersolution_residual(h_quad, 0.0, 0.2, 0.1) == \
-            pytest.approx(-1.0, abs=1e-12)
+        assert node_row(h_quad, 0.0, 0.2) == pytest.approx(-1.0, abs=1e-12)
 
 
 class TestSolveEdge:
@@ -382,31 +399,43 @@ class TestSchemeProperties:
             assert np.all(R[~d.pinned] >= 0.0)
 
     @properties
+    @pytest.mark.parametrize("flux", ["lax_friedrichs", "godunov"])
     @given(H=hamiltonians(), far=far_conditions, seed=seeds)
     # a critical slope that drifts with x: the midpoint samples win on
     # some rows, and the selected derivative can have the wrong sign
     @example(H=hm.make_builtin("expression",
                                src="(p-0.8*sin(3*x))^2-1"),
              far=ed.Neumann(0.3), seed=5)
-    def test_godunov_jacobian(self, H, far, seed):
-        # interior rows are M-matrix rows with unit row sums, and every
-        # entry is the projected central difference of the Godunov
-        # residual on rows whose selected candidate does not change
+    @example(H=hm.make_builtin("double_well", b=0.5, c=0.3),
+             far=ed.StateConstraint(), seed=3)
+    @example(H=hm.make_builtin("expression", src="abs(p-0.4)-1+sin(2*x)"),
+             far=ed.Dirichlet(-0.5), seed=7)
+    def test_jacobian(self, flux, H, far, seed):
+        # every row is an M-matrix row with unit row sum, a pinned far row
+        # an identity row, and every entry the projected central
+        # difference of the unclamped residual at fixed theta on rows where
+        # the difference sees no kink: the Godunov selection does not
+        # change, and H at the Lax-Friedrichs averaged slope, or env_far
+        # on a state-constraint far row, has no kink
         rng = np.random.default_rng(seed)
         spec = ed.EdgeSpec(1.0, 64, far_bc=far)
         disc = ed.EdgeDiscretization(H, spec, "external")
         h, P = spec.h, H.coercivity_bound
         u = np.cumsum(rng.uniform(-2 * P, 2 * P, 65) * h)
-        sub, diag, sup = disc.godunov_linearization(u)
-        rows = slice(0 if isinstance(far, ed.Neumann) else 1, 64)
-        assert np.all(sub[1:] <= 0.0) and np.all(sup[rows] <= 0.0)
-        np.testing.assert_allclose((sub + diag + sup)[rows], 1.0,
-                                   rtol=1e-12)
+        # the theta Newton holds: 1.02 theta_req + 0.01
+        theta = 1.02 * disc.required_theta(u) + 0.01 \
+            if flux == "lax_friedrichs" else None
+        sub, diag, sup = disc.linearization(u, theta, flux)
+        assert np.all(sub <= 0.0) and np.all(sup <= 0.0)
+        # unit row sums, up to the rounding of entries of size diag
+        assert np.all(np.abs(sub + diag + sup - 1.0) <= 4 * np.spacing(diag))
+        rows = slice(0, 64)
+        if isinstance(far, ed.Dirichlet):
+            assert (sub[0], diag[0], sup[0]) == (0.0, 1.0, 0.0)
+            rows = slice(1, 64)
 
         def selection(u):
-            p = np.diff(u) / h
-            g = far.slope if isinstance(far, ed.Neumann) else p[0]
-            pm, pp = np.append(g, p[:-1]), p
+            pm, pp = disc._slope_pairs(np.diff(u) / h)
             cands = disc.godunov_candidates(pm, pp)
             vals = H(cands, disc.x[:-1])
             up = pm <= pp
@@ -415,25 +444,38 @@ class TestSchemeProperties:
             return np.stack([up, k, s == np.minimum(pm, pp),
                              s == np.maximum(pm, pp)])
 
+        def smooth(f, q, x):
+            # no kink of f(., x) within 1e-6 (1 + |q|) of q
+            s = 1e-6 * (1.0 + np.abs(q))
+            lo, mid, hi = f(np.array([q - s, q, q + s]), x)
+            fwd, bwd = (hi - mid) / s, (mid - lo) / s
+            return np.abs(fwd - bwd) <= 1e-3 * (1.0 + np.abs(fwd))
+
+        pm, pp = disc._slope_pairs(np.diff(u) / h)
+        stable = np.ones(64, dtype=bool) if flux == "godunov" \
+            else smooth(H, 0.5 * (pm + pp), disc.x[:-1])
         base = selection(u)
-        stable = np.ones(64, dtype=bool)
         fd = np.zeros((3, 64))  # d R_j / d u_{j-1}, u_j, u_{j+1}
         delta = 1e-7 * h
         j = np.arange(64)
         for r in range(3):
             e = delta * (np.arange(65) % 3 == r)
-            Rp, Rm = (disc.residual(u + s * e, flux="godunov")[0][:-1]
+            Rp, Rm = (disc.residual(u + s * e, theta, flux,
+                                    clamp=False)[0][:-1]
                       for s in (1.0, -1.0))
-            for v in (u + e, u - e):
-                stable &= np.all(selection(v) == base, axis=0)
+            if flux == "godunov":
+                for v in (u + e, u - e):
+                    stable &= np.all(selection(v) == base, axis=0)
             offset = (r - j) % 3  # 0: u_j, 1: u_{j+1}, 2: u_{j-1}
             fd[(offset + 1) % 3, j] = (Rp - Rm) / (2.0 * delta)
-        Gm = np.maximum(-h * fd[0], 0.0)
-        Gp = np.minimum(h * fd[2], 0.0)
+        if isinstance(far, ed.StateConstraint):
+            stable[0] = smooth(lambda q, x: disc.env_far(q), pp[0], 0.0)
+        Fm = np.maximum(-h * fd[0], 0.0)
+        Fp = np.minimum(h * fd[2], 0.0)
         keep = stable[rows]
         assert keep.sum() >= 32
-        for lin, ref in ((sub, -Gm / h), (sup, Gp / h),
-                         (diag, 1.0 + (Gm - Gp) / h)):
+        for lin, ref in ((sub, -Fm / h), (sup, Fp / h),
+                         (diag, 1.0 + (Fm - Fp) / h)):
             np.testing.assert_allclose(lin[rows][keep], ref[rows][keep],
                                        rtol=1e-5, atol=1e-5 / h)
 

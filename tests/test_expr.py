@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,16 @@ def test_whitespace_accepted():
 def test_python_only_forms_rejected(src):
     with pytest.raises(ExprError):
         parse(src)
+
+
+@pytest.mark.parametrize("src", ["1or p", "1if p else 2"])
+def test_number_before_keyword_rejected_silently(src):
+    # Python's tokenizer warns of a number that runs into a keyword
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ExprError):
+            parse(src)
+    assert [str(w.message) for w in caught] == []
 
 
 def test_syntax_error_has_position():
