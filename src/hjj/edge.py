@@ -13,10 +13,13 @@ value; a Neumann row supplies a ghost slope. pseudo_time_step, the explicit
 relaxation u <- u - dt R with dt_j = CFL * h / (theta_j + h), defines the
 scheme's monotonicity.
 
-This module holds the edge block of that system: its residual under
-either flux, the tridiagonal linearization the Newton driver needs (one
-row formula, with each flux's partial derivatives), and the nonlinear
-Gauss-Seidel sweep. The sampled-Godunov flux is a different monotone
+This module holds the edge block of that system. EdgeDiscretization.rows
+is its one row formula: it turns a state into its residual rows under
+either flux and, when asked, the tridiagonal Jacobian the Newton driver
+needs (each flux's partial derivatives, from the same evaluation of H).
+residual and linearization read it, and so does the Newton path, which
+shares one slope pass per point between it and required_theta. The
+module also holds the nonlinear Gauss-Seidel sweep. The sampled-Godunov flux is a different monotone
 scheme with its own fixed point; it agrees with Lax-Friedrichs to O(h) in
 the interior but not inside boundary layers, so every report names the
 flux that produced its answer. The driver itself lives in junction.py: an
@@ -256,10 +259,11 @@ class EdgeDiscretization:
         g = far.slope if isinstance(far, Neumann) else p[0]
         return np.concatenate(([g], p[:-1])), p
 
-    def required_theta(self, u):
+    def required_theta(self, u, pairs=None):
         """Smallest admissible dissipation per row: theta_j bounds |dH/dp|
-        over [min(p-, p+) - pad, max(p-, p+) + pad] at the state u."""
-        pm, pp = self._slope_pairs(np.diff(u) / self.h)
+        over [min(p-, p+) - pad, max(p-, p+) + pad] at the state u. pairs,
+        the (p-, p+) of _slope_pairs at u, saves the slope pass."""
+        pm, pp = pairs or self._slope_pairs(np.diff(u) / self.h)
         lo = np.concatenate((np.minimum(pm, pp), pp[-1:]))
         hi = np.concatenate((np.maximum(pm, pp), pp[-1:]))
         return self.theta_tab.range_max(lo - THETA_PAD, hi + THETA_PAD)
@@ -289,8 +293,10 @@ class EdgeDiscretization:
         return out if out.shape else float(out)
 
     def _godunov_slopes(self, pm, pp, x):
-        """The generalised derivatives (G_m, G_p) = (dG/dp-, dG/dp+) of the
-        Godunov flux G(p-, p+), taken from the selected candidate:
+        """The Godunov flux G(p-, p+) of godunov_flux, the value of the
+        selected candidate, and its generalised derivatives (G_m, G_p) =
+        (dG/dp-, dG/dp+), from one evaluation of the candidates. The
+        derivatives are taken from the selected candidate:
         H' there, with weight 1 on the endpoint it moves with (an endpoint,
         or a critical slope clipped to lo or hi), 0 for an interior
         critical slope, and (1 - t, t) on (lo, hi) for a midpoint sample.
@@ -309,54 +315,99 @@ class EdgeDiscretization:
         w_lo = np.concatenate([[up, ~up], crit <= lo, 1.0 - t])
         w_hi = np.concatenate([[~up, up], crit >= hi, t])
         k = np.where(up, vals.argmin(axis=0), vals.argmax(axis=0))[None]
-        d, wl, wh = (np.take_along_axis(a, k, axis=0)[0]
-                     for a in (dH, w_lo, w_hi))
+        G, d, wl, wh = (np.take_along_axis(a, k, axis=0)[0]
+                        for a in (vals, dH, w_lo, w_hi))
         tie = pm == pp
         Gm = d * np.where(tie, 1.0, np.where(up, wl, wh))
         Gp = d * np.where(tie, 1.0, np.where(up, wh, wl))
-        return np.maximum(Gm, 0.0), np.minimum(Gp, 0.0)
+        return G, np.maximum(Gm, 0.0), np.minimum(Gp, 0.0)
 
-    def residual(self, u, theta=None, flux="lax_friedrichs", clamp=True):
-        """Full residual vector and the per-point theta actually used.
+    def rows(self, u, theta, flux, clamp=True, partials=False, pairs=None):
+        """The residual of the state u under flux, R (rows 0..n), and with
+        partials its tridiagonal Jacobian (sub, diag, sup) of rows 0..n-1,
+        else None: the one definition of every edge row, which residual,
+        linearization and the Newton path of junction.py all read.
 
-        Row j < n is u_j + F(p-, p+) with the slopes of _slope_pairs, a
-        state-constraint far row u_0 + env_far(p_0). Pinned rows report
-        zero. theta, when given, must cover interior points (used by the
-        monotonicity property tests). The Godunov flux uses no theta, so it
-        returns theta as given, or None. With clamp False the slopes stay
-        unclamped, as in the linearization."""
+        Row j < n is u_j + F(p-, p+) with the slopes of _slope_pairs (pairs
+        saves that pass), a state-constraint far row u_0 + env_far(p_0), a
+        state-constraint node row u_n + env_node(p_{n-1}). Pinned rows
+        report zero. theta, one value per row, is the Lax-Friedrichs
+        dissipation: F = H((p- + p+)/2) - (theta/2)(p+ - p-). The Godunov
+        flux F is that of godunov_flux and uses no theta (pass None).
+
+        Slope arguments of H are clamped to the tabulated span unless clamp
+        is False, as on the Newton path: transient slopes beyond it would
+        outrun the dissipation bound (the clamp is inactive at the fixed
+        point, whose slopes obey the Lipschitz bound). The dissipation reads
+        the unclamped slopes.
+
+        The Jacobian rows are sub = -F_m/h, diag = 1 + (F_m - F_p)/h and
+        sup = F_p/h, an M-matrix row with unit row sum when F_m >= 0 >=
+        F_p, with the partials F_m = dF/dp-, F_p = dF/dp+ taken at the
+        slopes the rows read: (dH/dp +- theta)/2 for Lax-Friedrichs, dH/dp
+        one central difference at the averaged slope (a subgradient at a
+        kink), and the generalised derivatives of _godunov_slopes for
+        Godunov. H, or the Godunov candidates, and env_far are then
+        evaluated once each, as a value-and-slope stack. Row 0's p- is the
+        Neumann ghost slope, so F_m = 0 there; at a state-constraint far
+        end F is env_far(p+), and a pinned Dirichlet far row has F_p = 0
+        too, an identity row."""
         h = self.h
         n = self.edge.n_cells
-        p = np.diff(u) / h
+        pm, pp = pairs or self._slope_pairs(np.diff(u) / h)
+        cm, cp = pm, pp
+        if clamp:
+            S = self.theta_tab.span
+            cm, cp = self._slope_pairs(np.clip(pp, -S, S))
+        x = self.x[:-1]
         R = np.zeros(n + 1)
+        if flux == "godunov":
+            if partials:
+                F, Fm, Fp = self._godunov_slopes(cm, cp, x)
+            else:
+                F = self.godunov_flux(cm, cp, x)
+            R[:-1] = u[:-1] + F
+        else:
+            pbar = 0.5 * (cm + cp)
+            if partials:
+                Hbar, dH = _value_and_slope(self.H, pbar, x)
+                Fm, Fp = 0.5 * (dH + theta[:-1]), 0.5 * (dH - theta[:-1])
+            else:
+                Hbar = np.asarray(self.H(pbar, x))
+            R[:-1] = u[:-1] + Hbar - 0.5 * theta[:-1] * (pp - pm)
+        far = self.edge.far_bc
+        if isinstance(far, StateConstraint):
+            if partials:
+                e, Fp[0] = _value_and_slope(lambda q, x: self.env_far(q),
+                                            cp[0], 0.0)
+            else:
+                e = self.env_far(float(cp[0]))
+            R[0] = u[0] + e
+        if isinstance(self.node_bc, StateConstraint):
+            R[n] = u[n] + self.env_node(float(cp[-1]))
+        R[self.pinned] = 0.0
+        if not partials:
+            return R, None
+        Fm[0] = 0.0
+        if isinstance(far, Dirichlet):
+            Fp[0] = 0.0
+        return R, (-Fm / h, 1.0 + (Fm - Fp) / h, Fp / h)
 
+    def residual(self, u, theta=None, flux="lax_friedrichs", clamp=True):
+        """The residual vector of rows (rows 0..n) and the per-point theta
+        actually used. theta, when given, must cover interior points (used
+        by the monotonicity property tests); otherwise Lax-Friedrichs uses
+        required_theta(u). The Godunov flux uses no theta, so it returns
+        theta as given, or None. With clamp False the slopes stay
+        unclamped, as in the linearization."""
+        pairs = self._slope_pairs(np.diff(u) / self.h)
         if theta is not None:
-            th = np.full(n + 1, theta, dtype=float)
+            th = np.full(self.edge.n_cells + 1, theta, dtype=float)
         elif flux == "godunov":
             th = None
         else:
-            th = self.required_theta(u)
-
-        # slope arguments of H are clamped to the tabulated span: transient
-        # slopes beyond it would outrun the dissipation bound (the clamp is
-        # inactive at the fixed point, whose slopes obey the Lipschitz bound)
-        S = self.theta_tab.span
-        pc = np.clip(p, -S, S) if clamp else p
-        pm, pp = self._slope_pairs(pc)
-        if flux == "godunov":
-            R[:-1] = u[:-1] + self.godunov_flux(pm, pp, self.x[:-1])
-        else:
-            Hbar = np.asarray(self.H(0.5 * (pm + pp), self.x[:-1]))
-            # the dissipation reads the unclamped slopes
-            jump = p - (pm if pc is p else self._slope_pairs(p)[0])
-            R[:-1] = u[:-1] + Hbar - 0.5 * th[:-1] * jump
-        if isinstance(self.edge.far_bc, StateConstraint):
-            R[0] = u[0] + self.env_far(float(pc[0]))
-
-        if isinstance(self.node_bc, StateConstraint):
-            R[n] = u[n] + self.env_node(float(pc[-1]))
-        R[self.pinned] = 0.0
-        return R, th
+            th = self.required_theta(u, pairs)
+        return self.rows(u, th, flux, clamp=clamp, pairs=pairs)[0], th
 
     def pseudo_time_step(self, u, theta=None):
         """One Jacobi relaxation step; returns (u_new, residual, dt_min)."""
@@ -373,31 +424,8 @@ class EdgeDiscretization:
         """Tridiagonal Jacobian (sub, diag, sup) of rows 0..n-1 of the
         residual under flux, at fixed theta for Lax-Friedrichs (None for
         Godunov), with unclamped slopes: row j couples to u_{j-1}, u_j and
-        u_{j+1} (u_n is the node value).
-
-        Row j is u_j + F(p-, p+), so sub = -F_m/h, diag = 1 + (F_m - F_p)/h
-        and sup = F_p/h, an M-matrix row with unit row sum when F_m >= 0 >=
-        F_p. Only the partials depend on the flux: (dH/dp +- theta)/2 for
-        Lax-Friedrichs, with dH/dp one central difference at the averaged
-        slope (a subgradient at a kink), and the generalised derivatives of
-        _godunov_slopes for Godunov. Row 0's p- is the Neumann ghost slope,
-        so F_m = 0 there; at a state-constraint far end F is env_far(p+),
-        and a pinned Dirichlet far row has F_p = 0 too, an identity row."""
-        h = self.h
-        pm, pp = self._slope_pairs(np.diff(u) / h)
-        if flux == "godunov":
-            Fm, Fp = self._godunov_slopes(pm, pp, self.x[:-1])
-        else:
-            _, dH = _value_and_slope(self.H, 0.5 * (pm + pp), self.x[:-1])
-            Fm, Fp = 0.5 * (dH + theta[:-1]), 0.5 * (dH - theta[:-1])
-        Fm[0] = 0.0
-        far = self.edge.far_bc
-        if isinstance(far, StateConstraint):
-            _, Fp[0] = _value_and_slope(lambda q, x: self.env_far(q), pp[0],
-                                        0.0)
-        elif isinstance(far, Dirichlet):
-            Fp[0] = 0.0
-        return -Fm / h, 1.0 + (Fm - Fp) / h, Fp / h
+        u_{j+1} (u_n is the node value). See rows for its entries."""
+        return self.rows(u, theta, flux, clamp=False, partials=True)[1]
 
     # -- scalar nodal equations (Gauss-Seidel driver) -------------------------
 

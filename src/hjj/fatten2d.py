@@ -505,7 +505,7 @@ def solve_fat_state_constraint(H2, dom, params=None):
         lambda u, theta: sys_.residual(u, theta)[0],
         lambda u, R, theta: dom.chain.solve(*_jacobian(sys_, u, theta), -R),
         sys_.default_init(), params.tol, params.max_iters,
-        required_theta=sys_.required_theta)
+        required_theta=lambda u, theta: sys_.required_theta(u))
     ok = status == "converged"
     flag = "newton_stalled" if status == "breakdown" else status
     rep = SolveReport(steps, res, ok, time.perf_counter() - t0, "newton_2d",

@@ -31,12 +31,16 @@ cascade (n/8, n/4, n/2, n) supplies the start, because from a constant the
 policy switch moves about two cells per step. newton raises theta at each
 accepted point whenever the iterate needs more (theta <- 1.02 theta_req +
 0.01, never lowered), so every linear system stays an M-matrix, and the
-report records it.
+report records it. Each Newton point is evaluated once
+(JunctionDiscretization.newton): one slope pass per edge feeds the theta
+lookup, the residual rows and the Jacobian, H is called once per edge as
+a value-and-slope stack, and an edge whose theta already reaches its
+slope table's global bound skips the lookup, which could not raise it.
 
 A problem with a non-convex Hamiltonian is solved on the sampled-Godunov
 scheme (Bardi and Osher's min-max flux) by the same cascade, with the
-generalised Jacobian of EdgeDiscretization.linearization, again an
-M-matrix arrowhead. Howard's argument (Bokanowski, Maroso and Zidani)
+generalised Jacobian of EdgeDiscretization.rows, again an M-matrix
+arrowhead. Howard's argument (Bokanowski, Maroso and Zidani)
 covers a maximum of affine maps, not a min-max, so each Newton step is
 halved until the residual strictly decreases (a rejected trial costs one
 residual, no Jacobian), and Gauss-Seidel sweeps from the constant
@@ -53,6 +57,7 @@ against.
 from __future__ import annotations
 
 import copy
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -186,7 +191,7 @@ class FlatLayout:
 
     def split(self, z):
         """Per-edge value arrays, each ending with the node value."""
-        return [np.append(z[a:b], z[-1])
+        return [np.concatenate((z[a:b], z[-1:]))
                 for a, b in zip(self.offsets[:-1], self.offsets[1:])]
 
     def join(self, us, u0):
@@ -230,21 +235,31 @@ class JunctionDiscretization(FlatLayout):
 
     # -- residuals --------------------------------------------------------------
 
-    def node_residual(self, us, u0, clamp=True):
-        """R0 = u0 + max(A, max_i envelope-min_i(p_in_i)), with p_in_i
-        clamped to edge i's slope span unless clamp is False; a pinned node
-        reports zero. u0 is a scalar (a float back) or an array of trial
-        node values, one residual each, as the sweeps' nodal solve
-        evaluates them."""
+    def node_envelopes(self, us, u0, clamp=True):
+        """env_node_i(p_in_i) of every edge i, the inward slope p_in_i =
+        (u0 - u_{i,n-1})/h_i clamped to edge i's slope span unless clamp is
+        False; u0 as in node_residual."""
+        u0 = np.asarray(u0, dtype=float)
+        envs = []
+        for d, u in zip(self.discs, us):
+            p_in = (u0 - u[-2]) / d.h
+            if clamp:
+                S = d.theta_tab.span
+                p_in = np.minimum(np.maximum(p_in, -S), S)
+            envs.append(d.env_node(p_in))
+        return envs
+
+    def node_residual(self, us, u0, clamp=True, envs=None):
+        """R0 = u0 + max(A, max_i envelope-min_i(p_in_i)) from the values of
+        node_envelopes, or envs where given; a pinned node reports zero. u0
+        is a scalar (a float back) or an array of trial node values, one
+        residual each, as the sweeps' nodal solve evaluates them."""
         if self.node_pin is not None:
             return 0.0
-        u0 = np.asarray(u0, dtype=float)
         worst = self.floor
-        for d, u in zip(self.discs, us):
-            S = d.theta_tab.span if clamp else np.inf
-            p_in = np.minimum(np.maximum((u0 - u[-2]) / d.h, -S), S)
-            worst = np.maximum(worst, d.env_node(p_in))
-        r = u0 + worst
+        for e in envs or self.node_envelopes(us, u0, clamp):
+            worst = np.maximum(worst, e)
+        r = np.asarray(u0, dtype=float) + worst
         return r if r.shape else float(r)
 
     def residuals(self, us, u0, thetas=None, flux="lax_friedrichs"):
@@ -257,49 +272,94 @@ class JunctionDiscretization(FlatLayout):
     def max_residual(self, Rs, r0):
         return max(abs(r0), max(float(np.max(np.abs(R))) for R in Rs))
 
+    def clamp_inactive(self, z):
+        """Whether every edge slope of z lies strictly inside its edge's
+        clamp span, so that the clamped residual equals the unclamped one
+        bit for bit."""
+        return all(np.max(np.abs(np.diff(u) / d.h)) < d.theta_tab.span
+                   for d, u in zip(self.discs, self.split(z)))
+
     # -- Newton -----------------------------------------------------------------
 
-    def jacobian(self, z, flux, thetas=None):
+    def jacobian(self, us, blocks, envs):
         """The Jacobian, for solve_arrowhead, of the flat residual with
-        unclamped slopes under flux: "lax_friedrichs" at the fixed thetas
-        or "godunov". The node row differentiates the active envelope;
-        where A binds it is a unit row."""
-        us = self.split(z)
+        unclamped slopes at the per-edge values us, from the edge blocks
+        (sub, diag, sup) of EdgeDiscretization.rows and the node envelope
+        values envs of node_envelopes there, none for a pinned node. The
+        node row differentiates the first largest envelope, a unit row where
+        A binds or the node is pinned; only that envelope's slope is
+        evaluated."""
         slope, active = 0.0, None
-        if self.node_pin is None:
-            best = self.floor
-            for i, (d, u) in enumerate(zip(self.discs, us)):
-                e, de = _value_and_slope(lambda q, x: d.env_node(q),
-                                         (z[-1] - u[-2]) / d.h, 0.0)
-                if e > best:
-                    best, active, slope = e, i, float(de) / d.h
+        best = self.floor
+        for i, e in enumerate(envs):
+            if e > best:
+                best, active = e, i
         node_row = [{} for _ in self.discs]
         if active is not None:
-            node_row[active] = {self.discs[active].edge.n_cells - 1: -slope}
-        blocks = [d.linearization(u, th, flux) for d, u, th
-                  in zip(self.discs, us, thetas or [None] * len(us))]
+            d, u = self.discs[active], us[active]
+            _, de = _value_and_slope(lambda q, x: d.env_node(q),
+                                     (u[-1] - u[-2]) / d.h, 0.0)
+            slope = float(de) / d.h
+            node_row[active] = {d.edge.n_cells - 1: -slope}
         return blocks, node_row, 1.0 + slope
 
     def newton(self, z, tol, budget, flux):
         """newton() on the flat residual with unclamped slopes under flux:
         Howard's whole step on the Lax-Friedrichs scheme, a damped one on
         the Godunov min-max. Pinned rows are identity rows with zero
-        residual, so no step moves them."""
+        residual, so no step moves them.
+
+        Each point is evaluated once. newton() hands required_theta,
+        residual and step of one point the same array z; the slope pass of
+        each edge is taken at the first of these calls and kept with z.
+        On the Lax-Friedrichs scheme the residual rows come with their
+        partials from one value-and-slope evaluation of H per edge, and an
+        edge whose theta is already at least its table's global_max skips
+        the theta lookup: range_max never exceeds that bound, so the theta
+        rule would leave theta as it is. A Godunov point computes its
+        residual alone and its partials only when a step is built there.
+        The node row keeps the envelope values of its residual; the
+        Jacobian evaluates the active envelope's slope alone."""
+        lf = flux == "lax_friedrichs"
+        at = {"z": None}
+
+        def edges(z, thetas):
+            # (discretization, values, slope pairs, theta) of every edge at
+            # the point newton() handed over; a new z starts a new point
+            if at["z"] is not z:
+                us = self.split(z)
+                at.clear()
+                at.update(z=z, us=us, pairs=[
+                    d._slope_pairs(np.diff(u) / d.h)
+                    for d, u in zip(self.discs, us)])
+            return zip(self.discs, at["us"], at["pairs"],
+                       thetas or [None] * len(self.discs))
+
+        def required_theta(z, thetas):
+            return [None if th is not None
+                    and th.min() >= d.theta_tab.global_max
+                    else d.required_theta(u, pairs)
+                    for d, u, pairs, th in edges(z, thetas)]
+
         def residual(z, thetas):
-            us = self.split(z)
-            Rs = [d.residual(u, th, flux, clamp=False)[0][:-1] for d, u, th
-                  in zip(self.discs, us, thetas or [None] * len(us))]
+            at["rows"] = [d.rows(u, th, flux, clamp=False, partials=lf,
+                                 pairs=pairs)
+                          for d, u, pairs, th in edges(z, thetas)]
+            at["envs"] = [] if self.node_pin is not None else \
+                self.node_envelopes(at["us"], z[-1], clamp=False)
             return np.concatenate(
-                Rs + [[self.node_residual(us, z[-1], clamp=False)]])
+                [R[:-1] for R, _ in at["rows"]]
+                + [[self.node_residual(at["us"], z[-1], envs=at["envs"])]])
 
         def step(z, R, thetas):
-            return solve_arrowhead(self.jacobian(z, flux, thetas), -R)
+            blocks = [jac if jac is not None else
+                      d.rows(u, th, flux, clamp=False, partials=True,
+                             pairs=pairs)[1]
+                      for (d, u, pairs, th), (_, jac) in zip(
+                          edges(z, thetas), at["rows"])]
+            return solve_arrowhead(
+                self.jacobian(at["us"], blocks, at["envs"]), -R)
 
-        def required_theta(z):
-            return [d.required_theta(u)
-                    for d, u in zip(self.discs, self.split(z))]
-
-        lf = flux == "lax_friedrichs"
         return newton(residual, step, z, tol, budget, damped=not lf,
                       required_theta=required_theta if lf else None)
 
@@ -316,32 +376,37 @@ def solve_arrowhead(jac, rhs):
     diagonally dominant, row 1 also after row 0 is folded into it; a zero
     or non-finite pivot gives NaN, which callers treat as a breakdown."""
     blocks, node_row, s_diag = jac
-    s_rhs, parts = float(rhs[-1]), []
-    ends = np.cumsum([len(b[1]) for b in blocks])
-    for (sub, diag, sup, *far2), row, r in zip(blocks, node_row,
-                                               np.split(rhs, ends)):
+    rhs = rhs.tolist()
+    s_rhs, parts, a = rhs[-1], [], 0
+    inf = math.inf
+    for (sub, diag, sup, *far2), row in zip(blocks, node_row):
+        r = rhs[a:a + len(diag)]
+        a += len(diag)
         sub, diag, sup = sub.tolist(), diag.tolist(), sup.tolist()
         # eliminating x_0 = d_0 - c_0 x_1 - e x_2 from row 1 moves e there
         e = far2[0] / diag[0] if far2 and diag[0] else 0.0
         sup[1] -= sub[1] * e
-        c, d, cd = 0.0, 0.0, []
-        for aj, bj, sj, rj in zip(sub, diag, sup, r.tolist()):
+        c, d, cs, ds = 0.0, 0.0, [], []
+        for aj, bj, sj, rj in zip(sub, diag, sup, r):
             piv = bj - aj * c
-            if not 0.0 < abs(piv) < np.inf:
+            if not 0.0 < abs(piv) < inf:
                 return np.full(len(rhs), np.nan)
-            c, d = sj / piv, (rj - aj * d) / piv
-            cd.append((c, d))
+            c = sj / piv
+            d = (rj - aj * d) / piv
+            cs.append(c)
+            ds.append(d)
         # x_j = y_j - w_j x_node; column n is the node: y_n = 0, w_n = -1
-        y = [0.0]
-        for c, d in reversed(cd):
-            y.append(d - c * y[-1])
+        y, yj = [0.0], 0.0
+        for c, d in zip(reversed(cs), reversed(ds)):
+            yj = d - c * yj
+            y.append(yj)
         y = np.array(y[::-1])
-        w = np.append(-np.cumprod([-c for c, _ in reversed(cd)])[::-1], -1.0)
+        w = np.append(-np.cumprod(np.negative(cs[::-1]))[::-1], -1.0)
         y[0], w[0] = y[0] - e * y[2], w[0] - e * w[2]
         s_rhs -= sum(v * y[j] for j, v in row.items())
         s_diag -= sum(v * w[j] for j, v in row.items())
         parts.append((y[:-1], w[:-1]))
-    if not 0.0 < abs(s_diag) < np.inf:
+    if not 0.0 < abs(s_diag) < inf:
         return np.full(len(rhs), np.nan)
     x0 = s_rhs / s_diag
     return np.concatenate([y - x0 * w for y, w in parts] + [[x0]])
@@ -362,9 +427,13 @@ def newton(residual, step, z, tol, budget, damped=True,
     called only at accepted points, so a rejected trial costs one
     residual. A damped step is halved, down to MIN_STEP, until max|R|
     strictly decreases; an undamped one is taken whole. A scheme with a
-    dissipation coefficient passes required_theta(z), the least theta per
-    block at z, and theta is raised at every accepted point to
-    1.02 theta_req + 0.01 wherever it needs more, never lowered. A
+    dissipation coefficient passes required_theta(z, theta), the least
+    theta per block at z given the theta held so far (None at the start),
+    with None for a block whose theta no lookup could raise; theta is
+    raised at every accepted point to 1.02 theta_req + 0.01 wherever it
+    needs more, never lowered. required_theta, residual and step of one
+    point are handed the same array z, so a caller may evaluate the point
+    once and share what it learns between them. A
     non-finite residual, one BREAKDOWN_GROWTH times above its start (or
     1), and a line search that fails at MIN_STEP are breakdowns. A
     breakdown or the step cap returns the accepted point of least res
@@ -375,8 +444,8 @@ def newton(residual, step, z, tol, budget, damped=True,
     theta, R, steps, best = None, None, 0, None
     while True:
         if required_theta is not None:
-            req = required_theta(z)
-            theta = [np.where(r > t, 1.02 * r + 0.01, t)
+            req = required_theta(z, theta)
+            theta = [t if r is None else np.where(r > t, 1.02 * r + 0.01, t)
                      for t, r in zip(theta or [-np.inf] * len(req), req)]
         if R is None or theta is not None:
             R = residual(z, theta)
@@ -431,7 +500,9 @@ def _cascade(jd, z, params, flux):
     Lax-Friedrichs breakdown ends the solve, flagged "newton_stalled": its
     best finite iterate is carried to the finest grid, with theta None if
     it stopped on a coarse level. On the finest grid the clamped residual
-    under flux must meet tol too, or Newton has broken down there.
+    under flux must meet tol too, or Newton has broken down there; where
+    no slope reaches the clamp span it is Newton's own residual, and is
+    not evaluated again.
 
     Returns (z, thetas, res, levels, flags) with res the clamped residual
     of z and levels (cells of the first edge, Newton steps + sweeps) per
@@ -459,8 +530,10 @@ def _cascade(jd, z, params, flux):
             steps += n
             if flux == "godunov" and status == "max_iters":
                 status = "breakdown"
-        if s is jd and status in ("converged", "max_iters"):
-            # Newton's residual leaves the slopes unclamped
+        if s is jd and status in ("converged", "max_iters") \
+                and not jd.clamp_inactive(z):
+            # Newton's residual leaves the slopes unclamped, which is the
+            # clamped residual unless some slope reaches the clamp span
             res = jd.max_residual(*jd.residuals(
                 jd.split(z), float(z[-1]), thetas=thetas, flux=flux))
             if status == "converged" and res > tol:

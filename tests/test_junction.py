@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -360,10 +362,13 @@ class TestNewtonDriver:
                 return method(self, u, theta, flux, **kwargs)
             return checked
 
-        for name in ("residual", "linearization"):
+        for name in ("residual", "linearization", "rows"):
             monkeypatch.setattr(
                 ed.EdgeDiscretization, name,
                 godunov_only(getattr(ed.EdgeDiscretization, name)))
+        monkeypatch.setattr(ed.EdgeDiscretization, "required_theta",
+                            lambda *args, **kwargs: pytest.fail(
+                                "a Lax-Friedrichs theta lookup ran"))
         e = ed.EdgeSpec(1.0, 48, far_bc=ed.StateConstraint())
         prob = jn.make_junction_problem(
             [e, e], [hm.make_builtin("double_well", b=-2.0, c=0.0),
@@ -373,6 +378,42 @@ class TestNewtonDriver:
         assert rep.flux == "godunov" and rep.method == "godunov_newton"
         assert rep.theta is None
         assert [n for n, _ in rep.levels] == [12, 24, 48]
+
+    def test_one_evaluation_per_newton_point(self, monkeypatch):
+        # per edge, a Newton point takes one row assembly and one call of
+        # H, and a theta lookup only at a level's first point: after it,
+        # theta exceeds the table's global bound on every row. The finest
+        # level's clamped certification reuses Newton's residual
+        e = ed.EdgeSpec(1.0, 200, far_bc=ed.StateConstraint())
+        prob = jn.make_junction_problem(
+            [e, e], [hm.make_builtin("abs_shift", b=0.1, c=1.3),
+                     hm.make_builtin("abs_shift", b=-0.2, c=2.0)])
+        jn.solve_system(prob)  # builds the tables
+        tables = [ed._edge_tables(H, e)[0] for H in prob.hamiltonians]
+        calls = collections.Counter()
+
+        def count(cls, name, key):
+            method = getattr(cls, name)
+
+            def counted(self, *args, **kwargs):
+                calls[name, key(self)] += 1
+                return method(self, *args, **kwargs)
+            monkeypatch.setattr(cls, name, counted)
+
+        def index(objs):
+            return lambda obj: next(i for i, o in enumerate(objs) if o is obj)
+
+        count(hm.SlopeLipschitzTable, "range_max", index(tables))
+        count(hm.Hamiltonian, "__call__", index(prob.hamiltonians))
+        for name in ("rows", "residual", "linearization"):
+            count(ed.EdgeDiscretization, name,
+                  lambda d: index(prob.hamiltonians)(d.H))
+        sol, rep = jn.solve_system(prob)
+        assert rep.converged and rep.method == "newton"
+        assert len(rep.levels) == 4
+        points = sum(steps + 1 for _, steps in rep.levels)
+        assert calls == {(name, i): n for i in range(2) for name, n in (
+            ("range_max", 4), ("__call__", points), ("rows", points))}
 
     def test_step_cap_returns_best_point(self):
         # the state-constraint reference of fatten_max's max form: at
@@ -474,13 +515,15 @@ class TestGodunovNewton:
         # makes the line search reject many trial steps; each costs one
         # residual, and a Jacobian is built only at the accepted points
         builds = []
-        jacobian = jn.JunctionDiscretization.jacobian
+        rows = ed.EdgeDiscretization.rows
 
-        def counted(self, z, flux, thetas=None):
-            builds.append(flux)
-            return jacobian(self, z, flux, thetas)
+        def counted(self, u, theta, flux, *args, **kwargs):
+            out = rows(self, u, theta, flux, *args, **kwargs)
+            if out[1] is not None:
+                builds.append(flux)
+            return out
 
-        monkeypatch.setattr(jn.JunctionDiscretization, "jacobian", counted)
+        monkeypatch.setattr(ed.EdgeDiscretization, "rows", counted)
         trials = step_factors(jn)
         e = ed.EdgeSpec(1.0, 200, far_bc=ed.StateConstraint())
         prob = jn.make_junction_problem([e], [_dwell(-2.0, 0.0)],
@@ -601,6 +644,78 @@ def test_direct_and_constructive_agree_on_parsed_junctions(srcs, n, far):
     gap = max(abs(jn.compare_grid_functions(direct, constructive)),
               abs(jn.compare_grid_functions(constructive, direct)))
     assert gap <= max(5e-2, 3.0 / np.sqrt(n))
+
+
+_CONVEX_FORMS = (
+    ("abs_shift", (-0.3, 0.3)),
+    ("quadratic", (-0.3, 0.3)),
+    ("{a}*abs(p-{b})-1+{s}*sin({w}*x)", (-0.3, 0.3)),
+    # slopes -a and 1: where the slopes stay left of b - 1, theta sits
+    # just below the table's global bound 1
+    ("max({a}*({b}-p),p-{b})-1+{s}*cos({w}*x)", (1.2, 2.5)),
+    ("{a}*(p-{b})^2-1+{s}*sin({w}*x)", (-0.3, 0.3)),
+)
+
+
+@st.composite
+def _convex_hamiltonians(draw):
+    """abs_shift, quadratic, or an x-dependent parsed kink, asymmetric
+    kink or quadratic."""
+    coef = lambda lo, hi: round(draw(st.floats(lo, hi)), 3)
+    form, b_range = draw(st.sampled_from(_CONVEX_FORMS))
+    if "{" not in form:
+        return hm.make_builtin(form, b=coef(*b_range), c=coef(0.5, 1.5))
+    return hm.make_builtin("expression", src=form.format(
+        a=coef(0.9, 1.0 if "max" in form else 1.2), b=coef(*b_range),
+        s=coef(0.0, 0.3), w=coef(1.0, 4.0)))
+
+
+def _solve_without_shortcuts(prob):
+    """solve_system with every theta lookup run and the finest level's
+    clamped residual recomputed."""
+    with pytest.MonkeyPatch.context() as mp:
+        for H, e in zip(prob.hamiltonians, prob.edges):
+            mp.setattr(ed._edge_tables(H, e)[0], "global_max", np.inf)
+        mp.setattr(jn.JunctionDiscretization, "clamp_inactive",
+                   lambda self, z: False)
+        return jn.solve_system(prob)
+
+
+_FAR_ENDS = (ed.Neumann(0.0), ed.StateConstraint(), ed.Dirichlet(-0.2))
+
+
+@settings(max_examples=30)
+@given(edges=st.lists(st.tuples(_convex_hamiltonians(),
+                                st.sampled_from(_FAR_ENDS)),
+                      min_size=1, max_size=3),
+       n=st.sampled_from([16, 32, 48]),
+       node=st.sampled_from([ed.StateConstraint(), jn.FluxLimited(-0.5),
+                             ed.Dirichlet(0.3)]))
+@example(edges=[(hm.make_builtin("abs_shift", b=0.1, c=1.3), _FAR_ENDS[0]),
+                (hm.make_builtin("expression",
+                                 src="max(0.95*(2.2-p),p-2.2)-1"),
+                 _FAR_ENDS[1])],
+         n=32, node=ed.StateConstraint())
+def test_newton_shortcuts_match_their_disabled_form(edges, n, node):
+    # the theta skip and the reuse of Newton's residual as the clamped
+    # certification are exact: the solve is bit for bit the one that
+    # looks theta up and recomputes the clamped residual
+    prob = jn.make_junction_problem(
+        [ed.EdgeSpec(1.0, n, far_bc=far) for _, far in edges],
+        [H for H, _ in edges], node)
+    sol, rep = jn.solve_system(prob)
+    ref, rep_ref = _solve_without_shortcuts(prob)
+    assert sol.node_value == ref.node_value
+    for a, b in zip(sol.per_edge, ref.per_edge):
+        assert a.values.tobytes() == b.values.tobytes()
+    assert (rep.theta is None) == (rep_ref.theta is None)
+    for a, b in zip(rep.theta or [], rep_ref.theta or []):
+        assert a.tobytes() == b.tobytes()
+    assert (rep.method, rep.levels, rep.flags, rep.iterations,
+            rep.converged) == (rep_ref.method, rep_ref.levels,
+                               rep_ref.flags, rep_ref.iterations,
+                               rep_ref.converged)
+    assert repr(rep.final_residual) == repr(rep_ref.final_residual)
 
 
 @st.composite
