@@ -39,9 +39,10 @@ DEFAULT_TOL = 1e-8
 # --max-iters given to them would be ignored: it is rejected instead
 _OWN_STOPPING_RULE = frozenset({"viscous-sweep", "verify"})
 
-# a Newton breakdown that the sweeps had to finish, a cap and a stall each
-# make the run fail even when the residual test passed
-_FAILURE_FLAGS = frozenset({"newton_fallback", "max_iters", "sweep_stalled"})
+# a Newton breakdown that the sweeps had to finish, a cap, a stall and a
+# Lipschitz overrun each make the run fail even when the residual test passed
+_FAILURE_FLAGS = frozenset({"newton_fallback", "max_iters", "sweep_stalled",
+                            "lipschitz_exceeded"})
 
 
 def _base_report(args, sub):

@@ -17,14 +17,15 @@ This module holds the edge block of that system. EdgeDiscretization.rows
 is its one row formula: it turns a state into its residual rows under
 either flux and, when asked, the tridiagonal Jacobian the Newton driver
 needs (each flux's partial derivatives, from the same evaluation of H).
-residual and linearization read it, and so does the Newton path, which
-shares one slope pass per point between it and required_theta. The
-module also holds the nonlinear Gauss-Seidel sweep. The sampled-Godunov flux is a different monotone
-scheme with its own fixed point; it agrees with Lax-Friedrichs to O(h) in
-the interior but not inside boundary layers, so every report names the
-flux that produced its answer. The driver itself lives in junction.py: an
-edge solve is a K = 1 junction whose node row is the state-constraint
-envelope or a pinned Dirichlet value.
+residual reads it, and so does the Newton path, which takes one slope
+pass per point for it and required_theta and raises theta by
+raised_theta, the package's one theta rule. The module also holds the
+nonlinear Gauss-Seidel sweep. The sampled-Godunov flux is a different
+monotone scheme with its own fixed point; it agrees with Lax-Friedrichs
+to O(h) in the interior but not inside boundary layers, so every report
+names the flux that produced its answer. The driver itself lives in
+junction.py: an edge solve is a K = 1 junction whose node row is the
+state-constraint envelope or a pinned Dirichlet value.
 """
 
 from __future__ import annotations
@@ -48,6 +49,14 @@ THETA_PAD = 1.0
 CFL = 0.9
 # interval fractions t of the Godunov flux's midpoint samples lo + t (hi - lo)
 GODUNOV_MIDPOINTS = (0.25, 0.5, 0.75)
+
+
+def raised_theta(theta, req):
+    """The theta rule of every Lax-Friedrichs Newton solve: theta (None at
+    the start) raised to 1.02 req + 0.01 wherever the required req exceeds
+    it, never lowered, so every linear system stays an M-matrix."""
+    theta = -np.inf if theta is None else theta
+    return np.where(req > theta, 1.02 * req + 0.01, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +127,8 @@ class SolveReport:
 
     method names the driver: "newton" (the Newton cascade on the
     Lax-Friedrichs scheme), "godunov_newton" (the cascade on the Godunov
-    scheme, whose sweeps solve the coarsest level of a cold solve and any
-    level Newton could not), "constructive", "newton_2d" for the 2-D tube,
+    scheme, whose sweeps solve the coarsest level and any level Newton
+    could not), "constructive", "newton_2d" for the 2-D tube,
     and "newton" for the viscous system of viscous.solve_viscous_kirchhoff.
     flux names the scheme whose fixed point was sought: "lax_friedrichs",
     "godunov", or "central" for the viscous system; a solve never changes
@@ -325,8 +334,8 @@ class EdgeDiscretization:
     def rows(self, u, theta, flux, clamp=True, partials=False, pairs=None):
         """The residual of the state u under flux, R (rows 0..n), and with
         partials its tridiagonal Jacobian (sub, diag, sup) of rows 0..n-1,
-        else None: the one definition of every edge row, which residual,
-        linearization and the Newton path of junction.py all read.
+        else None: the one definition of every edge row, which residual
+        and the Newton path of junction.py read.
 
         Row j < n is u_j + F(p-, p+) with the slopes of _slope_pairs (pairs
         saves that pass), a state-constraint far row u_0 + env_far(p_0), a
@@ -399,7 +408,7 @@ class EdgeDiscretization:
         by the monotonicity property tests); otherwise Lax-Friedrichs uses
         required_theta(u). The Godunov flux uses no theta, so it returns
         theta as given, or None. With clamp False the slopes stay
-        unclamped, as in the linearization."""
+        unclamped, as on the Newton path."""
         pairs = self._slope_pairs(np.diff(u) / self.h)
         if theta is not None:
             th = np.full(self.edge.n_cells + 1, theta, dtype=float)
@@ -417,15 +426,6 @@ class EdgeDiscretization:
         u_new[self.pinned] = u[self.pinned]
         active = ~self.pinned
         return u_new, R, float(dt[active].min()) if active.any() else 0.0
-
-    # -- Newton linearization -------------------------------------------------
-
-    def linearization(self, u, theta, flux):
-        """Tridiagonal Jacobian (sub, diag, sup) of rows 0..n-1 of the
-        residual under flux, at fixed theta for Lax-Friedrichs (None for
-        Godunov), with unclamped slopes: row j couples to u_{j-1}, u_j and
-        u_{j+1} (u_n is the node value). See rows for its entries."""
-        return self.rows(u, theta, flux, clamp=False, partials=True)[1]
 
     # -- scalar nodal equations (Gauss-Seidel driver) -------------------------
 
@@ -526,7 +526,7 @@ def _solve_increasing(f, v0, tol):
 # single-edge solve
 # ---------------------------------------------------------------------------
 
-def solve_edge(H, edge, node_bc, params=None, init=None, sc_value=None):
+def solve_edge(H, edge, node_bc, params=None, sc_value=None):
     """Solve u + H(u_x, x) = 0 on the edge with the given junction-end
     condition (Dirichlet(c) or StateConstraint()).
 
@@ -549,9 +549,7 @@ def solve_edge(H, edge, node_bc, params=None, init=None, sc_value=None):
             rep.flags = rep.flags + ("dirichlet_not_attained",)
             return g, rep
 
-    inits = None if init is None else [np.asarray(init, dtype=float)]
-    sol, rep = solve_system(JunctionProblem([edge], [H], node_bc), params,
-                            init=inits)
+    sol, rep = solve_system(JunctionProblem([edge], [H], node_bc), params)
     g = sol.per_edge[0]
     g.role = "state_constraint" if isinstance(node_bc, StateConstraint) \
         else "dirichlet"

@@ -23,11 +23,12 @@ projected onto M-matrices (see _jacobian). Each Newton system is one block
 tridiagonal chain over the breadth-first level sets of the tube's cells,
 eliminated by block Thomas in numpy (see LevelChain); the same search
 rejects a mask that is not connected. Each step is halved until max|R|
-strictly decreases. junction.newton raises theta at each accepted point
-by the 1-D rule, from the slope ranges padded by edge.THETA_PAD, and the
-report records it; a residual of at most tol there certifies the answer.
-A solve that stops short is not converged and is flagged "max_iters", or
-"newton_stalled" after a breakdown; there is no second driver.
+strictly decreases. Each accepted point raises theta by the 1-D rule,
+edge.raised_theta, from the slope ranges padded by edge.THETA_PAD, and
+the report records it; a residual of at most tol there certifies the
+answer. A solve that stops short is not converged and is flagged
+"max_iters", or "newton_stalled" after a breakdown; there is no second
+driver.
 
 Traces along the two axis gridlines approximate the 1-D junction solution
 built from the reduced Hamiltonians H1(p1, x1) = min_p2 H(p1, p2, x1, 0) and
@@ -57,6 +58,7 @@ from .edge import (
     StateConstraint,
     check_stopping_rule,
     node_slope,
+    raised_theta,
 )
 from .hamiltonians import (
     Hamiltonian2D,
@@ -501,11 +503,17 @@ def solve_fat_state_constraint(H2, dom, params=None):
     params = params or FatSolverParams()
     t0 = time.perf_counter()
     sys_ = FatSystem(H2, dom)
+
+    def point(u, theta, accepted):
+        if accepted:
+            theta = [raised_theta(t, r) for t, r in
+                     zip(theta or (None, None), sys_.required_theta(u))]
+        R = sys_.residual(u, theta)[0]
+        return theta, R, lambda: dom.chain.solve(*_jacobian(sys_, u, theta),
+                                                 -R)
+
     u, theta, steps, res, status = newton(
-        lambda u, theta: sys_.residual(u, theta)[0],
-        lambda u, R, theta: dom.chain.solve(*_jacobian(sys_, u, theta), -R),
-        sys_.default_init(), params.tol, params.max_iters,
-        required_theta=lambda u, theta: sys_.required_theta(u))
+        point, sys_.default_init(), params.tol, params.max_iters)
     ok = status == "converged"
     flag = "newton_stalled" if status == "breakdown" else status
     rep = SolveReport(steps, res, ok, time.perf_counter() - t0, "newton_2d",

@@ -28,14 +28,15 @@ whose Jacobians are M-matrix arrowheads (K tridiagonal blocks bordered by
 the node row), and semismooth Newton -- Howard's policy iteration --
 reaches its fixed point in a few solve_arrowhead calls. A coarse-to-fine
 cascade (n/8, n/4, n/2, n) supplies the start, because from a constant the
-policy switch moves about two cells per step. newton raises theta at each
-accepted point whenever the iterate needs more (theta <- 1.02 theta_req +
-0.01, never lowered), so every linear system stays an M-matrix, and the
-report records it. Each Newton point is evaluated once
-(JunctionDiscretization.newton): one slope pass per edge feeds the theta
-lookup, the residual rows and the Jacobian, H is called once per edge as
-a value-and-slope stack, and an edge whose theta already reaches its
-slope table's global bound skips the lookup, which could not raise it.
+policy switch moves about two cells per step. Each accepted point
+raises theta wherever the iterate needs more, by edge.raised_theta
+(theta <- 1.02 theta_req + 0.01, never lowered), so every linear system
+stays an M-matrix, and the report records it. Each Newton point is
+evaluated once, by the one callback JunctionDiscretization.newton hands
+newton: one slope pass per edge feeds the theta lookup, the residual
+rows and the Jacobian, H is called once per edge as a value-and-slope
+stack, and an edge whose theta already reaches its slope table's global
+bound skips the lookup, which could not raise it.
 
 A problem with a non-convex Hamiltonian is solved on the sampled-Godunov
 scheme (Bardi and Osher's min-max flux) by the same cascade, with the
@@ -44,8 +45,8 @@ arrowhead. Howard's argument (Bokanowski, Maroso and Zidani)
 covers a maximum of affine maps, not a min-max, so each Newton step is
 halved until the residual strictly decreases (a rejected trial costs one
 residual, no Jacobian), and Gauss-Seidel sweeps from the constant
-super-solution solve the coarsest level of a cold solve and any level on
-which Newton breaks down (flagged "newton_fallback"); the cascade goes on
+super-solution solve the coarsest level and any level on which Newton
+breaks down (flagged "newton_fallback"); the cascade goes on
 from their answer. A Lax-Friedrichs breakdown ends the solve unconverged
 (flagged "newton_stalled"): no solve changes its scheme. Under either flux
 the rows have unit row sums and non-positive off-diagonals, so a state
@@ -75,6 +76,7 @@ from .edge import (
     _value_and_slope,
     node_slope,
     one_sided_quotients,
+    raised_theta,
     solve_edge,
 )
 from .hamiltonians import (
@@ -309,59 +311,46 @@ class JunctionDiscretization(FlatLayout):
         the Godunov min-max. Pinned rows are identity rows with zero
         residual, so no step moves them.
 
-        Each point is evaluated once. newton() hands required_theta,
-        residual and step of one point the same array z; the slope pass of
-        each edge is taken at the first of these calls and kept with z.
-        On the Lax-Friedrichs scheme the residual rows come with their
-        partials from one value-and-slope evaluation of H per edge, and an
-        edge whose theta is already at least its table's global_max skips
-        the theta lookup: range_max never exceeds that bound, so the theta
-        rule would leave theta as it is. A Godunov point computes its
-        residual alone and its partials only when a step is built there.
-        The node row keeps the envelope values of its residual; the
-        Jacobian evaluates the active envelope's slope alone."""
+        The point callback evaluates each point once: one slope pass per
+        edge feeds the theta lookup, the rows and the Jacobian. On the
+        Lax-Friedrichs scheme the rows come with their partials from one
+        value-and-slope evaluation of H per edge, and an edge whose theta
+        is already at least its table's global_max skips the theta lookup:
+        range_max never exceeds that bound, so the theta rule would leave
+        theta as it is. A Godunov point computes its residual alone and its
+        partials only when its step is built. The node row keeps the
+        envelope values of its residual; the Jacobian evaluates the active
+        envelope's slope alone."""
         lf = flux == "lax_friedrichs"
-        at = {"z": None}
 
-        def edges(z, thetas):
-            # (discretization, values, slope pairs, theta) of every edge at
-            # the point newton() handed over; a new z starts a new point
-            if at["z"] is not z:
-                us = self.split(z)
-                at.clear()
-                at.update(z=z, us=us, pairs=[
-                    d._slope_pairs(np.diff(u) / d.h)
-                    for d, u in zip(self.discs, us)])
-            return zip(self.discs, at["us"], at["pairs"],
-                       thetas or [None] * len(self.discs))
+        def point(z, thetas, accepted):
+            us = self.split(z)
+            pairs = [d._slope_pairs(np.diff(u) / d.h)
+                     for d, u in zip(self.discs, us)]
+            thetas = thetas or [None] * len(us)
+            if lf and accepted:
+                thetas = [th if th is not None
+                          and th.min() >= d.theta_tab.global_max
+                          else raised_theta(th, d.required_theta(u, p))
+                          for d, u, p, th in zip(self.discs, us, pairs,
+                                                 thetas)]
+            rows = [d.rows(u, th, flux, clamp=False, partials=lf, pairs=p)
+                    for d, u, p, th in zip(self.discs, us, pairs, thetas)]
+            envs = [] if self.node_pin is not None else \
+                self.node_envelopes(us, z[-1], clamp=False)
+            R = np.concatenate([r[:-1] for r, _ in rows]
+                               + [[self.node_residual(us, z[-1], envs=envs)]])
 
-        def required_theta(z, thetas):
-            return [None if th is not None
-                    and th.min() >= d.theta_tab.global_max
-                    else d.required_theta(u, pairs)
-                    for d, u, pairs, th in edges(z, thetas)]
+            def step():
+                blocks = [jac if jac is not None else
+                          d.rows(u, th, flux, clamp=False, partials=True,
+                                 pairs=p)[1]
+                          for d, u, p, th, (_, jac) in zip(
+                              self.discs, us, pairs, thetas, rows)]
+                return solve_arrowhead(self.jacobian(us, blocks, envs), -R)
+            return (thetas if lf else None), R, step
 
-        def residual(z, thetas):
-            at["rows"] = [d.rows(u, th, flux, clamp=False, partials=lf,
-                                 pairs=pairs)
-                          for d, u, pairs, th in edges(z, thetas)]
-            at["envs"] = [] if self.node_pin is not None else \
-                self.node_envelopes(at["us"], z[-1], clamp=False)
-            return np.concatenate(
-                [R[:-1] for R, _ in at["rows"]]
-                + [[self.node_residual(at["us"], z[-1], envs=at["envs"])]])
-
-        def step(z, R, thetas):
-            blocks = [jac if jac is not None else
-                      d.rows(u, th, flux, clamp=False, partials=True,
-                             pairs=pairs)[1]
-                      for (d, u, pairs, th), (_, jac) in zip(
-                          edges(z, thetas), at["rows"])]
-            return solve_arrowhead(
-                self.jacobian(at["us"], blocks, at["envs"]), -R)
-
-        return newton(residual, step, z, tol, budget, damped=not lf,
-                      required_theta=required_theta if lf else None)
+        return newton(point, z, tol, budget, damped=not lf)
 
 
 def solve_arrowhead(jac, rhs):
@@ -416,39 +405,33 @@ def solve_arrowhead(jac, rhs):
 # the driver
 # ---------------------------------------------------------------------------
 
-def newton(residual, step, z, tol, budget, damped=True,
-           required_theta=None):
-    """The package's one Newton loop, for residual(z, theta) = 0; returns
-    (z, theta, steps, res, status) with res = max|R| at z and status
-    "converged" (res <= tol), "max_iters" (budget steps taken) or
-    "breakdown".
+def newton(point, z, tol, budget, damped=True):
+    """The package's one Newton loop, for R(z) = 0; returns (z, theta,
+    steps, res, status) with res = max|R| at z and status "converged"
+    (res <= tol), "max_iters" (budget steps taken) or "breakdown".
 
-    step(z, R, theta) is the Newton step -J^-1 R with J built at z. It is
-    called only at accepted points, so a rejected trial costs one
-    residual. A damped step is halved, down to MIN_STEP, until max|R|
-    strictly decreases; an undamped one is taken whole. A scheme with a
-    dissipation coefficient passes required_theta(z, theta), the least
-    theta per block at z given the theta held so far (None at the start),
-    with None for a block whose theta no lookup could raise; theta is
-    raised at every accepted point to 1.02 theta_req + 0.01 wherever it
-    needs more, never lowered. required_theta, residual and step of one
-    point are handed the same array z, so a caller may evaluate the point
-    once and share what it learns between them. A
-    non-finite residual, one BREAKDOWN_GROWTH times above its start (or
-    1), and a line search that fails at MIN_STEP are breakdowns. A
-    breakdown or the step cap returns the accepted point of least res
-    that passed this test, with its theta: an undamped step to a
-    non-finite point is undone, and an undamped solve that drifts away
-    from its fixed point returns the point nearest to it. A converged
-    solve, and a damped one at fixed theta, end at that point anyway."""
-    theta, R, steps, best = None, None, 0, None
+    point(z, theta, accepted) evaluates the system at z given the theta
+    held so far (None at the start) and returns (theta, R, step): the
+    theta of the point, None for a system without one, the residual R
+    there, and step(), which builds the Newton step -J^-1 R at z when it
+    is called. newton calls step only at accepted points, so a rejected
+    trial costs one residual and no Jacobian. A system with a
+    dissipation coefficient raises theta inside point at accepted points
+    (edge.raised_theta), and hands a trial's theta back as given. A
+    damped step is halved, down to MIN_STEP, until max|R| strictly
+    decreases; an undamped one is taken whole. An accepted damped trial
+    is evaluated again as an accepted point only when the system carries
+    a theta; otherwise its R and step are kept. A non-finite residual,
+    one BREAKDOWN_GROWTH times above its start (or 1), and a line search
+    that fails at MIN_STEP are breakdowns. A breakdown or the step cap
+    returns the accepted point of least res that passed this test, with
+    its theta: an undamped step to a non-finite point is undone, and an
+    undamped solve that drifts away from its fixed point returns the
+    point nearest to it. A converged solve, and a damped one at fixed
+    theta, end at that point anyway."""
+    theta, R, step = point(z, None, True)
+    steps, best = 0, None
     while True:
-        if required_theta is not None:
-            req = required_theta(z, theta)
-            theta = [t if r is None else np.where(r > t, 1.02 * r + 0.01, t)
-                     for t, r in zip(theta or [-np.inf] * len(req), req)]
-        if R is None or theta is not None:
-            R = residual(z, theta)
         res = float(np.max(np.abs(R)))
         if not steps:
             res_start = res
@@ -463,19 +446,22 @@ def newton(residual, step, z, tol, budget, damped=True,
         if steps >= budget:
             z, theta, res = best
             return z, theta, steps, res, "max_iters"
-        dz = step(z, R, theta)
+        dz = step()
         lam = 1.0
-        while True:
-            z_new = z + lam * dz
-            R = residual(z_new, theta) if damped else None
-            if R is None or np.max(np.abs(R)) < res:
+        z_new = z + dz
+        while damped:
+            _, R, step = point(z_new, theta, False)
+            if np.max(np.abs(R)) < res:
                 break
             lam *= 0.5
             if lam < MIN_STEP:
                 z, theta, res = best
                 return z, theta, steps, res, "breakdown"
+            z_new = z + lam * dz
         z = z_new
         steps += 1
+        if not damped or theta is not None:
+            theta, R, step = point(z, theta, True)
 
 
 def _coarse_factors(jd):
@@ -485,18 +471,17 @@ def _coarse_factors(jd):
             if all(d.edge.n_cells // f >= 8 for d in jd.discs)]
 
 
-def _cascade(jd, z, params, flux):
-    """Solve jd level by level under flux: n/8, n/4, n/2 and n from a cold
-    start (z None), each level started from the previous one's answer, or
-    the finest grid alone from the warm start z, a flat state.
+def _cascade(jd, params, flux):
+    """Solve jd level by level under flux: n/8, n/4, n/2 and n, each level
+    started from the previous one's answer.
 
-    Newton solves each level. A cold Lax-Friedrichs cascade starts it at
-    the constant super-solution. On the Godunov scheme Newton has no start
-    on the coarsest level of a cold solve, because from a constant Newton
-    on the min-max flux does not converge: the sweeps solve that level.
-    They also solve any Godunov level where Newton breaks down or hits
-    its step cap, min(MAX_GODUNOV_STEPS, what is left of max_iters), and
-    the cascade goes on from their answer, flagged "newton_fallback". A
+    Newton solves each level. On the Lax-Friedrichs scheme it starts the
+    coarsest level at the constant super-solution. On the Godunov scheme
+    Newton has no start on the coarsest level, because from a constant
+    Newton on the min-max flux does not converge: the sweeps solve that
+    level. They also solve any Godunov level where Newton breaks down or
+    hits its step cap, min(MAX_GODUNOV_STEPS, what is left of max_iters),
+    and the cascade goes on from their answer, flagged "newton_fallback". A
     Lax-Friedrichs breakdown ends the solve, flagged "newton_stalled": its
     best finite iterate is carried to the finest grid, with theta None if
     it stopped on a coarse level. On the finest grid the clamped residual
@@ -507,15 +492,14 @@ def _cascade(jd, z, params, flux):
     Returns (z, thetas, res, levels, flags) with res the clamped residual
     of z and levels (cells of the first edge, Newton steps + sweeps) per
     level solved."""
-    systems = [jd] if z is not None else \
-        [jd.coarsened(f) for f in _coarse_factors(jd)] + [jd]
+    systems = [jd.coarsened(f) for f in _coarse_factors(jd)] + [jd]
     levels, flags = [], []
-    thetas, steps, status = None, 0, None
+    z, thetas, steps, status = None, None, 0, None
     for k, s in enumerate(systems):
         tol = params.tol if s is jd else max(params.tol, COARSE_TOL)
         if k:
             z = s.interpolate(systems[k - 1], z)
-        elif z is None and flux == "lax_friedrichs":
+        elif flux == "lax_friedrichs":
             z = s.pin(np.full(s.size, max(d.super_level for d in s.discs)))
         if status == "breakdown":
             # a stalled Lax-Friedrichs solve only carries its iterate up
@@ -586,7 +570,7 @@ def _sweeps(jd, tol):
     return us, u0, sweeps, res, "max_iters"
 
 
-def solve_system(problem, params=None, init=None):
+def solve_system(problem, params=None):
     """Solve the junction system of problem -- state-constraint,
     flux-limited or Dirichlet node -- by the cascade (see _cascade) and
     report what was done: method "newton" on the Lax-Friedrichs scheme
@@ -595,16 +579,15 @@ def solve_system(problem, params=None, init=None):
     breakdown is a non-finite residual, one that grows by
     BREAKDOWN_GROWTH, a failed Godunov line search or step cap, or an
     answer whose clamped residual under its own flux misses the
-    tolerance. init, per-edge value arrays, warm-starts Newton on the
-    finest grid; the sweeps always start from the constant
-    super-solution."""
+    tolerance. Every solve starts cold: Newton from the constant
+    super-solution on the coarsest Lax-Friedrichs level, the sweeps from
+    it on the coarsest Godunov one."""
     params = params or SolverParams()
     t0 = time.perf_counter()
     jd = JunctionDiscretization(problem)
-    z = None if init is None else jd.pin(jd.join(init, float(init[0][-1])))
     convex = all(H.flags.convex for H in problem.hamiltonians)
     flux = "lax_friedrichs" if convex else "godunov"
-    z, thetas, res, levels, flags = _cascade(jd, z, params, flux)
+    z, thetas, res, levels, flags = _cascade(jd, params, flux)
     us, u0 = jd.split(z), float(z[-1])
     grids = [GridFunction1D(u, e, "generic")
              for u, e in zip(us, problem.edges)]

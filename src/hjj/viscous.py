@@ -170,10 +170,11 @@ class _ViscousSystem(FlatLayout):
     def newton(self, z, eps):
         """junction.newton at fixed eps, every step damped; returns (z,
         res, steps, ok)."""
-        z, _, steps, res, status = newton(
-            lambda z, _: self.residual(z, eps),
-            lambda z, R, _: solve_arrowhead(self.jacobian(z, eps), -R),
-            z, NEWTON_TOL, MAX_NEWTON)
+        def point(z, theta, accepted):
+            R = self.residual(z, eps)
+            return None, R, lambda: solve_arrowhead(self.jacobian(z, eps), -R)
+
+        z, _, steps, res, status = newton(point, z, NEWTON_TOL, MAX_NEWTON)
         return z, res, steps, status == "converged"
 
 

@@ -66,20 +66,21 @@ def step_factors(monkeypatch):
         factors = []
         driver = jn.newton
 
-        def newton(residual, step, z, *args, **kwargs):
+        def newton(point, z, *args, **kwargs):
             last = []
 
-            def scaled(z, R, theta):
-                last[:] = [z, scale * step(z, R, theta)]
-                return last[1]
-
-            def logged(z, theta):
+            def logged(z, theta, accepted):
                 if last:
                     z0, dz = last
                     k = np.argmax(np.abs(dz))
                     factors.append((z[k] - z0[k]) / dz[k])
-                return residual(z, theta)
-            return driver(logged, scaled, z, *args, **kwargs)
+                theta, R, step = point(z, theta, accepted)
+
+                def scaled():
+                    last[:] = [z, scale * step()]
+                    return last[1]
+                return theta, R, scaled
+            return driver(logged, z, *args, **kwargs)
 
         monkeypatch.setattr(module, "newton", newton)
         return factors

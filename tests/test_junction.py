@@ -362,7 +362,7 @@ class TestNewtonDriver:
                 return method(self, u, theta, flux, **kwargs)
             return checked
 
-        for name in ("residual", "linearization", "rows"):
+        for name in ("residual", "rows"):
             monkeypatch.setattr(
                 ed.EdgeDiscretization, name,
                 godunov_only(getattr(ed.EdgeDiscretization, name)))
@@ -405,7 +405,7 @@ class TestNewtonDriver:
 
         count(hm.SlopeLipschitzTable, "range_max", index(tables))
         count(hm.Hamiltonian, "__call__", index(prob.hamiltonians))
-        for name in ("rows", "residual", "linearization"):
+        for name in ("rows", "residual"):
             count(ed.EdgeDiscretization, name,
                   lambda d: index(prob.hamiltonians)(d.H))
         sol, rep = jn.solve_system(prob)

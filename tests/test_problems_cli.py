@@ -375,6 +375,79 @@ class TestCli:
         ref, _ = sweep_solve(load_problem(str(prob)).problem)
         assert report["direct"]["node_value"] == ref.node_value
 
+    @pytest.mark.parametrize("sub", ["solve-edge", "solve-junction"])
+    def test_lipschitz_overrun_exit_code(self, tmp_path, monkeypatch, sub):
+        # a converged answer whose discrete Lipschitz constant exceeds the
+        # bound 2P is flagged, and the flag fails the run
+        monkeypatch.setattr(ed.GridFunction1D, "discrete_lipschitz",
+                            lambda self: np.inf)
+        prob = tmp_path / "p.json"
+        write_problem(minimal_problem(), prob)
+        out = tmp_path / "out"
+        assert run_cli([sub, "--problem", str(prob), "--out", str(out)]) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert (report.get("solve") or report["direct"])["converged"]
+        assert "lipschitz_exceeded" in report["flags"]
+
+    @pytest.mark.parametrize("case", [
+        "godunov_step_cap", "clamped_miss", "sweep_stalled", "sweep_cap"])
+    def test_cascade_failure_exit_code(self, tmp_path, monkeypatch, case):
+        # each failure path of the cascade, forced: its flags, whether the
+        # solve counts as converged, its levels and the exit code 2
+        dwell = double_well_problem()
+        far_dirichlet = {"length": 1.0, "n_cells": 12,
+                         "far_bc": {"kind": "dirichlet", "value": 0.0},
+                         "hamiltonian": {"family": "double_well",
+                                         "b": 0.0, "c": 0.5}}
+        if case == "godunov_step_cap":
+            # a Godunov level that hits its step cap has broken down: the
+            # sweeps finish every level after the coarsest
+            monkeypatch.setattr(jn, "MAX_GODUNOV_STEPS", 1)
+            data = dwell
+            expect = (["newton_fallback"], True,
+                      [[8, 1], [16, 2], [32, 2], [64, 2]])
+        elif case == "clamped_miss":
+            # a finest Lax-Friedrichs answer whose clamped residual misses
+            # tol has broken down, and the solve is not converged
+            real = jn.JunctionDiscretization.residuals
+
+            def missed(self, *args, **kwargs):
+                Rs, r0 = real(self, *args, **kwargs)
+                return Rs, r0 + 1.0
+            monkeypatch.setattr(jn.JunctionDiscretization, "clamp_inactive",
+                                lambda self, z: False)
+            monkeypatch.setattr(jn.JunctionDiscretization, "residuals",
+                                missed)
+            data = minimal_problem()
+            expect = (["newton_stalled"], False,
+                      [[8, 1], [16, 0], [32, 0], [64, 0]])
+        elif case == "sweep_stalled":
+            # sweeps that leave the edge values where they are stall after
+            # 60 sweeps without progress; the constant edge values and the
+            # solved node value overrun the Lipschitz bound too
+            monkeypatch.setattr(ed.EdgeDiscretization, "gauss_seidel_sweep",
+                                lambda self, u, tol: u)
+            dwell["edges"][0]["n_cells"] = 12
+            data = dwell
+            expect = (["sweep_stalled", "lipschitz_exceeded"], False,
+                      [[12, 61]])
+        else:
+            # one sweep does not solve this single-level Godunov edge
+            monkeypatch.setattr(jn, "MAX_SWEEPS", 1)
+            dwell["edges"][0] = far_dirichlet
+            data = dwell
+            expect = (["max_iters"], False, [[12, 1]])
+        prob = tmp_path / "p.json"
+        write_problem(data, prob)
+        out = tmp_path / "out"
+        assert run_cli(["solve-edge", "--problem", str(prob),
+                        "--out", str(out)]) == 2
+        report = json.loads((out / "report.json").read_text())
+        solve = report["solve"]
+        assert (report["flags"], solve["converged"], solve["levels"]) == \
+            expect
+        assert solve["converged"] == (solve["final_residual"] <= 1e-8)
+
     def test_report_levels(self, tmp_path, monkeypatch):
         # the direct solve runs first; record what its cascade ran
         ran = []
