@@ -69,6 +69,8 @@ def _solved(rep):
 
 
 def _finish(report, out_dir, t0, code):
+    # each flag once, in order, however many solves raised it
+    report["flags"] = list(dict.fromkeys(report["flags"]))
     report["timings"]["wall_time"] = time.perf_counter() - t0
     rp.write_report_json(os.path.join(out_dir, "report.json"), report)
     return code

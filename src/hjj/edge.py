@@ -127,9 +127,10 @@ class SolveReport:
 
     method names the driver: "newton" (the Newton cascade on the
     Lax-Friedrichs scheme), "godunov_newton" (the cascade on the Godunov
-    scheme, whose sweeps solve the coarsest level and any level Newton
-    could not), "constructive", "newton_2d" for the 2-D tube,
-    and "newton" for the viscous system of viscous.solve_viscous_kirchhoff.
+    scheme, whose sweeps solve the coarsest level, of 8-15 cells on the
+    smallest edge, and any level Newton could not), "constructive",
+    "newton_2d" for the 2-D tube, and "newton" for the viscous system of
+    viscous.solve_viscous_kirchhoff.
     flux names the scheme whose fixed point was sought: "lax_friedrichs",
     "godunov", or "central" for the viscous system; a solve never changes
     it. iterations counts Newton steps and Gauss-Seidel sweeps over every
@@ -137,7 +138,8 @@ class SolveReport:
     rescue: "max_iters", "sweep_stalled", "newton_stalled" (a
     Lax-Friedrichs or 2-D Newton breakdown, which ends the solve),
     "newton_fallback" (the sweeps finished a Godunov level after a Newton
-    breakdown), "lipschitz_exceeded", "dirichlet_not_attained".
+    breakdown or step cap), "lipschitz_exceeded" (once, however many
+    edges overrun), "dirichlet_not_attained".
     """
 
     iterations: int

@@ -27,16 +27,18 @@ Lax-Friedrichs residual with theta held fixed is a maximum of affine maps
 whose Jacobians are M-matrix arrowheads (K tridiagonal blocks bordered by
 the node row), and semismooth Newton -- Howard's policy iteration --
 reaches its fixed point in a few solve_arrowhead calls. A coarse-to-fine
-cascade (n/8, n/4, n/2, n) supplies the start, because from a constant the
-policy switch moves about two cells per step. Each accepted point
-raises theta wherever the iterate needs more, by edge.raised_theta
-(theta <- 1.02 theta_req + 0.01, never lowered), so every linear system
-stays an M-matrix, and the report records it. Each Newton point is
-evaluated once, by the one callback JunctionDiscretization.newton hands
-newton: one slope pass per edge feeds the theta lookup, the residual
-rows and the Jacobian, H is called once per edge as a value-and-slope
-stack, and an edge whose theta already reaches its slope table's global
-bound skips the lookup, which could not raise it.
+cascade supplies the start, because from a constant the policy switch
+moves about two cells per step: its coarsest level has 8-15 cells on the
+smallest edge whatever n is, and the levels above it are n/4^k, ...,
+n/16, n/4, then n. Each accepted point raises theta wherever the iterate
+needs more, by edge.raised_theta (theta <- 1.02 theta_req + 0.01, never
+lowered), so every linear system stays an M-matrix, and the report
+records it. Each Newton point is evaluated once, by the one callback
+JunctionDiscretization.newton hands newton: one slope pass per edge feeds
+the theta lookup, the residual rows and the Jacobian, H is called once
+per edge as a value-and-slope stack, and an edge whose theta already
+reaches its slope table's global bound skips the lookup, which could not
+raise it.
 
 A problem with a non-convex Hamiltonian is solved on the sampled-Godunov
 scheme (Bardi and Osher's min-max flux) by the same cascade, with the
@@ -464,16 +466,24 @@ def newton(point, z, tol, budget, damped=True):
             theta, R, step = point(z, theta, True)
 
 
-def _coarse_factors(jd):
-    """Cell-count divisors of the cascade's coarse levels: 8, 4 and 2 where
-    every edge keeps at least 8 cells."""
-    return [f for f in (8, 4, 2)
-            if all(d.edge.n_cells // f >= 8 for d in jd.discs)]
+def _coarse_factors(n):
+    """Cell-count divisors of the cascade's coarse levels, coarsest first,
+    for a smallest edge of n cells. The coarsest halves the grid until that
+    edge has 8-15 cells, so its size does not grow with n; above it come
+    the powers of 4 below that divisor, ..., 16, 4. An edge of fewer than
+    16 cells gets no coarse level."""
+    top = 1
+    while n // top >= 16:
+        top *= 2
+    j = top.bit_length() - 1
+    return ([top] if j else []) + [4 ** k for k in range((j - 1) // 2, 0, -1)]
 
 
 def _cascade(jd, params, flux):
-    """Solve jd level by level under flux: n/8, n/4, n/2 and n, each level
-    started from the previous one's answer.
+    """Solve jd level by level under flux, each level started from the
+    previous one's answer: the levels of _coarse_factors (a coarsest one of
+    8-15 cells on the smallest edge, then n/4^k, ..., n/16, n/4 above it)
+    and last the finest grid.
 
     Newton solves each level. On the Lax-Friedrichs scheme it starts the
     coarsest level at the constant super-solution. On the Godunov scheme
@@ -492,7 +502,8 @@ def _cascade(jd, params, flux):
     Returns (z, thetas, res, levels, flags) with res the clamped residual
     of z and levels (cells of the first edge, Newton steps + sweeps) per
     level solved."""
-    systems = [jd.coarsened(f) for f in _coarse_factors(jd)] + [jd]
+    systems = [jd.coarsened(f) for f in _coarse_factors(
+        min(d.edge.n_cells for d in jd.discs))] + [jd]
     levels, flags = [], []
     z, thetas, steps, status = None, None, 0, None
     for k, s in enumerate(systems):
@@ -512,8 +523,6 @@ def _cascade(jd, params, flux):
                 budget = min(budget, MAX_GODUNOV_STEPS)
             z, thetas, n, res, status = s.newton(z, tol, budget, flux)
             steps += n
-            if flux == "godunov" and status == "max_iters":
-                status = "breakdown"
         if s is jd and status in ("converged", "max_iters") \
                 and not jd.clamp_inactive(z):
             # Newton's residual leaves the slopes unclamped, which is the
@@ -577,11 +586,13 @@ def solve_system(problem, params=None):
     when every Hamiltonian is convex, "godunov_newton" on the Godunov
     scheme otherwise. The scheme never changes during a solve. A Newton
     breakdown is a non-finite residual, one that grows by
-    BREAKDOWN_GROWTH, a failed Godunov line search or step cap, or an
-    answer whose clamped residual under its own flux misses the
-    tolerance. Every solve starts cold: Newton from the constant
-    super-solution on the coarsest Lax-Friedrichs level, the sweeps from
-    it on the coarsest Godunov one."""
+    BREAKDOWN_GROWTH, a failed Godunov line search, or an answer whose
+    clamped residual under its own flux misses the tolerance; the sweeps
+    finish a Godunov level that breaks down or hits its step cap. Every
+    solve starts cold, on a coarsest level of 8-15 cells on the smallest
+    edge for any n: Newton from the constant super-solution under
+    Lax-Friedrichs, the sweeps from it under Godunov. "lipschitz_exceeded"
+    is flagged once when any edge's answer overruns its bound 2P."""
     params = params or SolverParams()
     t0 = time.perf_counter()
     jd = JunctionDiscretization(problem)
@@ -591,9 +602,9 @@ def solve_system(problem, params=None):
     us, u0 = jd.split(z), float(z[-1])
     grids = [GridFunction1D(u, e, "generic")
              for u, e in zip(us, problem.edges)]
-    for g, H in zip(grids, problem.hamiltonians):
-        if g.discrete_lipschitz() > 2.0 * H.coercivity_bound + 1e-6:
-            flags.append("lipschitz_exceeded")
+    if any(g.discrete_lipschitz() > 2.0 * H.coercivity_bound + 1e-6
+           for g, H in zip(grids, problem.hamiltonians)):
+        flags.append("lipschitz_exceeded")
     rep = SolveReport(
         iterations=sum(count for _, count in levels), final_residual=res,
         converged=res <= params.tol and "newton_stalled" not in flags,

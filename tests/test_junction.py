@@ -349,9 +349,57 @@ class TestNewtonDriver:
                            h_abs2], jn.FluxLimited(-0.7))
         sol, rep = jn.solve_flux_limited(prob)
         assert rep.converged
-        assert [n for n, _ in rep.levels] == [50, 100, 200, 400]
+        # a coarsest level of 12 cells, then n/16 and n/4
+        assert [n for n, _ in rep.levels] == [12, 25, 100, 400]
         assert rep.levels[-1][1] <= 3
         assert rep.iterations == sum(s for _, s in rep.levels)
+
+    @settings(max_examples=300)
+    @given(cells=st.lists(st.integers(8, 5000), min_size=1, max_size=2))
+    @example(cells=[15, 16])
+    @example(cells=[5000, 17])
+    def test_cascade_levels(self, cells):
+        # the levels of each edge, n // f per divisor f and n last, as
+        # JunctionDiscretization.coarsened makes them
+        divisors = jn._coarse_factors(min(cells)) + [1]
+        for n in cells:
+            levels = [n // f for f in divisors]
+            assert all(a < b for a, b in zip(levels, levels[1:]))
+            assert levels[-1] == n
+        assert all(f % g == 0 and f // g <= 4
+                   for f, g in zip(divisors, divisors[1:]))
+        if min(cells) >= 16:
+            assert 8 <= min(cells) // divisors[0] <= 15
+
+    def test_levels_follow_the_smallest_edge(self, h_abs1, h_abs2):
+        edges = [ed.EdgeSpec(1.0, 200), ed.EdgeSpec(1.0, 64)]
+        prob = jn.make_junction_problem(edges, [h_abs1, h_abs2])
+        sol, rep = jn.solve_system(prob)
+        assert rep.converged
+        # cells of the first edge: 200 // 8, 200 // 4 and 200, as the
+        # 64-cell edge gets 8, 16 and 64
+        assert [n for n, _ in rep.levels] == [25, 50, 200]
+
+    @pytest.mark.parametrize("hams, cond, n", [
+        ("quad", jn.FluxLimited(-0.5), 400),
+        ("quad", jn.FluxLimited(-0.5), 800),
+        ("quad", jn.FluxLimited(-0.5), 1600),
+        ("quad", ed.StateConstraint(), 800),
+        ("quad", ed.StateConstraint(), 1600),
+        ("dwell", ed.StateConstraint(), 800),
+    ])
+    def test_dirichlet_far_ends_converge_at_any_n(self, hams, cond, n):
+        # a coarsest level of n/8 cells made the Lax-Friedrichs solves of
+        # the quadratic pair stall from n = 400 on, and the Godunov sweeps
+        # of the double well cost O(n^2) on it
+        quad = hm.make_builtin("quadratic", b=0.5, c=1.0)
+        first = {"quad": hm.make_builtin("quadratic", b=1.0, c=1.0),
+                 "dwell": _dwell(0.5, 0.3)}[hams]
+        e = ed.EdgeSpec(1.0, n, far_bc=ed.Dirichlet(0.0))
+        prob = jn.make_junction_problem([e, e], [first, quad], cond)
+        sol, rep = jn.solve_system(prob)
+        assert rep.converged and rep.flags == ()
+        assert 8 <= rep.levels[0][0] <= 15
 
     def test_nonconvex_runs_no_lax_friedrichs_work(self, monkeypatch):
         def godunov_only(method):
@@ -377,11 +425,11 @@ class TestNewtonDriver:
         assert rep.converged
         assert rep.flux == "godunov" and rep.method == "godunov_newton"
         assert rep.theta is None
-        assert [n for n, _ in rep.levels] == [12, 24, 48]
+        assert [n for n, _ in rep.levels] == [12, 48]
 
     def test_one_evaluation_per_newton_point(self, monkeypatch):
         # per edge, a Newton point takes one row assembly and one call of
-        # H, and a theta lookup only at a level's first point: after it,
+        # H, and a theta lookup only at each level's first point: after it,
         # theta exceeds the table's global bound on every row. The finest
         # level's clamped certification reuses Newton's residual
         e = ed.EdgeSpec(1.0, 200, far_bc=ed.StateConstraint())
@@ -410,10 +458,10 @@ class TestNewtonDriver:
                   lambda d: index(prob.hamiltonians)(d.H))
         sol, rep = jn.solve_system(prob)
         assert rep.converged and rep.method == "newton"
-        assert len(rep.levels) == 4
         points = sum(steps + 1 for _, steps in rep.levels)
         assert calls == {(name, i): n for i in range(2) for name, n in (
-            ("range_max", 4), ("__call__", points), ("rows", points))}
+            ("range_max", len(rep.levels)), ("__call__", points),
+            ("rows", points))}
 
     def test_step_cap_returns_best_point(self):
         # the state-constraint reference of fatten_max's max form: at
@@ -513,7 +561,8 @@ class TestGodunovNewton:
                                                step_factors):
         # pinned well below its state-constraint value, the double well
         # makes the line search reject many trial steps; each costs one
-        # residual, and a Jacobian is built only at the accepted points
+        # residual, and a Jacobian is built only at the accepted points,
+        # one per Newton step of every level above the sweeps' coarsest
         builds = []
         rows = ed.EdgeDiscretization.rows
 
@@ -531,9 +580,9 @@ class TestGodunovNewton:
         sol, rep = jn.solve_system(prob)
         assert rep.converged and rep.flags == ()
         assert rep.method == "godunov_newton"
-        assert rep.levels == ((25, 9), (50, 15), (100, 4), (200, 10))
-        assert builds == ["godunov"] * 29
-        assert len(trials) > 29 and min(trials) < 0.75
+        steps = sum(n for _, n in rep.levels[1:])
+        assert steps > 0 and builds == ["godunov"] * steps
+        assert len(trials) > steps and min(trials) < 0.75
 
     def test_line_search_halves_a_tripled_step(self, step_factors):
         # a step three times the Newton direction overshoots; halving it
@@ -561,7 +610,7 @@ class TestGodunovNewton:
         assert rep.method == "godunov_newton"
         assert rep.flags == ("newton_fallback",)
         assert rep.flux == "godunov" and rep.converged
-        assert [n for n, _ in rep.levels] == [8, 16, 32, 64]
+        assert [n for n, _ in rep.levels] == [8, 16, 64]
         ref, rep_ref = sweep_solve(prob)
         assert rep.levels[-1][1] == rep_ref.iterations
         assert sol.node_value == ref.node_value
