@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import os
-import re
 import sys
 import time
 
@@ -76,6 +75,26 @@ def _finish(report, out_dir, t0, code):
     return code
 
 
+def _solve_fields(rep):
+    """The report fields every 1-D solve shares."""
+    return {"iterations": rep.iterations, "converged": rep.converged,
+            "method": rep.method, "flux": rep.flux, "levels": rep.levels}
+
+
+def _finish_1d(report, out_dir, t0, sol, reps):
+    """Write sol's grid.csv and its profile plot script, record the flags of
+    the solves reps and finish: exit 0 when every one of them succeeded."""
+    csv = os.path.join(out_dir, "grid.csv")
+    rp.write_grid_csv(csv, sol)
+    report["csv_files"].append(os.path.basename(csv))
+    report["k"] = sol.k
+    rp.emit_plot_script(report, "profiles", out_dir)
+    for rep in reps:
+        report["flags"].extend(rep.flags)
+    ok = all(_solved(rep) for rep in reps)
+    return _finish(report, out_dir, t0, EXIT_OK if ok else EXIT_NOT_CONVERGED)
+
+
 def cmd_solve_edge(args, pf, out_dir, t0):
     report = _base_report(args, "solve-edge")
     H = pf.problem.hamiltonians[args.edge]
@@ -85,21 +104,13 @@ def cmd_solve_edge(args, pf, out_dir, t0):
     else:
         node_bc = ed.StateConstraint()
     g, rep = ed.solve_edge(H, spec, node_bc, _solver_params(args))
-    sol = jn.JunctionGridFunction([g], g.node_value)
-    csv = os.path.join(out_dir, "grid.csv")
-    rp.write_grid_csv(csv, sol)
-    report["csv_files"].append(os.path.basename(csv))
-    report["k"] = 1
     report["solve"] = {
         "edge": args.edge, "node_value": g.node_value, "role": g.role,
-        "iterations": rep.iterations, "final_residual": rep.final_residual,
-        "converged": rep.converged, "method": rep.method, "flux": rep.flux,
-        "levels": rep.levels, "node_slope": ed.node_slope(g, order=2),
+        "final_residual": rep.final_residual, **_solve_fields(rep),
+        "node_slope": ed.node_slope(g),
     }
-    report["flags"].extend(rep.flags)
-    rp.emit_plot_script(report, "profiles", out_dir)
-    code = EXIT_OK if _solved(rep) else EXIT_NOT_CONVERGED
-    return _finish(report, out_dir, t0, code)
+    return _finish_1d(report, out_dir, t0,
+                      jn.JunctionGridFunction([g], g.node_value), [rep])
 
 
 def cmd_solve_junction(args, pf, out_dir, t0):
@@ -109,24 +120,16 @@ def cmd_solve_junction(args, pf, out_dir, t0):
     solc, repc = jn.solve_junction_constructive(pf.problem, params)
     gap = max(abs(jn.compare_grid_functions(sol, solc)),
               abs(jn.compare_grid_functions(solc, sol)))
-    csv = os.path.join(out_dir, "grid.csv")
-    rp.write_grid_csv(csv, sol)
-    report["csv_files"].append(os.path.basename(csv))
-    report["k"] = pf.k
     report["direct"] = {
-        "node_value": sol.node_value, "iterations": rep.iterations,
-        "final_residual": rep.final_residual, "converged": rep.converged,
-        "method": rep.method, "flux": rep.flux, "levels": rep.levels,
+        "node_value": sol.node_value, "final_residual": rep.final_residual,
+        **_solve_fields(rep),
     }
     report["constructive"] = {
         "node_value": solc.node_value, "converged": repc.converged,
     }
     report["cross_solver_gap"] = gap
     report["diagnostics"] = rp.jsonable(jn.node_diagnostics(sol, pf.problem))
-    report["flags"].extend(rep.flags + repc.flags)
-    rp.emit_plot_script(report, "profiles", out_dir)
-    ok = _solved(rep) and _solved(repc)
-    return _finish(report, out_dir, t0, EXIT_OK if ok else EXIT_NOT_CONVERGED)
+    return _finish_1d(report, out_dir, t0, sol, [rep, repc])
 
 
 def cmd_flux_limited(args, pf, out_dir, t0):
@@ -136,21 +139,13 @@ def cmd_flux_limited(args, pf, out_dir, t0):
             "junction.kind", "flux-limited run needs a flux_limited junction")
     sol, rep = jn.solve_flux_limited(pf.problem, _solver_params(args))
     A = pf.problem.junction_condition.A
-    csv = os.path.join(out_dir, "grid.csv")
-    rp.write_grid_csv(csv, sol)
-    report["csv_files"].append(os.path.basename(csv))
-    report["k"] = pf.k
     report["solve"] = {
         "A": A, "node_value": sol.node_value,
         "bound_minus_A_ok": bool(sol.node_value <= -A + 2e-2),
-        "iterations": rep.iterations, "converged": rep.converged,
-        "method": rep.method, "flux": rep.flux, "levels": rep.levels,
+        **_solve_fields(rep),
     }
     report["diagnostics"] = rp.jsonable(jn.node_diagnostics(sol, pf.problem))
-    report["flags"].extend(rep.flags)
-    rp.emit_plot_script(report, "profiles", out_dir)
-    code = EXIT_OK if _solved(rep) else EXIT_NOT_CONVERGED
-    return _finish(report, out_dir, t0, code)
+    return _finish_1d(report, out_dir, t0, sol, [rep])
 
 
 def cmd_viscous_sweep(args, pf, out_dir, t0):
@@ -223,10 +218,12 @@ def cmd_convergence(args, pf, out_dir, t0):
                                      "must be an increasing list of n >= 8")
     c = args.dirichlet if args.dirichlet is not None else 0.0
     # closed form exists for the unshifted kink family |p| - c0 with c < c0:
-    # the Dirichlet branch is c0 + (c - c0) e^x
-    m = re.match(r"abs_shift\(b=([^,]+),c=([^)]+)\)", H.source)
-    analytic = bool(m) and float(m.group(1)) == 0.0 \
-        and c < float(m.group(2))
+    # the Dirichlet branch is c0 + (c - c0) e^x. b and c0 come from the
+    # problem file, at full precision
+    spec = pf.raw["edges"][0]["hamiltonian"]
+    c0 = float(spec.get("c", 0.0))
+    analytic = spec.get("family") == "abs_shift" \
+        and float(spec.get("b", 0.0)) == 0.0 and c < c0
 
     errors = []
     params = _solver_params(args)
@@ -236,7 +233,6 @@ def cmd_convergence(args, pf, out_dir, t0):
         g, rep = ed.solve_edge(H, spec, ed.Dirichlet(c), params)
         sols[n] = g
     if analytic:
-        c0 = float(m.group(2))
         for n in grids:
             spec = ed.EdgeSpec(base.length, n, base.far_bc)
             exact = c0 + (c - c0) * np.exp(spec.grid())

@@ -404,13 +404,12 @@ class EdgeDiscretization:
             Fp[0] = 0.0
         return R, (-Fm / h, 1.0 + (Fm - Fp) / h, Fp / h)
 
-    def residual(self, u, theta=None, flux="lax_friedrichs", clamp=True):
-        """The residual vector of rows (rows 0..n) and the per-point theta
-        actually used. theta, when given, must cover interior points (used
-        by the monotonicity property tests); otherwise Lax-Friedrichs uses
-        required_theta(u). The Godunov flux uses no theta, so it returns
-        theta as given, or None. With clamp False the slopes stay
-        unclamped, as on the Newton path."""
+    def residual(self, u, theta=None, flux="lax_friedrichs"):
+        """The residual vector of rows (rows 0..n), slopes clamped, and the
+        per-point theta actually used. theta, when given, must cover
+        interior points (used by the monotonicity property tests); otherwise
+        Lax-Friedrichs uses required_theta(u). The Godunov flux uses no
+        theta, so it returns theta as given, or None."""
         pairs = self._slope_pairs(np.diff(u) / self.h)
         if theta is not None:
             th = np.full(self.edge.n_cells + 1, theta, dtype=float)
@@ -418,7 +417,7 @@ class EdgeDiscretization:
             th = None
         else:
             th = self.required_theta(u, pairs)
-        return self.rows(u, th, flux, clamp=clamp, pairs=pairs)[0], th
+        return self.rows(u, th, flux, pairs=pairs)[0], th
 
     def pseudo_time_step(self, u, theta=None):
         """One Jacobi relaxation step; returns (u_new, residual, dt_min)."""
@@ -562,17 +561,10 @@ def solve_edge(H, edge, node_bc, params=None, sc_value=None):
 # node diagnostics on one edge
 # ---------------------------------------------------------------------------
 
-def node_slope(u: GridFunction1D, order=2):
-    """One-sided slope at the junction end x = 0-."""
+def node_slope(u: GridFunction1D):
+    """Second-order one-sided slope at the junction end x = 0-."""
     v = u.values
-    h = u.edge.h
-    if order == 1:
-        return float((v[-1] - v[-2]) / h)
-    if order == 2:
-        if u.edge.n_cells < 2:
-            raise ValueError("order 2 needs at least 2 cells")
-        return float((3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h))
-    raise ValueError("order must be 1 or 2")
+    return float((3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * u.edge.h))
 
 
 def one_sided_quotients(u: GridFunction1D, window):
@@ -605,13 +597,13 @@ class PropertyReport:
                 and self.residuals_small and self.on_decreasing_part)
 
 
-def check_dirichlet_structure(H, edge, c_list, params=None, slope_tol=1e-3,
-                              residual_tol=5e-2, decrease_tol=1e-2):
+def check_dirichlet_structure(H, edge, c_list):
     """Solve the Dirichlet family u(0) = c for increasing c below the
     state-constraint value and verify the expected structure: node values and
-    slopes nondecreasing in c, the equation holding at the node, and the node
-    slope sitting on the decreasing part of H."""
-    params = params or SolverParams()
+    slopes nondecreasing in c (to 1e-3), the equation holding at the node
+    (to 5e-2), and the node slope sitting on the decreasing part of H (a
+    forward difference of H at most 1e-2)."""
+    params = SolverParams()
     c_arr = np.asarray(sorted(c_list), dtype=float)
     u_sc, _ = solve_edge(H, edge, StateConstraint(), params)
     sc0 = u_sc.node_value
@@ -622,7 +614,7 @@ def check_dirichlet_structure(H, edge, c_list, params=None, slope_tol=1e-3,
     for c in c_arr:
         g, rep = solve_edge(H, edge, Dirichlet(float(c)), params,
                             sc_value=sc0)
-        s = node_slope(g, order=2)
+        s = node_slope(g)
         slopes.append(s)
         values.append(g.node_value)
         residuals.append(float(c + H(s, 0.0)))
@@ -638,8 +630,8 @@ def check_dirichlet_structure(H, edge, c_list, params=None, slope_tol=1e-3,
         node_slopes=slopes,
         equation_residuals=residuals,
         h_forward_diffs=fds,
-        values_nondecreasing=bool(np.all(np.diff(values) >= -slope_tol)),
-        slopes_nondecreasing=bool(np.all(np.diff(slopes) >= -slope_tol)),
-        residuals_small=bool(np.all(np.abs(residuals) <= residual_tol)),
-        on_decreasing_part=bool(np.all(fds <= decrease_tol)),
+        values_nondecreasing=bool(np.all(np.diff(values) >= -1e-3)),
+        slopes_nondecreasing=bool(np.all(np.diff(slopes) >= -1e-3)),
+        residuals_small=bool(np.all(np.abs(residuals) <= 5e-2)),
+        on_decreasing_part=bool(np.all(fds <= 1e-2)),
     )

@@ -103,12 +103,13 @@ class FluxLimiter:
 # scalar / vectorized bracketed minimization
 # ---------------------------------------------------------------------------
 
-def golden_section_min(f, a, b, xtol=1e-9, max_iter=200):
+def golden_section_min(f, a, b, xtol=1e-9):
     """Golden-section search for a minimum of f on [a, b], elementwise over
     arrays of brackets (f maps slopes to values of the same shape). Each
-    bracket stops once no wider than xtol, with the float operations of a
-    search on it alone. Returns (x, f(x)), floats for scalar brackets, never
-    above the best evaluated point, the bracket endpoints included."""
+    bracket stops once no wider than xtol or after 200 steps, with the
+    float operations of a search on it alone. Returns (x, f(x)), floats for
+    scalar brackets, never above the best evaluated point, the bracket
+    endpoints included."""
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
     a, b = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
                                np.atleast_1d(np.asarray(b, dtype=float)))
@@ -119,7 +120,7 @@ def golden_section_min(f, a, b, xtol=1e-9, max_iter=200):
     best_x, best_f = np.where(fc <= fd, c, d), np.where(fc <= fd, fc, fd)
     active = width > xtol
     it = 0
-    while it < max_iter and active.any():
+    while it < 200 and active.any():
         # an active bracket drops the side beyond its worse interior point;
         # the better one stays as an interior point of the new bracket
         left = (fc <= fd) & active
@@ -158,13 +159,14 @@ def _pad_rows(r, values, rows):
     return out
 
 
-def grid_minimizers(f, qs, rows, xtol=1e-9):
+def grid_minimizers(f, qs, rows):
     """Local minimizers of `rows` functions, located on the fixed slope
     grid qs; f maps slopes of shape (rows, m) to values, row r being the
     r-th function. A grid point below its left neighbour and not above its
     right one brackets a minimizer (a flat bottom gives its left end);
-    golden-section search refines all brackets at once, and the grid point
-    is kept where it is lower. Returns (rows, k), padded with NaN."""
+    golden-section search refines all brackets at once to 1e-9, and the
+    grid point is kept where it is lower. Returns (rows, k), padded with
+    NaN."""
     grid = np.broadcast_to(qs, (rows, len(qs)))
     v = np.broadcast_to(f(grid), grid.shape)
     r, i = np.nonzero((v[:, 1:-1] < v[:, :-2]) & (v[:, 1:-1] <= v[:, 2:]))
@@ -172,7 +174,7 @@ def grid_minimizers(f, qs, rows, xtol=1e-9):
                       for w in (qs[i], qs[i + 2], qs[i + 1], v[r, i + 1]))
     # padded lanes hold NaN brackets, which the search leaves at once
     x, fx = golden_section_min(lambda q: np.broadcast_to(f(q), q.shape),
-                               a, b, xtol=xtol)
+                               a, b)
     return np.where(v_at < fx, at, x)
 
 
@@ -201,32 +203,33 @@ def _min_over_ring_1d(fn, q, x_samples):
     return np.minimum(v[:q.size], v[q.size:])
 
 
-def _probe_callable(ring_min, level, cap=COERCIVITY_CAP, resolution=1e-3):
-    """Doubling search then bisection for the smallest magnitude P with
-    ring_min(q) >= level for all probed q >= P."""
+def _probe_callable(ring_min, level):
+    """Doubling search then bisection to 1e-3 for the smallest magnitude P
+    with ring_min(q) >= level for all probed q >= P; NotCoerciveError when
+    no P is found below COERCIVITY_CAP."""
     q = 1.0
     lo = 0.0
     while True:
         while ring_min(np.asarray([q]))[0] < level:
             lo = q
             q *= 2.0
-            if q > cap:
+            if q > COERCIVITY_CAP:
                 raise NotCoerciveError(
-                    f"not coercive at this level (no bound below {cap:g})"
-                )
-        tail = np.geomspace(q, cap, 64)
+                    "not coercive at this level "
+                    f"(no bound below {COERCIVITY_CAP:g})")
+        tail = np.geomspace(q, COERCIVITY_CAP, 64)
         tv = ring_min(tail)
         bad = np.nonzero(tv < level)[0]
         if bad.size == 0:
             break
         lo = float(tail[bad[-1]])
         q = lo * 2.0
-        if q > cap:
+        if q > COERCIVITY_CAP:
             raise NotCoerciveError(
-                f"not coercive at this level (no bound below {cap:g})"
-            )
+                "not coercive at this level "
+                f"(no bound below {COERCIVITY_CAP:g})")
     hi = q
-    while hi - lo > resolution:
+    while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)
         seg = np.linspace(mid, hi, 17)
         if np.all(ring_min(seg) >= level):
@@ -236,26 +239,27 @@ def _probe_callable(ring_min, level, cap=COERCIVITY_CAP, resolution=1e-3):
     return hi
 
 
-def probe_coercivity(H, level, x_samples=DEFAULT_X_SAMPLES):
+def probe_coercivity(H, level):
     """Smallest probed slope magnitude P with H(+-q, x) >= level for all
-    probed q >= P and x in x_samples. Raises NotCoerciveError if no such
-    bound exists below the hard cap."""
+    probed q >= P and x in DEFAULT_X_SAMPLES. Raises NotCoerciveError if no
+    such bound exists below the hard cap."""
     fn = H.fn if isinstance(H, Hamiltonian) else H
-    return _probe_callable(lambda q: _min_over_ring_1d(fn, q, x_samples), level)
+    return _probe_callable(
+        lambda q: _min_over_ring_1d(fn, q, DEFAULT_X_SAMPLES), level)
 
 
-def probe_coercivity_2d(fn, level, x_samples=((0.0, 0.0),), ring_points=17):
-    """Joint coercivity bound: H >= level whenever max(|p1|, |p2|) >= P."""
+def probe_coercivity_2d(fn, level):
+    """Joint coercivity bound: H >= level whenever max(|p1|, |p2|) >= P,
+    probed at x1 = x2 = 0 on 17 points of each side of the square ring."""
 
     def ring_min(qs):
         qs = np.asarray(qs, dtype=float)
-        t = np.linspace(-1.0, 1.0, ring_points)
+        t = np.linspace(-1.0, 1.0, 17)
         out = np.inf * np.ones_like(qs)
-        for x1, x2 in x_samples:
-            for sign in (1.0, -1.0):
-                e1 = fn(sign * qs[:, None], qs[:, None] * t[None, :], x1, x2)
-                e2 = fn(qs[:, None] * t[None, :], sign * qs[:, None], x1, x2)
-                out = np.minimum(out, np.minimum(e1.min(axis=1), e2.min(axis=1)))
+        for sign in (1.0, -1.0):
+            e1 = fn(sign * qs[:, None], qs[:, None] * t[None, :], 0.0, 0.0)
+            e2 = fn(qs[:, None] * t[None, :], sign * qs[:, None], 0.0, 0.0)
+            out = np.minimum(out, np.minimum(e1.min(axis=1), e2.min(axis=1)))
         return out
 
     return _probe_callable(ring_min, level)
@@ -265,11 +269,11 @@ def probe_coercivity_2d(fn, level, x_samples=((0.0, 0.0),), ring_points=17):
 # minima detection
 # ---------------------------------------------------------------------------
 
-def find_minima(H, P, resolution=4096, merge_tol=1e-6):
+def find_minima(H, P, resolution=4096):
     """All local minimizers of p -> H(p, 0) on [-P, P].
 
     Grid scan at `resolution` samples, golden-section refinement to 1e-9
-    (all brackets in one call), duplicates within merge_tol merged. A
+    (all brackets in one call), duplicates within 1e-6 merged. A
     sampled flat bottom (a plateau of equal values) contributes one
     representative at its midpoint. The scan visits only the grid points
     that are no higher than both neighbours, found in one comparison.
@@ -310,7 +314,7 @@ def find_minima(H, P, resolution=4096, merge_tol=1e-6):
     found.sort()
     merged = []
     for x in found:
-        if merged and abs(x - merged[-1]) <= merge_tol:
+        if merged and abs(x - merged[-1]) <= 1e-6:
             if float(fn(x, 0.0)) < float(fn(merged[-1], 0.0)):
                 merged[-1] = x
         else:
@@ -343,8 +347,8 @@ def rightward_min_threshold(H):
 # shape flags by sampling
 # ---------------------------------------------------------------------------
 
-def _sample_shape_flags(fn, P, minima, resolution=2048):
-    qs = np.linspace(-P, P, resolution + 1)
+def _sample_shape_flags(fn, P, minima):
+    qs = np.linspace(-P, P, 2049)
     v = np.asarray(fn(qs, 0.0), dtype=float)
     scale = 1.0 + float(np.max(np.abs(v)))
     d2 = v[2:] - 2.0 * v[1:-1] + v[:-2]
@@ -357,16 +361,17 @@ def _sample_shape_flags(fn, P, minima, resolution=2048):
                       convex=convex, no_flat_parts=no_flat)
 
 
-def validate_hamiltonian(H, x_samples=DEFAULT_X_SAMPLES, samples=512):
-    """Sampled invariant check: finite values on [-P, P] x x_samples,
-    minima sorted inside (-P, P), coercivity holds at +-P."""
+def validate_hamiltonian(H):
+    """Sampled invariant check: finite values on 512 slopes of [-P, P] x
+    DEFAULT_X_SAMPLES, minima sorted inside (-P, P), coercivity holds at
+    +-P."""
     P = H.coercivity_bound
-    qs = np.linspace(-P, P, samples)
-    xs = np.asarray(x_samples, dtype=float)
+    qs = np.linspace(-P, P, 512)
+    xs = np.asarray(DEFAULT_X_SAMPLES, dtype=float)
     finite = np.isfinite(np.broadcast_to(H(qs[None, :], xs[:, None]),
-                                         (xs.size, samples))).all(axis=1)
+                                         (xs.size, 512))).all(axis=1)
     if not finite.all():
-        x = x_samples[int(np.argmin(finite))]
+        x = DEFAULT_X_SAMPLES[int(np.argmin(finite))]
         raise ValueError(f"H({H.source}) not finite on [-P, P] at x={x}")
     m = np.asarray(H.minima, dtype=float)
     if m.size:
@@ -374,7 +379,7 @@ def validate_hamiltonian(H, x_samples=DEFAULT_X_SAMPLES, samples=512):
             raise ValueError("minima not sorted")
         if np.any(np.abs(m) >= P):
             raise ValueError("minimum outside (-P, P)")
-    edge = _min_over_ring_1d(H.fn, np.asarray([P]), x_samples)[0]
+    edge = _min_over_ring_1d(H.fn, np.asarray([P]), DEFAULT_X_SAMPLES)[0]
     if edge < H.coercivity_level - 1e-9:
         raise ValueError(
             f"coercivity violated at P={P:g}: H={edge:g} < level={H.coercivity_level:g}"
@@ -401,15 +406,11 @@ def _broadcasted(raw):
     return fn
 
 
-def _default_level(fn, minima):
-    probe_pts = [0.0] + [float(m) for m in minima]
-    return 2.0 + max(abs(float(fn(p, 0.0))) for p in probe_pts)
-
-
-def _finalize(fn, minima, flags, source, level, x_samples):
-    if level is None:
-        level = _default_level(fn, minima)
-    P = _probe_callable(lambda q: _min_over_ring_1d(fn, q, x_samples), level)
+def _finalize(fn, minima, flags, source):
+    level = 2.0 + max(abs(float(fn(p, 0.0)))
+                      for p in [0.0] + [float(m) for m in minima])
+    P = _probe_callable(
+        lambda q: _min_over_ring_1d(fn, q, DEFAULT_X_SAMPLES), level)
     H = Hamiltonian(
         fn=fn,
         coercivity_bound=P,
@@ -418,13 +419,13 @@ def _finalize(fn, minima, flags, source, level, x_samples):
         flags=flags,
         source=source,
     )
-    validate_hamiltonian(H, x_samples)
+    validate_hamiltonian(H)
     return H
 
 
-def make_builtin(family, b=0.0, c=0.0, src=None, level=None,
-                 x_samples=DEFAULT_X_SAMPLES):
-    """Construct a builtin Hamiltonian family with analytic minima.
+def make_builtin(family, b=0.0, c=0.0, src=None):
+    """Construct a builtin Hamiltonian family with analytic minima, probed
+    at the level 2 above the largest |H(p, 0)| at p = 0 and the minima.
 
     Families: abs_shift |p-b|-c, quadratic (p-b)^2-c,
     double_well ((p-b)^2-1)^2-c, expression (delegates to parse_expression).
@@ -437,47 +438,47 @@ def make_builtin(family, b=0.0, c=0.0, src=None, level=None,
     if family == "abs_shift":
         fn = lambda p, x: np.abs(p - b) - c
         return _finalize(fn, (b,), ShapeFlags(True, True, True),
-                         f"abs_shift(b={b:g},c={c:g})", level, x_samples)
+                         f"abs_shift(b={b:g},c={c:g})")
     if family == "quadratic":
         fn = lambda p, x: (p - b) ** 2 - c
         return _finalize(fn, (b,), ShapeFlags(True, True, True),
-                         f"quadratic(b={b:g},c={c:g})", level, x_samples)
+                         f"quadratic(b={b:g},c={c:g})")
     if family == "double_well":
         fn = lambda p, x: ((p - b) ** 2 - 1.0) ** 2 - c
         return _finalize(fn, (b - 1.0, b + 1.0), ShapeFlags(False, False, True),
-                         f"double_well(b={b:g},c={c:g})", level, x_samples)
+                         f"double_well(b={b:g},c={c:g})")
     if family == "expression":
         if src is None:
             raise ValueError("expression family requires src")
-        return parse_expression(src, level=level, x_samples=x_samples)
+        return parse_expression(src)
     raise ValueError(f"unknown family '{family}'")
 
 
-def parse_expression(src, level=None, x_samples=DEFAULT_X_SAMPLES,
-                     resolution=4096):
+def parse_expression(src):
     """Parse an expression in variables p, x into a probed Hamiltonian.
 
-    The coercivity bound and minima are found numerically; shape flags are
-    determined by sampling p -> H(p, 0).
+    The coercivity level is 2 above |H(0, 0)|. The coercivity bound and
+    minima are found numerically; shape flags are determined by sampling
+    p -> H(p, 0).
     """
     e = expr.parse(src, variables=("p", "x"))
     fn = _broadcasted(lambda p, x: e(p=p, x=x))
-    if level is None:
-        level = 2.0 + abs(float(fn(0.0, 0.0)))
-    P = _probe_callable(lambda q: _min_over_ring_1d(fn, q, x_samples), level)
-    minima = find_minima(fn, P, resolution=resolution)
+    level = 2.0 + abs(float(fn(0.0, 0.0)))
+    P = _probe_callable(
+        lambda q: _min_over_ring_1d(fn, q, DEFAULT_X_SAMPLES), level)
+    minima = find_minima(fn, P)
     flags = _sample_shape_flags(fn, P, minima)
     H = Hamiltonian(fn=fn, coercivity_bound=P, coercivity_level=level,
                     minima=tuple(minima), flags=flags, source=f"expr({src})")
-    validate_hamiltonian(H, x_samples)
+    validate_hamiltonian(H)
     return H
 
 
-def ensure_level(H, level, x_samples=DEFAULT_X_SAMPLES):
+def ensure_level(H, level):
     """Return H re-probed so its coercivity level is at least `level`."""
     if H.coercivity_level >= level:
         return H
-    P = probe_coercivity(H, level, x_samples)
+    P = probe_coercivity(H, level)
     return replace(H, coercivity_bound=max(P, H.coercivity_bound),
                    coercivity_level=level)
 
@@ -511,60 +512,60 @@ def make_flux_limiter(H_list, A):
     return FluxLimiter(limiter_value=float(A), parts=parts)
 
 
-def make_hamiltonian2d(fn, level=None, coercivity_bound=None, source="custom",
-                       x_samples=((0.0, 0.0),)):
+def make_hamiltonian2d(fn, level=None, coercivity_bound=None, source="custom"):
     """Wrap a callable (p1, p2, x1, x2) -> value as a probed Hamiltonian2D.
 
     Evaluation is broadcast-enforced, so callables ignoring some arguments
-    still return full arrays. Pass coercivity_bound explicitly to bypass
-    probing (degenerate test Hamiltonians that are not jointly coercive)."""
+    still return full arrays. The level defaults to 2 above |H(0, 0, 0, 0)|
+    and the bound is probed by probe_coercivity_2d. Pass coercivity_bound
+    explicitly to bypass probing (degenerate test Hamiltonians that are not
+    jointly coercive)."""
     fn = _broadcasted(fn)
     if level is None:
         level = 2.0 + abs(float(fn(0.0, 0.0, 0.0, 0.0)))
     if coercivity_bound is None:
-        coercivity_bound = probe_coercivity_2d(fn, level, x_samples)
+        coercivity_bound = probe_coercivity_2d(fn, level)
     return Hamiltonian2D(fn=fn, coercivity_bound=float(coercivity_bound),
                          coercivity_level=float(level), source=source)
 
 
-def max_form_2d(H1, H2, level=None):
-    """H(p1, p2, x1, x2) = max(H1(p1, x1), H2(p2, x2))."""
+def max_form_2d(H1, H2):
+    """H(p1, p2, x1, x2) = max(H1(p1, x1), H2(p2, x2)), probed at the larger
+    of the parts' coercivity levels."""
     fn = lambda p1, p2, x1, x2: np.maximum(H1.fn(p1, x1), H2.fn(p2, x2))
-    if level is None:
-        level = max(H1.coercivity_level, H2.coercivity_level)
+    level = max(H1.coercivity_level, H2.coercivity_level)
     H = make_hamiltonian2d(fn, level=level,
                            source=f"max({H1.source},{H2.source})")
     return replace(H, parts=(H1, H2))
 
 
-def parse_expression_2d(src, level=None, coercivity_bound=None):
-    """Parse an expression in p1, p2, x1, x2 into a Hamiltonian2D."""
+def parse_expression_2d(src, coercivity_bound=None):
+    """Parse an expression in p1, p2, x1, x2 into a Hamiltonian2D at the
+    level 2 above |H(0, 0, 0, 0)|, probed unless coercivity_bound is given."""
     e = expr.parse(src, variables=("p1", "p2", "x1", "x2"))
     # make_hamiltonian2d converts and broadcasts the arguments and the value
     fn = lambda p1, p2, x1, x2: e(p1=p1, p2=p2, x1=x1, x2=x2)
-    return make_hamiltonian2d(fn, level=level, coercivity_bound=coercivity_bound,
+    return make_hamiltonian2d(fn, coercivity_bound=coercivity_bound,
                               source=f"expr2d({src})")
 
 
-def reduce_2d(H2, axis, resolution=129):
+def reduce_2d(H2, axis):
     """Reduce a 2-D Hamiltonian to one axis by minimizing over the transverse
     slope: axis=1 gives H1(p1, x1) = min_p2 H2(p1, p2, x1, 0), axis=2 gives
     H2r(p2, x2) = min_p1 H2(p1, p2, 0, x2).
 
     For a max form (H2.parts set) the minimum is closed:
     min_q max(H_own(p, x), H_other(q, 0)) = max(H_own(p, x), floor), with
-    floor the least value of H_other over the transverse grid of [-P, P]
-    and its minima in [-P, P]; no joint value is evaluated. Otherwise the
-    transverse minimum is interval_min over [-P, P], its minimizers located
-    on that grid (0 always included). Either way the reduced map is then
-    probed and analyzed like any other Hamiltonian.
+    floor the least value of H_other over the transverse grid (129 points
+    of [-P, P], and 0) and its minima in [-P, P]; no joint value is
+    evaluated. Otherwise the transverse minimum is interval_min over
+    [-P, P], its minimizers located on that grid. Either way the reduced
+    map is then probed and analyzed like any other Hamiltonian.
     """
-    if resolution < 16:
-        raise ValueError("resolution too coarse (need >= 16)")
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     P = H2.coercivity_bound
-    qs = np.union1d(np.linspace(-P, P, resolution), [0.0])
+    qs = np.union1d(np.linspace(-P, P, 129), [0.0])
 
     if H2.parts:
         own, other = H2.parts if axis == 1 else H2.parts[::-1]
@@ -601,7 +602,8 @@ def reduce_2d(H2, axis, resolution=129):
 
 class SlopeEnvelope:
     """Running minimum of q -> H(q, x0) over [p, P] (side='right') or
-    [-P, p] (side='left'), tabulated once and queried in O(log n).
+    [-P, p] (side='left'), tabulated once on 4097 slopes of [-P, P] (and
+    the minima) and queried in O(log n).
 
     Exact H(p, x0) at the query point and the analytic minima are always
     included among the candidates, so for single-minimum Hamiltonians the
@@ -609,11 +611,11 @@ class SlopeEnvelope:
     under H does not keep its own key alive.
     """
 
-    def __init__(self, H, x0=0.0, side="right", samples=4097):
+    def __init__(self, H, x0=0.0, side="right"):
         if side not in ("right", "left"):
             raise ValueError("side must be 'right' or 'left'")
         P = H.coercivity_bound
-        qs = np.linspace(-P, P, samples)
+        qs = np.linspace(-P, P, 4097)
         if len(H.minima):
             qs = np.union1d(qs, np.asarray(H.minima, dtype=float))
         vals = np.asarray(H(qs, x0), dtype=float)

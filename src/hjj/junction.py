@@ -127,23 +127,23 @@ class JunctionProblem:
         return len(self.edges)
 
 
-def make_junction_problem(edges, hamiltonians, condition=StateConstraint(),
-                          level=None):
+def make_junction_problem(edges, hamiltonians, condition=StateConstraint()):
     """Assemble a JunctionProblem, re-probing every Hamiltonian at a shared
-    coercivity level that dominates the plausible solution values."""
+    coercivity level that dominates the plausible solution values: 2 above
+    |H(0, x)| on about 8 grid points per edge, |H| at the minima, the
+    Dirichlet data and the limiter A."""
     edges = list(edges)
     hams = list(hamiltonians)
-    if level is None:
-        level = 2.0
-        for H, e in zip(hams, edges):
-            xs = e.grid()[:: max(1, e.n_cells // 8)]
-            level = max(level, 2.0 + float(np.max(np.abs(H(0.0 * xs, xs)))))
-            for m in H.minima:
-                level = max(level, 2.0 + abs(float(H(m, 0.0))))
-            if isinstance(e.far_bc, Dirichlet):
-                level = max(level, 2.0 + abs(e.far_bc.value))
-        if isinstance(condition, FluxLimited):
-            level = max(level, 2.0 + abs(condition.A))
+    level = 2.0
+    for H, e in zip(hams, edges):
+        xs = e.grid()[:: max(1, e.n_cells // 8)]
+        level = max(level, 2.0 + float(np.max(np.abs(H(0.0 * xs, xs)))))
+        for m in H.minima:
+            level = max(level, 2.0 + abs(float(H(m, 0.0))))
+        if isinstance(e.far_bc, Dirichlet):
+            level = max(level, 2.0 + abs(e.far_bc.value))
+    if isinstance(condition, FluxLimited):
+        level = max(level, 2.0 + abs(condition.A))
     hams = [ensure_level(H, level) for H in hams]
     return JunctionProblem(edges, hams, condition)
 
@@ -253,15 +253,16 @@ class JunctionDiscretization(FlatLayout):
             envs.append(d.env_node(p_in))
         return envs
 
-    def node_residual(self, us, u0, clamp=True, envs=None):
-        """R0 = u0 + max(A, max_i envelope-min_i(p_in_i)) from the values of
-        node_envelopes, or envs where given; a pinned node reports zero. u0
-        is a scalar (a float back) or an array of trial node values, one
-        residual each, as the sweeps' nodal solve evaluates them."""
+    def node_residual(self, us, u0, envs=None):
+        """R0 = u0 + max(A, max_i envelope-min_i(p_in_i)) from the clamped
+        values of node_envelopes, or envs where given; a pinned node reports
+        zero. u0 is a scalar (a float back) or an array of trial node
+        values, one residual each, as the sweeps' nodal solve evaluates
+        them."""
         if self.node_pin is not None:
             return 0.0
         worst = self.floor
-        for e in envs or self.node_envelopes(us, u0, clamp):
+        for e in envs or self.node_envelopes(us, u0):
             worst = np.maximum(worst, e)
         r = np.asarray(u0, dtype=float) + worst
         return r if r.shape else float(r)
@@ -643,7 +644,8 @@ def solve_junction_constructive(problem, params=None):
     value is the smallest of their node values; edges whose node value
     exceeds it by more than 2h are re-solved with the junction value as
     Dirichlet data. The re-solves start cold: from the state-constraint
-    solution Newton would move the policy switch a cell or two per step."""
+    solution Newton would move the policy switch a cell or two per step.
+    The report lists each flag of the edge solves once."""
     if not isinstance(problem.junction_condition, StateConstraint):
         raise ValueError("solve_junction_constructive expects a "
                          "state-constraint junction condition")
@@ -677,7 +679,7 @@ def solve_junction_constructive(problem, params=None):
         wall_time=time.perf_counter() - t0,
         method="constructive",
         flux="+".join(dict.fromkeys(r.flux for r in reports)),
-        flags=tuple(f for r in reports for f in r.flags),
+        flags=tuple(dict.fromkeys(f for r in reports for f in r.flags)),
     )
     return sol, rep
 
@@ -700,20 +702,20 @@ def solve_flux_limited(problem, params=None):
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def node_diagnostics(sol: JunctionGridFunction, problem: JunctionProblem,
-                     window=4):
+def node_diagnostics(sol: JunctionGridFunction, problem: JunctionProblem):
     """Junction-side diagnostics of a solved (or candidate) grid function.
 
     The state-constraint residual uses the scheme's own first-order inward
     quotients, so it vanishes (to solver tolerance) on converged direct
-    solutions; the reported slopes are the order-2 one-sided values."""
+    solutions; the reported slopes are the order-2 one-sided values, and
+    the one-sided quotients span up to 4 cells."""
     cond = problem.junction_condition
     jd = JunctionDiscretization(problem)
     jd.floor = -np.inf  # the state-constraint row: no flux-limiter floor A
     us = [g.values for g in sol.per_edge]
     sc_res = jd.node_residual(us, sol.node_value)
 
-    slopes = tuple(node_slope(g, order=2) for g in sol.per_edge)
+    slopes = tuple(node_slope(g) for g in sol.per_edge)
     flux_res = None
     if isinstance(cond, FluxLimited):
         lim = make_flux_limiter(problem.hamiltonians, cond.A)
@@ -721,7 +723,7 @@ def node_diagnostics(sol: JunctionGridFunction, problem: JunctionProblem,
 
     bars, unders = [], []
     for g in sol.per_edge:
-        b, un = one_sided_quotients(g, window=min(window, g.edge.n_cells // 2))
+        b, un = one_sided_quotients(g, window=4)
         bars.append(b)
         unders.append(un)
     return NodeDiagnostics(
@@ -761,24 +763,23 @@ class SlopeBoundReport:
         return self.matches_state_constraint or self.slope_bound_ok
 
 
-def subsolution_slope_bound_check(u: GridFunction1D, H: Hamiltonian,
-                                  params=None, tol=5e-2, window=4):
+def subsolution_slope_bound_check(u: GridFunction1D, H: Hamiltonian):
     """Check the subsolution dichotomy: either u is (numerically) the
     state-constraint solution of its edge, or its one-sided upper quotient
-    at the junction stays below the rightmost global minimizer of H."""
-    params = params or SolverParams()
-    u_sc, _ = solve_edge(H, u.edge, StateConstraint(), params)
+    at the junction stays below the rightmost global minimizer of H; both
+    to within 5e-2, the quotient over up to 4 cells."""
+    u_sc, _ = solve_edge(H, u.edge, StateConstraint(), SolverParams())
     dist = float(np.max(np.abs(u.values - u_sc.values)))
-    p_bar, _ = one_sided_quotients(u, window=min(window, u.edge.n_cells // 2))
+    p_bar, _ = one_sided_quotients(u, window=4)
     pbar_thresh = rightward_min_threshold(H)
     disc = EdgeDiscretization(H, u.edge, "external")
     R, _ = disc.residual(u.values)
     interior = float(np.max(R[1:-1]))
     return SlopeBoundReport(
-        matches_state_constraint=dist <= tol,
+        matches_state_constraint=dist <= 5e-2,
         sc_distance=dist,
         p_bar=p_bar,
         threshold=pbar_thresh,
-        slope_bound_ok=p_bar <= pbar_thresh + tol,
+        slope_bound_ok=p_bar <= pbar_thresh + 5e-2,
         interior_max_residual=interior,
     )

@@ -260,16 +260,16 @@ def viscous_scheme_residual(sol: JunctionGridFunction,
 # sweep, prediction, classification
 # ---------------------------------------------------------------------------
 
-def predict_selection(problem: JunctionProblem, tol=1e-9):
+def predict_selection(problem: JunctionProblem):
     """The vanishing-diffusion limit provably recovers the state-constraint
     solution when the largest minimizers of the edge Hamiltonians sum to a
-    nonpositive value."""
+    nonpositive value (at most 1e-9)."""
     total = 0.0
     for H in problem.hamiltonians:
         if not len(H.minima):
             raise ValueError(f"H({H.source}) has no recorded minima")
         total += max(H.minima)
-    return SELECTS_STATE_CONSTRAINT if total <= tol else NO_GUARANTEE
+    return SELECTS_STATE_CONSTRAINT if total <= 1e-9 else NO_GUARANTEE
 
 
 def richardson_extrapolate(records):

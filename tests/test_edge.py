@@ -220,17 +220,15 @@ class TestStiffHamiltonian:
 class TestNodeSlope:
     def test_analytic_dirichlet_slope(self, dir_abs):
         u, _ = dir_abs
-        assert ed.node_slope(u, order=2) == pytest.approx(-1.0, abs=3e-3)
+        assert ed.node_slope(u) == pytest.approx(-1.0, abs=3e-3)
 
     def test_constant(self, spec400):
         g = ed.GridFunction1D(np.full(401, 3.0), spec400)
-        assert ed.node_slope(g, 1) == 0.0
-        assert ed.node_slope(g, 2) == 0.0
+        assert ed.node_slope(g) == 0.0
 
     def test_linear_exact(self, spec400):
         g = ed.GridFunction1D(2.5 * spec400.grid() + 1.0, spec400)
-        assert ed.node_slope(g, 1) == pytest.approx(2.5, abs=1e-9)
-        assert ed.node_slope(g, 2) == pytest.approx(2.5, abs=1e-9)
+        assert ed.node_slope(g) == pytest.approx(2.5, abs=1e-9)
 
 
 class TestOneSidedQuotients:
@@ -441,8 +439,8 @@ class TestSchemeProperties:
         j = np.arange(64)
         for r in range(3):
             e = delta * (np.arange(65) % 3 == r)
-            Rp, Rm = (disc.residual(u + s * e, theta, flux,
-                                    clamp=False)[0][:-1]
+            Rp, Rm = (disc.rows(u + s * e, theta, flux,
+                                clamp=False)[0][:-1]
                       for s in (1.0, -1.0))
             if flux == "godunov":
                 for v in (u + e, u - e):

@@ -204,11 +204,6 @@ class TestReduce2D:
         assert H2(1.0, 1.0) == 11.0
         assert max(H1(1.0), Hr(1.0)) == 10.0
 
-    def test_too_coarse(self):
-        H2 = hm.parse_expression_2d("p1^2 + p2^2")
-        with pytest.raises(ValueError, match="too coarse"):
-            hm.reduce_2d(H2, 1, resolution=8)
-
     def test_max_form_evaluates_no_joint_value(self):
         def joint(*args):
             raise AssertionError("joint H evaluated")

@@ -324,6 +324,27 @@ class TestCli:
         text = (out / "convergence.csv").read_text().splitlines()
         assert text[0] == "h,error,observed_order"
 
+    def test_convergence_exact_solution_at_full_precision(self, tmp_path):
+        # c0 = 1.0000004 prints as c=1 in the Hamiltonian's source; the
+        # exact solution c0 + (c - c0) e^x must use the problem file's c0
+        data = minimal_problem()
+        data["edges"][0]["hamiltonian"]["c"] = 1.0000004
+        prob = tmp_path / "p.json"
+        write_problem(data, prob)
+        out = tmp_path / "out"
+        assert run_cli(["convergence", "--problem", str(prob), "--out",
+                        str(out), "--grids", "100,200,400"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["convergence"]["analytic"]
+        H = load_problem(str(prob)).problem.hamiltonians[0]
+        for n, row in zip((100, 200, 400), report["convergence"]["rows"]):
+            spec = ed.EdgeSpec(1.0, n, ed.Neumann(0.0))
+            g, _ = ed.solve_edge(H, spec, ed.Dirichlet(0.0),
+                                 ed.SolverParams(tol=1e-8))
+            exact = 1.0000004 * (1.0 - np.exp(spec.grid()))
+            assert row["error"] == pytest.approx(
+                float(np.max(np.abs(g.values - exact))), abs=1e-12)
+
     def test_non_convergence_exit_code(self, tmp_path):
         data = minimal_problem()
         prob = tmp_path / "p.json"
@@ -389,6 +410,14 @@ class TestCli:
         assert (report.get("solve") or report["direct"])["converged"]
         # flagged once, although both edges and every solve overrun
         assert report["flags"].count("lipschitz_exceeded") == 1
+
+    def test_constructive_reports_each_flag_once(self, monkeypatch):
+        # all three edge solves of the constructive solver overrun the bound
+        monkeypatch.setattr(ed.GridFunction1D, "discrete_lipschitz",
+                            lambda self: np.inf)
+        pf = parse_problem_dict(minimal_problem())
+        _, rep = jn.solve_junction_constructive(pf.problem)
+        assert rep.flags.count("lipschitz_exceeded") == 1
 
     @pytest.mark.parametrize("case", [
         "godunov_step_cap", "clamped_miss", "sweep_stalled", "sweep_cap"])
