@@ -217,21 +217,25 @@ def cmd_convergence(args, pf, out_dir, t0):
         raise ProblemValidationError("--grids",
                                      "must be an increasing list of n >= 8")
     c = args.dirichlet if args.dirichlet is not None else 0.0
-    # closed form exists for the unshifted kink family |p| - c0 with c < c0:
-    # the Dirichlet branch is c0 + (c - c0) e^x. b and c0 come from the
-    # problem file, at full precision
+    # closed form exists for the unshifted kink family |p| - c0 with c < c0
+    # and a far end of zero slope or state constraint: the Dirichlet branch
+    # is c0 + (c - c0) e^x. b and c0 come from the problem file, at full
+    # precision; any other case is compared with a 2n reference solve
     spec = pf.raw["edges"][0]["hamiltonian"]
     c0 = float(spec.get("c", 0.0))
     analytic = spec.get("family") == "abs_shift" \
-        and float(spec.get("b", 0.0)) == 0.0 and c < c0
+        and float(spec.get("b", 0.0)) == 0.0 and c < c0 \
+        and (base.far_bc == ed.Neumann(0.0)
+             or isinstance(base.far_bc, ed.StateConstraint))
 
     errors = []
     params = _solver_params(args)
-    sols = {}
+    sols, reps = {}, []
     for n in grids + ([2 * grids[-1]] if not analytic else []):
         spec = ed.EdgeSpec(base.length, n, base.far_bc)
-        g, rep = ed.solve_edge(H, spec, ed.Dirichlet(c), params)
-        sols[n] = g
+        sols[n], rep = ed.solve_edge(H, spec, ed.Dirichlet(c), params)
+        reps.append(rep)
+        report["flags"].extend(rep.flags)
     if analytic:
         for n in grids:
             spec = ed.EdgeSpec(base.length, n, base.far_bc)
@@ -260,7 +264,8 @@ def cmd_convergence(args, pf, out_dir, t0):
                              "dirichlet_value": c, "analytic": analytic}
     report["fitted_order"] = fitted
     rp.emit_plot_script(report, "convergence", out_dir)
-    return _finish(report, out_dir, t0, EXIT_OK)
+    ok = all(_solved(rep) for rep in reps)
+    return _finish(report, out_dir, t0, EXIT_OK if ok else EXIT_NOT_CONVERGED)
 
 
 _COMMANDS = {

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import copy
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -248,16 +248,17 @@ class EdgeDiscretization:
          self.env_far) = _edge_tables(H, edge)
         self.pinned = _pinned_rows(edge, node_bc)
 
-    def coarsened(self, n_cells):
-        """The same edge on n_cells cells. It shares this discretization's
-        tables, which are built once per Hamiltonian and edge and live as
-        long as the Hamiltonian, so the coarse levels of the Newton cascade
-        cost no set-up."""
+    def on_edge(self, edge):
+        """The same Hamiltonian and node condition on the grid of edge,
+        sharing this discretization's tables, which are built once per
+        Hamiltonian and edge and live as long as the Hamiltonian: the
+        coarse levels of the Newton cascade and the fattening study's trace
+        checks cost no set-up. The far row keeps this edge's envelope."""
         c = copy.copy(self)
-        c.edge = replace(self.edge, n_cells=n_cells)
-        c.x = c.edge.grid()
-        c.h = c.edge.h
-        c.pinned = _pinned_rows(c.edge, self.node_bc)
+        c.edge = edge
+        c.x = edge.grid()
+        c.h = edge.h
+        c.pinned = _pinned_rows(edge, self.node_bc)
         return c
 
     # -- vectorized residual ------------------------------------------------
@@ -534,14 +535,15 @@ def solve_edge(H, edge, node_bc, params=None, sc_value=None):
     Dirichlet data above the state-constraint value is unattainable by the
     continuous problem; in that case the state-constraint solution is
     returned and the report carries the flag "dirichlet_not_attained".
-    Pass sc_value (the state-constraint node value) to skip its recomputation.
+    Pass sc_value (the state-constraint node value) to skip its recomputation;
+    otherwise the report counts that solve's iterations and flags too.
     """
     # the edge is a K = 1 junction system; junction.py imports this module
     from .junction import JunctionProblem, solve_system
 
     params = params or SolverParams()
+    sc = None
     if isinstance(node_bc, Dirichlet):
-        sc = None
         if sc_value is None:
             sc = solve_edge(H, edge, StateConstraint(), params)
             sc_value = sc[0].node_value
@@ -551,6 +553,9 @@ def solve_edge(H, edge, node_bc, params=None, sc_value=None):
             return g, rep
 
     sol, rep = solve_system(JunctionProblem([edge], [H], node_bc), params)
+    if sc is not None:
+        rep.iterations += sc[1].iterations
+        rep.flags = tuple(dict.fromkeys(rep.flags + sc[1].flags))
     g = sol.per_edge[0]
     g.role = "state_constraint" if isinstance(node_bc, StateConstraint) \
         else "dirichlet"

@@ -14,8 +14,11 @@ hamiltonians.interval_min), so each row is monotone and the fixed point is
 unique (Crandall & Lions, Math. Comp. 1984; Oberman, SIAM J. Numer. Anal.
 2006). A corner row is the least over the four edges of its slope box and
 the local minima of H inside it. Every row of a residual is one batch. A
-max form's local minimizers are its parts', found per cell when FatSystem
-is built; other 2-D H are searched on a fixed slope grid in each batch.
+max form's local minimizers are its parts', found when FatSystem is built:
+once per part that does not depend on x, cached with the part for every
+later system, and per cell position otherwise. Other 2-D H are searched on
+a fixed slope grid in each batch. FatSystem builds every index set and
+gather of the residual, and the Jacobian's colouring, once.
 
 solve_fat_state_constraint reaches the fixed point by junction.newton,
 damped semismooth Newton (Howard's algorithm) at fixed theta, on a Jacobian
@@ -33,7 +36,9 @@ driver.
 Traces along the two axis gridlines approximate the 1-D junction solution
 built from the reduced Hamiltonians H1(p1, x1) = min_p2 H(p1, p2, x1, 0) and
 H2(p2, x2) = min_p1 H(p1, p2, 0, x2); the study records trace errors and
-reduced-equation residuals per eps. For a max form
+reduced-equation residuals per eps. The residuals are the interior rows of
+the reference's own discretization of each edge, put on the trace's grid,
+so they reuse the reference's tables. For a max form
 max(Ha(p1, x1), Hb(p2, x2)) the reduction is closed,
 H1(p1, x1) = max(Ha(p1, x1), min_q Hb(q, 0)), so the reference evaluates no
 joint H; other 2-D Hamiltonians are reduced by an interval minimum over the
@@ -43,6 +48,7 @@ transverse slope (see hamiltonians.reduce_2d).
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -270,8 +276,36 @@ class GridFunction2D:
 # the monotone scheme on the masked grid
 # ---------------------------------------------------------------------------
 
+# the local minimizers of each position-free max-form part, as
+# {part: {slope grid bytes: minimizers}}; an entry goes when its part is
+# freed, as edge._TABLES' do, so a study's second eps searches no part again
+_PART_MINIMA = weakref.WeakKeyDictionary()
+
+
+def _part_minimizers(part, qs, X):
+    """Local minimizers of q -> part(q, x) located on the slope grid qs, one
+    row per position x in X, padded with NaN (see grid_minimizers). A part
+    whose values do not broadcast against the positions does not depend on
+    them, as SlopeLipschitzTable assumes too: one row serves every position
+    and is cached per part and slope grid. Other parts are searched at each
+    distinct position."""
+    xs, inv = np.unique(X, return_inverse=True)
+    if np.shape(part.fn(qs, xs[:, None])) == qs.shape:
+        per_grid = _PART_MINIMA.setdefault(part, {})
+        key = qs.tobytes()
+        if key not in per_grid:
+            per_grid[key] = grid_minimizers(
+                lambda q: part.fn(q, xs[:1, None]), qs, 1)
+        row = per_grid[key]
+        return np.broadcast_to(row, (X.size, row.shape[1]))
+    return grid_minimizers(lambda q: part.fn(q, xs[:, None]), qs,
+                           xs.size)[inv]
+
+
 class FatSystem:
-    """Flat-indexed residual evaluation and pseudo-time stepping."""
+    """Flat-indexed residual evaluation and pseudo-time stepping. Every
+    index set, gather and minimizer that depends only on the tube and H is
+    built here, once."""
 
     def __init__(self, H2: Hamiltonian2D, dom: FatDomain):
         self.H2 = H2
@@ -281,8 +315,8 @@ class FatSystem:
         self.X1 = dom.x1[I]
         self.X2 = dom.x2[J]
         self.iE, self.iW, self.iN, self.iS = dom.chain.nbrs
-        has_e, has_w = self.iE >= 0, self.iW >= 0
-        has_n, has_s = self.iN >= 0, self.iS >= 0
+        self.has_nbr = dom.chain.nbrs >= 0
+        has_e, has_w, has_n, has_s = self.has_nbr
         if np.any(~has_e & ~has_w) or np.any(~has_n & ~has_s):
             raise ValueError("tube thinner than one cell somewhere")
         # per-component stencil mode: 0 both neighbors, 1 missing outward
@@ -290,7 +324,6 @@ class FatSystem:
         # q in [-P, p+]
         self.mode1 = np.where(has_e & has_w, 0, np.where(has_w, 1, 2))
         self.mode2 = np.where(has_n & has_s, 0, np.where(has_s, 1, 2))
-        self.I, self.J = I, J
 
         P = H2.coercivity_bound
         self.P = P
@@ -323,40 +356,59 @@ class FatSystem:
         self.inner, self.side1, self.side2, self.corner = (
             np.nonzero(sel)[0]
             for sel in (~on1 & ~on2, on1 & ~on2, ~on1 & on2, on1 & on2))
+        s0, s1, s2, c = self.inner, self.side1, self.side2, self.corner
+        self.inner_at = (self.X1[s0], self.X2[s0])
+        # the residual's one batch of interval minima: the side rows, then
+        # the four edges of every corner's slope box
+        self.cells = np.concatenate([s1, s2, c, c, c, c])
+        self.along1 = np.repeat([True, False, True, False],
+                                [s1.size, s2.size, 2 * c.size, 2 * c.size])
+        self.batch_at = (self.X1[self.cells][:, None],
+                         self.X2[self.cells][:, None], self.along1[:, None])
         if H2.parts:
-            # along each slope a max form's local minimizers are its part's,
-            # found at every cell's position; in a corner's box, pairs of both
-            self.part_minima = mins = []
-            for part, X in zip(H2.parts, (self.X1, self.X2)):
-                xs, inv = np.unique(X, return_inverse=True)
-                mins.append(grid_minimizers(lambda q: part.fn(q, xs[:, None]),
-                                            self.qs, xs.size)[inv])
-            c = self.corner
-            q1 = np.repeat(mins[0][c], mins[1].shape[1], axis=1)
-            q2 = np.tile(mins[1][c], mins[0].shape[1])
+            # along each slope a max form's local minimizers are its part's;
+            # in a corner's box, pairs of both
+            m1, m2 = (_part_minimizers(part, self.qs, X) for part, X in
+                      zip(H2.parts, (self.X1, self.X2)))
+            a1 = self.batch_at[2]
+            self.batch_minima = np.hstack(
+                [np.where(a1, m1[self.cells], np.nan),
+                 np.where(a1, np.nan, m2[self.cells])])
+            q1 = np.repeat(m1[c], m2.shape[1], axis=1)
+            q2 = np.tile(m2[c], m1.shape[1])
             self.corner_minima = (q1, q2, H2.fn(q1, q2, self.X1[c][:, None],
                                                 self.X2[c][:, None]))
         else:
+            self.batch_minima = None
             self.corner_minima = self._corner_minima()
+        # _slopes gathers each E/W/N/S neighbour from the state with a NaN
+        # appended, at index count where the neighbour is missing
+        self.nbr_at = np.where(self.has_nbr, dom.chain.nbrs, self.count)
+        # the inward-admissible intervals' rows without an outward neighbour
+        self.out1, self.out2 = self.mode1 == 1, self.mode2 == 1
+        # _jacobian's colouring: cell (I, J) has colour (I + 2J) mod 5, its
+        # E/W/N/S neighbours the colours one and two steps either side
+        colour = (I + 2 * J) % 5
+        k = np.arange(self.count)
+        self.colour_at = (colour, k)
+        self.nbr_colour_at = ((colour + np.array([[1], [-1], [2], [-2]])) % 5,
+                              k)
+        self.perturbations = np.where(colour == np.arange(5)[:, None],
+                                      FD_STEP, 0.0)
 
     # -- helpers ------------------------------------------------------------
 
-    def _neighbor(self, u, idx):
-        return np.where(idx >= 0, u[np.maximum(idx, 0)], np.nan)
-
-    def _joint_min(self, cells, along1, lo, hi, other):
-        """min over q in [lo, hi] of H at the cells, q standing for p1 where
-        along1 holds and for p2 elsewhere, the other slope fixed at other;
-        without parts one grid search serves every entry."""
+    def _joint_min(self, lo, hi, other):
+        """min over q in [lo, hi] of H at the batch's cells, q standing for
+        p1 where along1 holds and for p2 elsewhere, the other slope fixed at
+        other; without parts one grid search serves every entry."""
         fn = self.H2.fn
-        x1, x2 = self.X1[cells][:, None], self.X2[cells][:, None]
-        a1, o = along1[:, None], other[:, None]
+        x1, x2, a1 = self.batch_at
+        o = other[:, None]
         f = lambda q: fn(np.where(a1, q, o), np.where(a1, o, q), x1, x2)
-        if self.H2.parts:
-            m1, m2 = (pm[cells] for pm in self.part_minima)
-            m = np.hstack([np.where(a1, m1, np.nan), np.where(a1, np.nan, m2)])
-        else:
-            m = grid_minimizers(f, self.qs, cells.size)
+        m = self.batch_minima
+        if m is None:
+            m = grid_minimizers(f, self.qs, self.cells.size)
         return interval_min(f, lo, hi, m)
 
     def _corner_minima(self):
@@ -388,47 +440,43 @@ class FatSystem:
         """One-sided slopes (p1-, p1+, p2-, p2+) clipped to the span, NaN
         where the neighbour is missing."""
         h, S = self.dom.h2, self.span
-        uE, uW, uN, uS = (self._neighbor(u, i)
-                          for i in (self.iE, self.iW, self.iN, self.iS))
-        return (np.clip(np.where(self.iW >= 0, (u - uW) / h, np.nan), -S, S),
-                np.clip(np.where(self.iE >= 0, (uE - u) / h, np.nan), -S, S),
-                np.clip(np.where(self.iS >= 0, (u - uS) / h, np.nan), -S, S),
-                np.clip(np.where(self.iN >= 0, (uN - u) / h, np.nan), -S, S))
+        uE, uW, uN, uS = np.append(u, np.nan)[self.nbr_at]
+        return (np.clip((u - uW) / h, -S, S), np.clip((uE - u) / h, -S, S),
+                np.clip((u - uS) / h, -S, S), np.clip((uN - u) / h, -S, S))
 
-    def required_theta(self, u):
-        """[theta1, theta2] per cell: bounds of |dH/dp_k| over the cell's
-        slope range in direction k, padded by edge.THETA_PAD."""
-        p1m, p1p, p2m, p2p = self._slopes(u)
+    def _theta(self, slopes):
+        p1m, p1p, p2m, p2p = slopes
         return [tab.range_max(np.fmin(a, b) - THETA_PAD,
                               np.fmax(a, b) + THETA_PAD)
                 for tab, a, b in ((self.tab1, p1m, p1p),
                                   (self.tab2, p2m, p2p))]
 
+    def required_theta(self, u):
+        """[theta1, theta2] per cell: bounds of |dH/dp_k| over the cell's
+        slope range in direction k, padded by edge.THETA_PAD."""
+        return self._theta(self._slopes(u))
+
     def residual(self, u, theta=None):
         P = self.P
-        p1m, p1p, p2m, p2p = self._slopes(u)
-        th1, th2 = self.required_theta(u) if theta is None else theta
+        slopes = p1m, p1p, p2m, p2p = self._slopes(u)
+        th1, th2 = self._theta(slopes) if theta is None else theta
         # inward-admissible slope intervals: [p-, P] without the outward
         # neighbour, [-P, p+] without the inward one
-        lo1 = np.where(self.mode1 == 1, p1m, -P)
-        hi1 = np.maximum(np.where(self.mode1 == 1, P, p1p), lo1)
-        lo2 = np.where(self.mode2 == 1, p2m, -P)
-        hi2 = np.maximum(np.where(self.mode2 == 1, P, p2p), lo2)
+        lo1 = np.where(self.out1, p1m, -P)
+        hi1 = np.maximum(np.where(self.out1, P, p1p), lo1)
+        lo2 = np.where(self.out2, p2m, -P)
+        hi2 = np.maximum(np.where(self.out2, P, p2p), lo2)
         a1, a2 = 0.5 * (p1m + p1p), 0.5 * (p2m + p2p)
         lf1, lf2 = 0.5 * th1 * (p1p - p1m), 0.5 * th2 * (p2p - p2m)
 
-        fn, X1, X2 = self.H2.fn, self.X1, self.X2
         s0, s1, s2, c = self.inner, self.side1, self.side2, self.corner
         F = np.empty(self.count)
-        F[s0] = fn(a1[s0], a2[s0], X1[s0], X2[s0]) - lf1[s0] - lf2[s0]
-        # one batch: the side rows, then the four edges of every
-        # corner's slope box
+        F[s0] = (self.H2.fn(a1[s0], a2[s0], *self.inner_at)
+                 - lf1[s0] - lf2[s0])
         n1, n2 = s1.size, s1.size + s2.size
-        cells = np.concatenate([s1, s2, c, c, c, c])
-        along1 = np.repeat([True, False, True, False],
-                           [s1.size, s2.size, 2 * c.size, 2 * c.size])
+        cells, along1 = self.cells, self.along1
         m = self._joint_min(
-            cells, along1, np.where(along1, lo1[cells], lo2[cells]),
+            np.where(along1, lo1[cells], lo2[cells]),
             np.where(along1, hi1[cells], hi2[cells]),
             np.concatenate([a2[s1], a1[s2], lo2[c], hi2[c], lo1[c], hi1[c]]))
         F[s1] = m[:n1] - lf2[s1]
@@ -479,19 +527,14 @@ def _jacobian(sys_, u, theta):
     magnitudes), because differences across a kink of H can otherwise leave
     negative diagonals. Colouring cell (I, J) by (I + 2J) mod 5 gives the
     five cells of every stencil five distinct colours, so one perturbation
-    per colour yields every column."""
-    colour = (sys_.I + 2 * sys_.J) % 5
+    per colour yields every column; FatSystem builds the colouring."""
     D = np.empty((5, sys_.count))
-    for c in range(5):
-        e = np.where(colour == c, FD_STEP, 0.0)
+    for c, e in enumerate(sys_.perturbations):
         Rp, _ = sys_.residual(u + e, theta)
         Rm, _ = sys_.residual(u - e, theta)
         D[c] = (Rp - Rm) / (2.0 * FD_STEP)
-    k = np.arange(sys_.count)
-    shift = np.array([[1], [-1], [2], [-2]])
-    off = np.where(sys_.dom.chain.nbrs >= 0,
-                   np.minimum(D[(colour + shift) % 5, k], 0.0), 0.0)
-    return np.maximum(D[colour, k], 1.0 - off.sum(axis=0)), off
+    off = np.where(sys_.has_nbr, np.minimum(D[sys_.nbr_colour_at], 0.0), 0.0)
+    return np.maximum(D[sys_.colour_at], 1.0 - off.sum(axis=0)), off
 
 
 def solve_fat_state_constraint(H2, dom, params=None):
@@ -592,6 +635,10 @@ def fattening_study(H2, eps_list, a1=1.0, a2=1.0, h2_over_eps=0.125,
     prob = make_junction_problem(
         [EdgeSpec(a1, n_1d, sc), EdgeSpec(a2, n_1d, sc)], [H1r, H2r])
     u_hat, rep_hat = solve_junction_direct(prob, solver_params)
+    # the reference's discretizations, whose tables its solve has built,
+    # check the reduced equations on the traces' interior rows
+    ref_discs = [EdgeDiscretization(H, e, "external")
+                 for H, e in zip(prob.hamiltonians, prob.edges)]
 
     records = []
     for eps in eps_arr:
@@ -602,14 +649,11 @@ def fattening_study(H2, eps_list, a1=1.0, a2=1.0, h2_over_eps=0.125,
 
         err = 0.0
         red_res = []
-        for tr, Hr, g_ref, e_ref in zip(
-                traces, (H1r, H2r), u_hat.per_edge, prob.edges):
-            x_ref = e_ref.grid()
+        for tr, g_ref, disc in zip(traces, u_hat.per_edge, ref_discs):
             x_tr = tr.edge.grid() + 0.0  # both end at 0 by construction
-            interp = np.interp(x_tr, x_ref, g_ref.values)
+            interp = np.interp(x_tr, disc.x, g_ref.values)
             err = max(err, float(np.max(np.abs(tr.values - interp))))
-            disc = EdgeDiscretization(Hr, tr.edge, "external")
-            R, _ = disc.residual(tr.values)
+            R, _ = disc.on_edge(tr.edge).residual(tr.values)
             red_res.append(float(np.max(np.abs(R[1:-1]))))
 
         node_val = traces[0].values[-1]

@@ -62,7 +62,7 @@ from __future__ import annotations
 import copy
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -216,7 +216,8 @@ class JunctionDiscretization(FlatLayout):
     def coarsened(self, factor):
         """The same junction with every edge's cell count divided by factor."""
         c = copy.copy(self)
-        c.discs = [d.coarsened(d.edge.n_cells // factor) for d in self.discs]
+        c.discs = [d.on_edge(replace(d.edge, n_cells=d.edge.n_cells // factor))
+                   for d in self.discs]
         c.lay_out([d.edge for d in c.discs])
         return c
 

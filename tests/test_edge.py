@@ -63,7 +63,8 @@ class TestEdgeTables:
         assert owned.theta_tab is pinned.theta_tab
         assert owned.env_node is pinned.env_node
         assert pinned.env_node is not None
-        assert pinned.coarsened(16).theta_tab is pinned.theta_tab
+        assert pinned.on_edge(ed.EdgeSpec(1.0, 16)).theta_tab \
+            is pinned.theta_tab
 
     def test_new_level_gets_new_tables(self):
         H = hm.make_builtin("abs_shift", b=0.1, c=1.0)
@@ -155,6 +156,20 @@ class TestSolveEdge:
         u, rep = ed.solve_edge(h_abs, spec400, ed.Dirichlet(2.0))
         assert "dirichlet_not_attained" in rep.flags
         assert np.max(np.abs(u.values - 1.0)) <= 1e-2
+
+    def test_hidden_state_constraint_solve_reported(self, h_abs, h_quad):
+        # without sc_value the Dirichlet solve first solves the state
+        # constraint problem; its steps and flags are reported too
+        spec = ed.EdgeSpec(1.0, 100)
+        sc_g, sc = ed.solve_edge(h_abs, spec, ed.StateConstraint())
+        _, own = ed.solve_edge(h_abs, spec, ed.Dirichlet(0.0),
+                               sc_value=sc_g.node_value)
+        _, both = ed.solve_edge(h_abs, spec, ed.Dirichlet(0.0))
+        assert both.iterations == sc.iterations + own.iterations
+        capped = ed.SolverParams(max_iters=1)
+        _, rep = ed.solve_edge(h_quad, spec, ed.Dirichlet(-5.0), capped)
+        # both solves hit the cap, which the report names once
+        assert rep.flags.count("max_iters") == 1
 
     def test_far_dirichlet(self, h_abs):
         # rising branch from u(-1) = 0: u + u_x - 1 = 0 gives

@@ -283,6 +283,54 @@ class TestStudy:
             ft.fattening_study(H2_max, [0.1, 0.2])
 
 
+def _fatten_max_form():
+    # fatten_max's, built anew so that no cache holds its parts yet
+    return hm.max_form_2d(hm.make_builtin("abs_shift", c=1.0),
+                          hm.make_builtin("abs_shift", c=2.0))
+
+
+class TestStudyCost:
+    def test_tables_built_for_reference_edges_only(self, monkeypatch):
+        # the traces' reduced residuals read the reference's tables
+        built, real = [], ed._edge_tables
+
+        def spy(H, edge):
+            if edge not in ed._TABLES.get(H, {}):
+                built.append(edge)
+            return real(H, edge)
+
+        monkeypatch.setattr(ed, "_edge_tables", spy)
+        ft.fattening_study(_fatten_max_form(), [0.2, 0.1], n_1d=80)
+        assert built == [ed.EdgeSpec(1.0, 80, ed.StateConstraint())] * 2
+
+    def test_part_minimizers_searched_once_per_part(self, monkeypatch):
+        rows, real = [], ft.grid_minimizers
+        monkeypatch.setattr(ft, "grid_minimizers", lambda f, qs, n: (
+            rows.append(n), real(f, qs, n))[1])
+        H2 = _fatten_max_form()
+        ft.fattening_study(H2, [0.2, 0.1], n_1d=80)
+        assert rows == [1, 1]
+        # the one row is what a search at every position finds
+        sys_ = ft.FatSystem(H2, ft.build_fat_domain(1.0, 1.0, 0.1, 0.0125))
+        for part, X in zip(H2.parts, (sys_.X1, sys_.X2)):
+            xs = np.unique(X)
+            each = real(lambda q: part.fn(q, xs[:, None]), sys_.qs, xs.size)
+            assert np.array_equal(ft._part_minimizers(part, sys_.qs, xs),
+                                  each, equal_nan=True)
+
+    def test_x_dependent_part_searched_per_position(self, monkeypatch):
+        rows, real = [], ft.grid_minimizers
+        monkeypatch.setattr(ft, "grid_minimizers", lambda f, qs, n: (
+            rows.append(n), real(f, qs, n))[1])
+        H2 = hm.max_form_2d(hm.parse_expression("abs(p)-1+0.2*sin(3*x)"),
+                            hm.make_builtin("abs_shift", c=2.0))
+        ft.fattening_study(H2, [0.2, 0.1], n_1d=80, h2_over_eps=0.25)
+        # per eps, one row per position of the first part; the second
+        # part's one row serves both
+        assert len(rows) == 3 and rows[1] == 1
+        assert rows[0] > 1 and rows[2] > rows[0]
+
+
 class TestSchemeProperties:
     def test_interior_monotonicity(self, H2_max):
         rng = np.random.default_rng(5)

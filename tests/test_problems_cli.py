@@ -345,6 +345,29 @@ class TestCli:
             assert row["error"] == pytest.approx(
                 float(np.max(np.abs(g.values - exact))), abs=1e-12)
 
+    def test_convergence_closed_form_needs_zero_slope_far_end(self,
+                                                            tmp_path):
+        # c0 + (c - c0) e^x solves only the Neumann(0) and state-constraint
+        # far ends; a Dirichlet(0.5) one is compared with the 2n solve
+        data = minimal_problem()
+        data["edges"][0]["far_bc"] = {"kind": "dirichlet", "value": 0.5}
+        prob = tmp_path / "p.json"
+        write_problem(data, prob)
+        out = tmp_path / "out"
+        assert run_cli(["convergence", "--problem", str(prob), "--out",
+                        str(out), "--grids", "50,100"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["convergence"]["analytic"] is False
+        assert all(r["error"] <= 2e-2 for r in report["convergence"]["rows"])
+
+    def test_convergence_reports_failed_solves(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli(["convergence", "--problem",
+                        os.path.join(FIXTURES, "junction_abs12.json"),
+                        "--out", str(out), "--max-iters", "1"]) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert "max_iters" in report["flags"]
+
     def test_non_convergence_exit_code(self, tmp_path):
         data = minimal_problem()
         prob = tmp_path / "p.json"
