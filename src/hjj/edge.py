@@ -459,17 +459,25 @@ class EdgeDiscretization:
                 + excess(pm) + excess(-pp)
         return r if r.shape else float(r)
 
-    def gauss_seidel_sweep(self, u, tol):
-        """One forward+backward Godunov sweep solving each free row's nodal
-        equation to 0.1 tol by _solve_increasing, which evaluates
-        nodal_residual at a value and its two difference neighbours in
-        one call per Newton step; the junction solver owns the node row."""
+    def gauss_seidel_sweep(self, u, tol, forward, start):
+        """One Godunov Gauss-Seidel pass over the free rows in place, far
+        end -> node when forward, node -> far end otherwise; the junction
+        solver owns the node row. Each row's nodal equation is solved to
+        0.1 tol by _solve_increasing, which evaluates nodal_residual at a
+        value and its two difference neighbours in one call per Newton
+        step. In a forward pass a row that still holds the start level
+        starts its solve from its upwind neighbour's slope extrapolation,
+        min(start, 2 u_{j-1} - u_{j-2}), or u_0 at row 1, instead of from
+        start; the row's root is unique, so only the solve's path changes."""
         n = self.edge.n_cells
-        for j in list(range(n)) + list(range(n - 1, -1, -1)):
-            if not self.pinned[j]:
-                u[j] = _solve_increasing(
-                    lambda w: self.nodal_residual(u, j, w), u[j], 0.1 * tol)
-        return u
+        for j in range(n) if forward else range(n - 1, -1, -1):
+            if self.pinned[j]:
+                continue
+            v0 = u[j]
+            if forward and j and v0 == start:
+                v0 = min(start, 2.0 * u[j - 1] - u[j - 2] if j > 1 else u[0])
+            u[j] = _solve_increasing(
+                lambda w: self.nodal_residual(u, j, w), v0, 0.1 * tol)
 
 
 def _value_and_slope(f, p, x):

@@ -16,9 +16,10 @@ unique (Crandall & Lions, Math. Comp. 1984; Oberman, SIAM J. Numer. Anal.
 the local minima of H inside it. Every row of a residual is one batch. A
 max form's local minimizers are its parts', found when FatSystem is built:
 once per part that does not depend on x, cached with the part for every
-later system, and per cell position otherwise. Other 2-D H are searched on
-a fixed slope grid in each batch. FatSystem builds every index set and
-gather of the residual, and the Jacobian's colouring, once.
+later system, and per cell position otherwise; such a max form's slope
+tables are cached with it too. Other 2-D H are searched on a fixed slope
+grid in each batch. FatSystem builds every index set and gather of the
+residual, and the Jacobian's colouring, once.
 
 solve_fat_state_constraint reaches the fixed point by junction.newton,
 damped semismooth Newton (Howard's algorithm) at fixed theta, on a Jacobian
@@ -282,15 +283,27 @@ class GridFunction2D:
 _PART_MINIMA = weakref.WeakKeyDictionary()
 
 
+# the slope tables of each max form whose parts ignore x, as
+# {H2: {span: (tab1, tab2)}}: only the positions of their rows change with
+# eps, so a study's second eps builds none again
+_FAT_TABLES = weakref.WeakKeyDictionary()
+
+
+def _position_free(part, qs, xs):
+    """Whether the values of part do not broadcast against the positions
+    xs, so that it does not depend on them, as SlopeLipschitzTable
+    assumes too."""
+    return np.shape(part.fn(qs, xs[:, None])) == qs.shape
+
+
 def _part_minimizers(part, qs, X):
     """Local minimizers of q -> part(q, x) located on the slope grid qs, one
-    row per position x in X, padded with NaN (see grid_minimizers). A part
-    whose values do not broadcast against the positions does not depend on
-    them, as SlopeLipschitzTable assumes too: one row serves every position
-    and is cached per part and slope grid. Other parts are searched at each
-    distinct position."""
+    row per position x in X, padded with NaN (see grid_minimizers). For a
+    _position_free part one row serves every position and is cached per
+    part and slope grid. Other parts are searched at each distinct
+    position."""
     xs, inv = np.unique(X, return_inverse=True)
-    if np.shape(part.fn(qs, xs[:, None])) == qs.shape:
+    if _position_free(part, qs, xs):
         per_grid = _PART_MINIMA.setdefault(part, {})
         key = qs.tobytes()
         if key not in per_grid:
@@ -300,6 +313,38 @@ def _part_minimizers(part, qs, X):
         return np.broadcast_to(row, (X.size, row.shape[1]))
     return grid_minimizers(lambda q: part.fn(q, xs[:, None]), qs,
                            xs.size)[inv]
+
+
+def _slope_tables(H2, dom, S):
+    """The Lipschitz tables of H2 along p1 and along p2 over [-S, S], one
+    row per transverse slope of 9 in [-P, P] and position of 5 on the
+    axes of dom. For a max form whose parts are _position_free the
+    positions change no value, so the tables are built once per H2 and
+    span and serve every domain; other H2 get them built per call."""
+    P = H2.coercivity_bound
+    qs = np.linspace(-P, P, 9)
+    pts = [(dom.x1[0], 0.0), (0.0, dom.x2[0]), (0.0, 0.0),
+           (dom.x1[0] / 2, 0.0), (0.0, dom.x2[0] / 2)]
+    # the tables pass the combo numbers as positions, one per row
+    Q, XA, XB = np.array([(q, xa, xb) for q in qs for xa, xb in pts]).T
+    shared = bool(H2.parts) and all(
+        _position_free(part, qs, X) for part, X in zip(H2.parts, (XA, XB)))
+    per_span = _FAT_TABLES.setdefault(H2, {}) if shared else {}
+    if S not in per_span:
+        fn = H2.fn
+
+        def shim1(s, idx):
+            i = idx.astype(int)
+            return fn(s, Q[i], XA[i], XB[i])
+
+        def shim2(s, idx):
+            i = idx.astype(int)
+            return fn(Q[i], s, XA[i], XB[i])
+
+        idxs = np.arange(Q.size, dtype=float)
+        per_span[S] = (SlopeLipschitzTable(shim1, idxs, span=S, samples=2048),
+                       SlopeLipschitzTable(shim2, idxs, span=S, samples=2048))
+    return per_span[S]
 
 
 class FatSystem:
@@ -328,28 +373,7 @@ class FatSystem:
         P = H2.coercivity_bound
         self.P = P
         S = 2.0 * P + 2.0
-        combos = []
-        qs = np.linspace(-P, P, 9)
-        pts = [(dom.x1[0], 0.0), (0.0, dom.x2[0]), (0.0, 0.0),
-               (dom.x1[0] / 2, 0.0), (0.0, dom.x2[0] / 2)]
-        for q in qs:
-            for (xa, xb) in pts:
-                combos.append((q, xa, xb))
-        fn = H2.fn
-        # the tables pass the combo numbers as positions, one per row
-        Q, XA, XB = np.asarray(combos).T
-
-        def shim1(s, idx):
-            i = idx.astype(int)
-            return fn(s, Q[i], XA[i], XB[i])
-
-        def shim2(s, idx):
-            i = idx.astype(int)
-            return fn(Q[i], s, XA[i], XB[i])
-
-        idxs = np.arange(len(combos), dtype=float)
-        self.tab1 = SlopeLipschitzTable(shim1, idxs, span=S, samples=2048)
-        self.tab2 = SlopeLipschitzTable(shim2, idxs, span=S, samples=2048)
+        self.tab1, self.tab2 = _slope_tables(H2, dom, S)
         self.span = S
         self.qs = np.linspace(-S, S, N_SLOPE_GRID)
         on1, on2 = self.mode1 != 0, self.mode2 != 0

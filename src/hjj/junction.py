@@ -49,11 +49,15 @@ halved until the residual strictly decreases (a rejected trial costs one
 residual, no Jacobian), and Gauss-Seidel sweeps from the constant
 super-solution solve the coarsest level and any level on which Newton
 breaks down (flagged "newton_fallback"); the cascade goes on
-from their answer. A Lax-Friedrichs breakdown ends the solve unconverged
-(flagged "newton_stalled"): no solve changes its scheme. Under either flux
-the rows have unit row sums and non-positive off-diagonals, so a state
-whose residual is at most tol lies within tol of the scheme's fixed point:
-the residual certifies the answer without a second solve to compare
+from their answer. A sweep passes forward over every edge, solves the
+node row, and passes back over every edge, so the node value travels
+outward in the same sweep; the first forward pass starts each row from
+its upwind neighbour's slope extrapolation (see _sweeps). A
+Lax-Friedrichs breakdown ends the solve unconverged (flagged
+"newton_stalled"): no solve changes its scheme. Under either flux the
+rows have unit row sums and non-positive off-diagonals, so a state whose
+residual is at most tol lies within tol of the scheme's fixed point: the
+residual certifies the answer without a second solve to compare
 against.
 """
 
@@ -551,9 +555,18 @@ def _cascade(jd, params, flux):
 
 def _sweeps(jd, tol):
     """Godunov Gauss-Seidel sweeps from the constant super-solution, which
-    they descend from. Returns (us, u0, sweeps, residual, flag) with flag
-    None, "sweep_stalled" or "max_iters" (MAX_SWEEPS reached)."""
-    z = jd.pin(np.full(jd.size, max(d.super_level for d in jd.discs)))
+    they descend from. A sweep is the forward pass of every edge (far end
+    -> node), then the node row's solve, then the backward pass of every
+    edge (node -> far end), which carries the new node value outward, so
+    information follows the characteristics both ways, as in fast
+    sweeping (Zhao, Math. Comp. 2005). In the first forward pass each row
+    starts its nodal solve from its upwind neighbour's slope extrapolation
+    instead of the super-solution level (see
+    EdgeDiscretization.gauss_seidel_sweep). Returns (us, u0, sweeps,
+    residual, flag) with flag None, "sweep_stalled" or "max_iters"
+    (MAX_SWEEPS reached)."""
+    level = max(d.super_level for d in jd.discs)
+    z = jd.pin(np.full(jd.size, level))
     us, u0 = jd.split(z), float(z[-1])
     sweeps = 0
     res = np.inf
@@ -561,12 +574,14 @@ def _sweeps(jd, tol):
     stall = 0
     while sweeps < MAX_SWEEPS:
         for d, u in zip(jd.discs, us):
-            d.gauss_seidel_sweep(u, tol)
+            d.gauss_seidel_sweep(u, tol, forward=True, start=level)
         if jd.node_pin is None:
             u0 = _solve_increasing(
                 lambda v: jd.node_residual(us, v), u0, 0.1 * tol)
             for u in us:
                 u[-1] = u0
+        for d, u in zip(jd.discs, us):
+            d.gauss_seidel_sweep(u, tol, forward=False, start=level)
         sweeps += 1
         Rs, r0 = jd.residuals(us, u0, flux="godunov")
         res = jd.max_residual(Rs, r0)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -317,6 +319,28 @@ class TestStudyCost:
             each = real(lambda q: part.fn(q, xs[:, None]), sys_.qs, xs.size)
             assert np.array_equal(ft._part_minimizers(part, sys_.qs, xs),
                                   each, equal_nan=True)
+
+    @pytest.mark.parametrize("src, builds", [
+        (None, 2), ("abs(p)-1+0.2*sin(3*x)", 4)], ids=["x-free", "x-dependent"])
+    def test_slope_tables_built_once_per_max_form(self, monkeypatch, src,
+                                                  builds):
+        # a max form of x-free parts builds its two tables for the first
+        # eps only; one whose part depends on x builds them for each eps
+        built, real = [], ft.SlopeLipschitzTable
+        monkeypatch.setattr(ft, "SlopeLipschitzTable", lambda *a, **k: (
+            built.append(k["span"]), real(*a, **k))[1])
+        H2 = _fatten_max_form() if src is None else hm.max_form_2d(
+            hm.parse_expression(src), hm.make_builtin("abs_shift", c=2.0))
+        ft.fattening_study(H2, [0.2, 0.1], n_1d=80, h2_over_eps=0.25)
+        assert len(built) == builds
+        # the shared tables are bit for bit the ones the second eps builds
+        dom = ft.build_fat_domain(1.0, 1.0, 0.1, 0.025)
+        shared = ft.FatSystem(H2, dom)
+        monkeypatch.setattr(ft, "_FAT_TABLES", weakref.WeakKeyDictionary())
+        own = ft.FatSystem(H2, dom)
+        for a, b in ((shared.tab1, own.tab1), (shared.tab2, own.tab2)):
+            assert a.L.tobytes() == b.L.tobytes()
+            assert a.global_max == b.global_max
 
     def test_x_dependent_part_searched_per_position(self, monkeypatch):
         rows, real = [], ft.grid_minimizers

@@ -662,11 +662,11 @@ _JUNCTION_FAMILIES = (
 
 
 @st.composite
-def _parsed_hamiltonians(draw):
-    """An x-dependent parsed Hamiltonian: a double well, a min of two
-    kinks (both non-convex) or a shifted quadratic."""
+def _parsed_hamiltonians(draw, forms=_JUNCTION_FAMILIES):
+    """An x-dependent parsed Hamiltonian of forms: by default a double
+    well, a min of two kinks (both non-convex) or a shifted quadratic."""
     coef = lambda lo, hi: f"{draw(st.floats(lo, hi)):.3f}"
-    form = draw(st.sampled_from(_JUNCTION_FAMILIES))
+    form = draw(st.sampled_from(forms))
     return form.format(a=coef(0.5, 1.5), b=coef(-0.2, 1.2),
                        c=coef(0.3, 1.2), s=coef(0.0, 0.4), w=coef(1.0, 4.0))
 
@@ -693,6 +693,73 @@ def test_direct_and_constructive_agree_on_parsed_junctions(srcs, n, far):
     gap = max(abs(jn.compare_grid_functions(direct, constructive)),
               abs(jn.compare_grid_functions(constructive, direct)))
     assert gap <= max(5e-2, 3.0 / np.sqrt(n))
+
+
+def _counted_nodal_solves(monkeypatch):
+    """Count the nodal_residual calls of every nodal solve of the sweeps:
+    returns the list that gets one count per _solve_increasing call of an
+    edge row."""
+    calls = []
+    nodal = ed.EdgeDiscretization.nodal_residual
+
+    def counted(self, u, j, v):
+        calls[-1] += 1
+        return nodal(self, u, j, v)
+
+    def solve(f, v0, tol, solve=ed._solve_increasing):
+        calls.append(0)
+        return solve(f, v0, tol)
+
+    monkeypatch.setattr(ed.EdgeDiscretization, "nodal_residual", counted)
+    monkeypatch.setattr(ed, "_solve_increasing", solve)
+    return calls
+
+
+class TestSweeps:
+    @pytest.mark.parametrize("hams, budget", [
+        ((("double_well", -2.0, 0.3), ("abs_shift", 0.0, 1.2)), 130),
+        ((("double_well", -2.0, 0.3),), 80),
+    ], ids=["dwell+abs", "dwell-edge"])
+    def test_one_sweep_from_the_upwind_start(self, monkeypatch, hams,
+                                             budget):
+        # the forward passes, the node solve and the backward passes solve
+        # a K = 2 level in one sweep, and the first forward pass starts
+        # each row next to its root rather than 1e4 above it
+        e = ed.EdgeSpec(1.0, 12, far_bc=ed.StateConstraint())
+        prob = jn.make_junction_problem(
+            [e] * len(hams),
+            [hm.make_builtin(f, b=b, c=c) for f, b, c in hams])
+        jd = jn.JunctionDiscretization(prob)
+        calls = _counted_nodal_solves(monkeypatch)
+        us, u0, sweeps, res, flag = jn._sweeps(jd, 1e-6)
+        assert (sweeps, flag) == (1, None) and res <= 1e-6
+        assert sum(calls) <= budget
+
+
+_NONCONVEX_FAMILIES = _JUNCTION_FAMILIES[:2]
+
+
+@settings(max_examples=40)
+@given(edges=st.lists(st.tuples(_parsed_hamiltonians(_NONCONVEX_FAMILIES),
+                                st.integers(8, 15),
+                                st.sampled_from([ed.StateConstraint(),
+                                                 ed.Neumann(0.0)])),
+                      min_size=1, max_size=3))
+def test_sweeps_solve_parsed_nonconvex_levels(edges):
+    # the sweeps alone solve a coarsest-size non-convex level: no flag, a
+    # Godunov residual within tol, and every nodal solve well inside its
+    # 100-step cap
+    tol = 1e-8
+    prob = jn.make_junction_problem(
+        [ed.EdgeSpec(1.0, n, far_bc=far) for _, n, far in edges],
+        [hm.make_builtin("expression", src=src) for src, _, _ in edges])
+    jd = jn.JunctionDiscretization(prob)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counted_nodal_solves(mp)
+        us, u0, sweeps, res, flag = jn._sweeps(jd, tol)
+    assert flag is None
+    assert jd.max_residual(*jd.residuals(us, u0, flux="godunov")) <= tol
+    assert max(calls) < 50
 
 
 _CONVEX_FORMS = (

@@ -479,7 +479,7 @@ class TestCli:
             # 60 sweeps without progress; the constant edge values and the
             # solved node value overrun the Lipschitz bound too
             monkeypatch.setattr(ed.EdgeDiscretization, "gauss_seidel_sweep",
-                                lambda self, u, tol: u)
+                                lambda self, u, tol, forward, start: None)
             dwell["edges"][0]["n_cells"] = 12
             data = dwell
             expect = (["sweep_stalled", "lipschitz_exceeded"], False,

@@ -15,15 +15,23 @@ imports that checkout's src/ and calls hjj.cli.main per operation:
 Then it compares, per operation, the exit codes, the output file names,
 report.json with the run-dependent fields removed (every "timings",
 "wall_time" and "problem_path" key, and the "seconds" of each verify
-check), and every CSV byte for byte. It prints one line per difference
-and exits 1 if there is any, 0 otherwise.
+check), and every CSV byte for byte. It prints one line per difference, with
+the largest absolute difference of each CSV that differs, and exits 1 if
+there is any, 0 otherwise. Its summary ends with the largest absolute
+difference over all numeric fields: every CSV cell and every report.json
+number that is not an integer on both sides (integers are counts, such as
+iterations, and show on their own lines). A move at rounding level reads
+as one; a CSV whose shape or text cells differ counts as inf.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import importlib.util
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -121,8 +129,11 @@ def _strip(value, in_checks=False):
     return value
 
 
-def _json_diffs(a, b, path="report"):
-    """One line per leaf where the two JSON values differ."""
+def _json_diffs(a, b, path="report", worst=None):
+    """One line per leaf where the two JSON values differ; worst, a
+    one-element list, is raised to the absolute difference of every
+    differing pair of numbers that are not both integers."""
+    worst = [0.0] if worst is None else worst
     if isinstance(a, dict) and isinstance(b, dict):
         out = []
         for k in sorted(set(a) | set(b)):
@@ -130,15 +141,41 @@ def _json_diffs(a, b, path="report"):
                 out.append(f"{path}.{k}: only in "
                            f"{'parent' if k in a else 'change'}")
             else:
-                out += _json_diffs(a[k], b[k], f"{path}.{k}")
+                out += _json_diffs(a[k], b[k], f"{path}.{k}", worst)
         return out
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         return [d for i, (x, y) in enumerate(zip(a, b))
-                for d in _json_diffs(x, y, f"{path}[{i}]")]
-    return [] if a == b else [f"{path}: {a!r} != {b!r}"]
+                for d in _json_diffs(x, y, f"{path}[{i}]", worst)]
+    if a == b:
+        return []
+    number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+    if number(a) and number(b) and not (isinstance(a, int)
+                                        and isinstance(b, int)):
+        worst[0] = max(worst[0], abs(a - b))
+    return [f"{path}: {a!r} != {b!r}"]
 
 
-def _compare(label, code_a, code_b, dir_a, dir_b):
+def _csv_difference(a, b):
+    """The largest absolute difference between the cells of two CSV texts,
+    inf where their shapes or text cells differ."""
+    rows_a, rows_b = (list(csv.reader(io.StringIO(t.decode())))
+                      for t in (a, b))
+    if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return math.inf
+    worst = 0.0
+    for row_a, row_b in zip(rows_a, rows_b):
+        for x, y in zip(row_a, row_b):
+            if x != y:
+                try:
+                    worst = max(worst, abs(float(x) - float(y)))
+                except ValueError:
+                    return math.inf
+    return worst
+
+
+def _compare(label, code_a, code_b, dir_a, dir_b, worst):
+    """The difference lines of one operation; worst, a one-element list,
+    is raised to its largest numeric difference."""
     diffs = []
     if code_a != code_b:
         diffs.append(f"exit code {code_a!r} != {code_b!r}")
@@ -152,9 +189,12 @@ def _compare(label, code_a, code_b, dir_a, dir_b):
         with open(os.path.join(dir_b, name), "rb") as f:
             b = f.read()
         if name == "report.json":
-            diffs += _json_diffs(_strip(json.loads(a)), _strip(json.loads(b)))
+            diffs += _json_diffs(_strip(json.loads(a)), _strip(json.loads(b)),
+                                 worst=worst)
         elif name.endswith(".csv") and a != b:
-            diffs.append(f"{name} differs")
+            d = _csv_difference(a, b)
+            worst[0] = max(worst[0], d)
+            diffs.append(f"{name} differs, largest difference {d:.3g}")
     return [f"{label}: {d}" for d in diffs]
 
 
@@ -177,15 +217,15 @@ def main(argv=None):
             mine = shared + ([] if args.no_samples else _sample_ops(checkout))
             ops.append(mine)
             codes.append(_run(checkout, mine, os.path.join(work, tag)))
-        lines = []
+        lines, worst = [], [0.0]
         for label, _ in ops[1]:
             lines += _compare(label, codes[0].get(label), codes[1].get(label),
                               os.path.join(work, "parent", label),
-                              os.path.join(work, "change", label))
+                              os.path.join(work, "change", label), worst)
     for line in lines:
         print(line)
-    print(f"{len(ops[1])} operations compared, {len(lines)} differences",
-          file=sys.stderr)
+    print(f"{len(ops[1])} operations compared, {len(lines)} differences, "
+          f"largest numeric difference {worst[0]:.3g}", file=sys.stderr)
     return 1 if lines else 0
 
 
