@@ -125,7 +125,7 @@ def cmd_solve_junction(args, pf, out_dir, t0):
         **_solve_fields(rep),
     }
     report["constructive"] = {
-        "node_value": solc.node_value, "converged": repc.converged,
+        "node_value": solc.node_value, **_solve_fields(repc),
     }
     report["cross_solver_gap"] = gap
     report["diagnostics"] = rp.jsonable(jn.node_diagnostics(sol, pf.problem))

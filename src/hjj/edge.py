@@ -8,10 +8,12 @@ theta_j bounding |dH/dp| over the locally encountered slope range:
 Boundary rows replace the flux with the binding-test-slope construction: at
 the junction end x = 0 the admissible test slopes are q >= p_in =
 (u_n - u_{n-1})/h and the residual uses min over q in [p_in, P] of H(q, 0);
-at the far end the mirrored prefix envelope is used. Dirichlet rows pin the
-value; a Neumann row supplies a ghost slope. pseudo_time_step, the explicit
-relaxation u <- u - dt R with dt_j = CFL * h / (theta_j + h), defines the
-scheme's monotonicity.
+at the far end the mirrored prefix envelope is used. Dirichlet data g hold
+in the viscosity sense (Barles and Perthame): the row is max(u - g, the
+state-constraint row), so u = g where the datum is attainable and the
+state-constraint answer where it lies above it. A Neumann row supplies a
+ghost slope. pseudo_time_step, the explicit relaxation u <- u - dt R with
+dt_j = CFL * h / (theta_j + h), defines the scheme's monotonicity.
 
 This module holds the edge block of that system. EdgeDiscretization.rows
 is its one row formula: it turns a state into its residual rows under
@@ -25,7 +27,7 @@ monotone scheme with its own fixed point; it agrees with Lax-Friedrichs
 to O(h) in the interior but not inside boundary layers, so every report
 names the flux that produced its answer. The driver itself lives in
 junction.py: an edge solve is a K = 1 junction whose node row is the
-state-constraint envelope or a pinned Dirichlet value.
+state-constraint envelope, or its Dirichlet row max(u - g, that row).
 """
 
 from __future__ import annotations
@@ -139,7 +141,9 @@ class SolveReport:
     Lax-Friedrichs or 2-D Newton breakdown, which ends the solve),
     "newton_fallback" (the sweeps finished a Godunov level after a Newton
     breakdown or step cap), "lipschitz_exceeded" (once, however many
-    edges overrun), "dirichlet_not_attained".
+    edges overrun), "dirichlet_not_attained" (edge.solve_edge: the answer
+    lies below its Dirichlet data by more than tol, at the node or the far
+    end).
     """
 
     iterations: int
@@ -163,8 +167,9 @@ class SolveReport:
 class SolverParams:
     """Stopping rule of the 1-D solves: tol bounds max|R| and max_iters
     caps the Newton steps; junction.MAX_SWEEPS caps the sweeps and
-    junction.MAX_GODUNOV_STEPS each Godunov level. The flux follows from
-    the Hamiltonians (see junction.solve_system)."""
+    junction.MAX_LEVEL_STEPS the Newton steps of each cascade level, under
+    either flux. The flux follows from the Hamiltonians (see
+    junction.solve_system)."""
 
     tol: float = 1e-8
     max_iters: int = 200_000
@@ -185,13 +190,6 @@ def check_stopping_rule(params):
 # ---------------------------------------------------------------------------
 # discretization context
 # ---------------------------------------------------------------------------
-
-def _pinned_rows(edge, node_bc):
-    pinned = np.zeros(edge.n_cells + 1, dtype=bool)
-    pinned[0] = isinstance(edge.far_bc, Dirichlet)
-    pinned[-1] = isinstance(node_bc, Dirichlet) or node_bc == "external"
-    return pinned
-
 
 # the slope tables, envelopes and super-solution level of each
 # (Hamiltonian, edge) pair, as {H: {EdgeSpec: tables}}; an entry goes when
@@ -218,11 +216,11 @@ def _edge_tables(H, edge):
     # constant upper barrier: u = super_level is a discrete super-solution
     qs = np.linspace(-P, P, 2049)
     hmin = float(np.min(H(qs[None, :], xs[:, None])))
-    # the node envelope is built even for a Dirichlet node: a later
+    # the node envelope is built even for an "external" node: a later
     # discretization of the same pair may own the node row
     env_node = SlopeEnvelope(H, x0=0.0, side="right")
     env_far = None
-    if isinstance(edge.far_bc, StateConstraint):
+    if not isinstance(edge.far_bc, Neumann):
         env_far = SlopeEnvelope(H, x0=float(x[0]), side="left")
     tables = (theta_tab, crit, -hmin + 1.0, env_node, env_far)
     per_edge[edge] = tables
@@ -233,10 +231,11 @@ class EdgeDiscretization:
     """Precomputed tables and residual evaluation for one edge.
 
     node_bc may be Dirichlet, StateConstraint, or the string "external"
-    (the junction solver owns the node row). The slope tables, envelopes
-    and the super-solution level depend only on the Hamiltonian and the
-    edge: they are built once per (H, edge) pair, shared by every
-    discretization of that pair, and live as long as H does."""
+    (the junction solver owns the node row, the one row an edge block does
+    not own). The slope tables, envelopes and the super-solution level
+    depend only on the Hamiltonian and the edge: they are built once per
+    (H, edge) pair, shared by every discretization of that pair, and live
+    as long as H does."""
 
     def __init__(self, H: Hamiltonian, edge: EdgeSpec, node_bc):
         self.H = H
@@ -246,7 +245,6 @@ class EdgeDiscretization:
         self.h = edge.h
         (self.theta_tab, self.crit, self.super_level, self.env_node,
          self.env_far) = _edge_tables(H, edge)
-        self.pinned = _pinned_rows(edge, node_bc)
 
     def on_edge(self, edge):
         """The same Hamiltonian and node condition on the grid of edge,
@@ -258,7 +256,6 @@ class EdgeDiscretization:
         c.edge = edge
         c.x = edge.grid()
         c.h = edge.h
-        c.pinned = _pinned_rows(edge, self.node_bc)
         return c
 
     # -- vectorized residual ------------------------------------------------
@@ -342,10 +339,12 @@ class EdgeDiscretization:
 
         Row j < n is u_j + F(p-, p+) with the slopes of _slope_pairs (pairs
         saves that pass), a state-constraint far row u_0 + env_far(p_0), a
-        state-constraint node row u_n + env_node(p_{n-1}). Pinned rows
-        report zero. theta, one value per row, is the Lax-Friedrichs
-        dissipation: F = H((p- + p+)/2) - (theta/2)(p+ - p-). The Godunov
-        flux F is that of godunov_flux and uses no theta (pass None).
+        state-constraint node row u_n + env_node(p_{n-1}); Dirichlet data g
+        make a far or node row max(u - g, its state-constraint row), and an
+        "external" node row reports zero. theta, one value per row, is the
+        Lax-Friedrichs dissipation: F = H((p- + p+)/2) - (theta/2)(p+ - p-).
+        The Godunov flux F is that of godunov_flux and uses no theta (pass
+        None).
 
         Slope arguments of H are clamped to the tabulated span unless clamp
         is False, as on the Newton path: transient slopes beyond it would
@@ -362,8 +361,9 @@ class EdgeDiscretization:
         Godunov. H, or the Godunov candidates, and env_far are then
         evaluated once each, as a value-and-slope stack. Row 0's p- is the
         Neumann ghost slope, so F_m = 0 there; at a state-constraint far
-        end F is env_far(p+), and a pinned Dirichlet far row has F_p = 0
-        too, an identity row."""
+        end F is env_far(p+), and a Dirichlet far row differentiates its
+        active branch: the identity row where u_0 - g is (ties included),
+        the state-constraint row otherwise."""
         h = self.h
         n = self.edge.n_cells
         pm, pp = pairs or self._slope_pairs(np.diff(u) / h)
@@ -388,21 +388,24 @@ class EdgeDiscretization:
                 Hbar = np.asarray(self.H(pbar, x))
             R[:-1] = u[:-1] + Hbar - 0.5 * theta[:-1] * (pp - pm)
         far = self.edge.far_bc
-        if isinstance(far, StateConstraint):
+        if not isinstance(far, Neumann):
             if partials:
                 e, Fp[0] = _value_and_slope(lambda q, x: self.env_far(q),
                                             cp[0], 0.0)
             else:
                 e = self.env_far(float(cp[0]))
             R[0] = u[0] + e
-        if isinstance(self.node_bc, StateConstraint):
+            if isinstance(far, Dirichlet) and u[0] - far.value >= R[0]:
+                R[0] = u[0] - far.value
+                if partials:
+                    Fp[0] = 0.0
+        if self.node_bc != "external":
             R[n] = u[n] + self.env_node(float(cp[-1]))
-        R[self.pinned] = 0.0
+            if isinstance(self.node_bc, Dirichlet):
+                R[n] = max(R[n], u[n] - self.node_bc.value)
         if not partials:
             return R, None
         Fm[0] = 0.0
-        if isinstance(far, Dirichlet):
-            Fp[0] = 0.0
         return R, (-Fm / h, 1.0 + (Fm - Fp) / h, Fp / h)
 
     def residual(self, u, theta=None, flux="lax_friedrichs"):
@@ -424,10 +427,7 @@ class EdgeDiscretization:
         """One Jacobi relaxation step; returns (u_new, residual, dt_min)."""
         R, th = self.residual(u, theta=theta)
         dt = CFL * self.h / (th + self.h)
-        u_new = u - dt * R
-        u_new[self.pinned] = u[self.pinned]
-        active = ~self.pinned
-        return u_new, R, float(dt[active].min()) if active.any() else 0.0
+        return u - dt * R, R, float(dt.min())
 
     # -- scalar nodal equations (Gauss-Seidel driver) -------------------------
 
@@ -438,7 +438,8 @@ class EdgeDiscretization:
 
         Slope arguments of H are clamped to the tabulated span; linear
         penalty terms keep the map strictly increasing in v (slope >= 1)
-        and finite for any candidate value."""
+        and finite for any candidate value. A Dirichlet far row is the max
+        of v - g and its state-constraint row, penalty included."""
         h = self.h
         S = self.theta_tab.span
         v = np.asarray(v, dtype=float)
@@ -452,6 +453,8 @@ class EdgeDiscretization:
                     + excess(-pp)
             else:
                 r = v + self.env_far(clamp(pp)) + excess(-pp)
+                if isinstance(far, Dirichlet):
+                    r = np.maximum(r, v - far.value)
         else:
             pm = (v - u[j - 1]) / h
             pp = (u[j + 1] - v) / h
@@ -460,7 +463,7 @@ class EdgeDiscretization:
         return r if r.shape else float(r)
 
     def gauss_seidel_sweep(self, u, tol, forward, start):
-        """One Godunov Gauss-Seidel pass over the free rows in place, far
+        """One Godunov Gauss-Seidel pass over rows 0..n-1 in place, far
         end -> node when forward, node -> far end otherwise; the junction
         solver owns the node row. Each row's nodal equation is solved to
         0.1 tol by _solve_increasing, which evaluates nodal_residual at a
@@ -471,8 +474,6 @@ class EdgeDiscretization:
         start; the row's root is unique, so only the solve's path changes."""
         n = self.edge.n_cells
         for j in range(n) if forward else range(n - 1, -1, -1):
-            if self.pinned[j]:
-                continue
             v0 = u[j]
             if forward and j and v0 == start:
                 v0 = min(start, 2.0 * u[j - 1] - u[j - 2] if j > 1 else u[0])
@@ -540,33 +541,26 @@ def solve_edge(H, edge, node_bc, params=None, sc_value=None):
     """Solve u + H(u_x, x) = 0 on the edge with the given junction-end
     condition (Dirichlet(c) or StateConstraint()).
 
-    Dirichlet data above the state-constraint value is unattainable by the
-    continuous problem; in that case the state-constraint solution is
-    returned and the report carries the flag "dirichlet_not_attained".
-    Pass sc_value (the state-constraint node value) to skip its recomputation;
-    otherwise the report counts that solve's iterations and flags too.
+    Dirichlet data hold in the viscosity sense: data above the
+    state-constraint value are not attained, and the answer there is the
+    state-constraint solution (role "state_constraint" for a node datum).
+    The report carries "dirichlet_not_attained" when the answer lies below
+    its data by more than tol, at the node or the far end. sc_value is
+    accepted and ignored.
     """
     # the edge is a K = 1 junction system; junction.py imports this module
     from .junction import JunctionProblem, solve_system
 
     params = params or SolverParams()
-    sc = None
-    if isinstance(node_bc, Dirichlet):
-        if sc_value is None:
-            sc = solve_edge(H, edge, StateConstraint(), params)
-            sc_value = sc[0].node_value
-        if node_bc.value > sc_value:
-            g, rep = sc or solve_edge(H, edge, StateConstraint(), params)
-            rep.flags = rep.flags + ("dirichlet_not_attained",)
-            return g, rep
-
     sol, rep = solve_system(JunctionProblem([edge], [H], node_bc), params)
-    if sc is not None:
-        rep.iterations += sc[1].iterations
-        rep.flags = tuple(dict.fromkeys(rep.flags + sc[1].flags))
     g = sol.per_edge[0]
-    g.role = "state_constraint" if isinstance(node_bc, StateConstraint) \
-        else "dirichlet"
+    missed = [isinstance(bc, Dirichlet) and u < bc.value - params.tol
+              for u, bc in ((g.values[-1], node_bc),
+                            (g.values[0], edge.far_bc))]
+    if any(missed):
+        rep.flags += ("dirichlet_not_attained",)
+    g.role = "dirichlet" if isinstance(node_bc, Dirichlet) and not missed[0] \
+        else "state_constraint"
     return g, rep
 
 
@@ -625,8 +619,7 @@ def check_dirichlet_structure(H, edge, c_list):
             f"every c must lie below the state-constraint value {sc0:.6g}")
     slopes, values, residuals, fds = [], [], [], []
     for c in c_arr:
-        g, rep = solve_edge(H, edge, Dirichlet(float(c)), params,
-                            sc_value=sc0)
+        g, rep = solve_edge(H, edge, Dirichlet(float(c)), params)
         s = node_slope(g)
         slopes.append(s)
         values.append(g.node_value)

@@ -13,8 +13,12 @@ node row. Its junction conditions:
     R0 = u0 + max(A, max_i min over q >= p_in_i of H_i(q, 0)), which is the
     monotone discretization of the junction condition
     u + max(A, max_i H_i^-(u_{x_i}, 0)) = 0 built from nonincreasing parts;
-  * Dirichlet: the node row is pinned. With K = 1 this and the state
-    constraint are the single-edge problems of edge.solve_edge.
+  * Dirichlet data g: R0 = u0 + max(-g, max_i min over q >= p_in_i of
+    H_i(q, 0)) = max(u0 - g, the state-constraint row), the flux-limited
+    row with floor -g. Its answer is g where g is attainable and the
+    state-constraint value where g lies above it (the viscosity sense).
+    With K = 1 this and the state constraint are the single-edge problems
+    of edge.solve_edge.
 
 R0 is nondecreasing in u0 and nonincreasing in each neighbor value, so the
 system is monotone. The constructive solver assembles the state-constraint
@@ -101,8 +105,9 @@ BREAKDOWN_GROWTH = 1e6
 MIN_STEP = 1e-3
 # Gauss-Seidel sweeps before the sweep driver gives up with "max_iters"
 MAX_SWEEPS = 3000
-# Newton steps per cascade level on the Godunov scheme before it breaks down
-MAX_GODUNOV_STEPS = 50
+# Newton steps per cascade level, under either flux: a Godunov level that
+# reaches it falls back to the sweeps, a Lax-Friedrichs one is left there
+MAX_LEVEL_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -213,8 +218,9 @@ class JunctionDiscretization(FlatLayout):
         self.discs = [EdgeDiscretization(H, e, "external")
                       for H, e in zip(problem.hamiltonians, problem.edges)]
         cond = problem.junction_condition
-        self.floor = cond.A if isinstance(cond, FluxLimited) else -np.inf
-        self.node_pin = cond.value if isinstance(cond, Dirichlet) else None
+        # the node row's floor: A, or -g for Dirichlet data g
+        self.floor = cond.A if isinstance(cond, FluxLimited) else \
+            -cond.value if isinstance(cond, Dirichlet) else -np.inf
         self.lay_out([d.edge for d in self.discs])
 
     def coarsened(self, factor):
@@ -227,20 +233,11 @@ class JunctionDiscretization(FlatLayout):
 
     # -- flat state -----------------------------------------------------------
 
-    def pin(self, z):
-        """Assign the pinned values (Dirichlet far ends and node) in place."""
-        for d, a in zip(self.discs, self.offsets):
-            if isinstance(d.edge.far_bc, Dirichlet):
-                z[a] = d.edge.far_bc.value
-        if self.node_pin is not None:
-            z[-1] = self.node_pin
-        return z
-
     def interpolate(self, coarse, zc):
         """A state of the coarser system carried to this one's grids."""
         us = [np.interp(d.x, dc.x, u) for d, dc, u in
               zip(self.discs, coarse.discs, coarse.split(zc))]
-        return self.pin(self.join(us, zc[-1]))
+        return self.join(us, zc[-1])
 
     # -- residuals --------------------------------------------------------------
 
@@ -259,13 +256,11 @@ class JunctionDiscretization(FlatLayout):
         return envs
 
     def node_residual(self, us, u0, envs=None):
-        """R0 = u0 + max(A, max_i envelope-min_i(p_in_i)) from the clamped
-        values of node_envelopes, or envs where given; a pinned node reports
-        zero. u0 is a scalar (a float back) or an array of trial node
-        values, one residual each, as the sweeps' nodal solve evaluates
-        them."""
-        if self.node_pin is not None:
-            return 0.0
+        """R0 = u0 + max(floor, max_i envelope-min_i(p_in_i)) from the
+        clamped values of node_envelopes, or envs where given, with the
+        floor A, -g for Dirichlet data g, or -inf. u0 is a scalar (a float
+        back) or an array of trial node values, one residual each, as the
+        sweeps' nodal solve evaluates them."""
         worst = self.floor
         for e in envs or self.node_envelopes(us, u0):
             worst = np.maximum(worst, e)
@@ -295,10 +290,10 @@ class JunctionDiscretization(FlatLayout):
         """The Jacobian, for solve_arrowhead, of the flat residual with
         unclamped slopes at the per-edge values us, from the edge blocks
         (sub, diag, sup) of EdgeDiscretization.rows and the node envelope
-        values envs of node_envelopes there, none for a pinned node. The
-        node row differentiates the first largest envelope, a unit row where
-        A binds or the node is pinned; only that envelope's slope is
-        evaluated."""
+        values envs of node_envelopes there. The node row differentiates
+        the first largest envelope, a unit row where the floor (A, or -g
+        for Dirichlet data) binds, ties included; only that envelope's
+        slope is evaluated."""
         slope, active = 0.0, None
         best = self.floor
         for i, e in enumerate(envs):
@@ -316,8 +311,7 @@ class JunctionDiscretization(FlatLayout):
     def newton(self, z, tol, budget, flux):
         """newton() on the flat residual with unclamped slopes under flux:
         Howard's whole step on the Lax-Friedrichs scheme, a damped one on
-        the Godunov min-max. Pinned rows are identity rows with zero
-        residual, so no step moves them.
+        the Godunov min-max.
 
         The point callback evaluates each point once: one slope pass per
         edge feeds the theta lookup, the rows and the Jacobian. On the
@@ -344,8 +338,7 @@ class JunctionDiscretization(FlatLayout):
                                                  thetas)]
             rows = [d.rows(u, th, flux, clamp=False, partials=lf, pairs=p)
                     for d, u, p, th in zip(self.discs, us, pairs, thetas)]
-            envs = [] if self.node_pin is not None else \
-                self.node_envelopes(us, z[-1], clamp=False)
+            envs = self.node_envelopes(us, z[-1], clamp=False)
             R = np.concatenate([r[:-1] for r, _ in rows]
                                + [[self.node_residual(us, z[-1], envs=envs)]])
 
@@ -491,14 +484,16 @@ def _cascade(jd, params, flux):
     8-15 cells on the smallest edge, then n/4^k, ..., n/16, n/4 above it)
     and last the finest grid.
 
-    Newton solves each level. On the Lax-Friedrichs scheme it starts the
-    coarsest level at the constant super-solution. On the Godunov scheme
-    Newton has no start on the coarsest level, because from a constant
-    Newton on the min-max flux does not converge: the sweeps solve that
-    level. They also solve any Godunov level where Newton breaks down or
-    hits its step cap, min(MAX_GODUNOV_STEPS, what is left of max_iters),
-    and the cascade goes on from their answer, flagged "newton_fallback". A
-    Lax-Friedrichs breakdown ends the solve, flagged "newton_stalled": its
+    Newton solves each level, at most min(MAX_LEVEL_STEPS, what is left of
+    max_iters) steps per level. On the Lax-Friedrichs scheme it starts the
+    coarsest level at the constant super-solution; a level that reaches
+    the step cap seeds the next one with its best point. On the Godunov
+    scheme Newton has no start on the coarsest level, because from a
+    constant Newton on the min-max flux does not converge: the sweeps solve
+    that level. They also solve any Godunov level where Newton breaks down
+    or hits its step cap, and the cascade goes on from their answer,
+    flagged "newton_fallback". A Lax-Friedrichs breakdown ends the solve,
+    flagged "newton_stalled": its
     best finite iterate is carried to the finest grid, with theta None if
     it stopped on a coarse level. On the finest grid the clamped residual
     under flux must meet tol too, or Newton has broken down there; where
@@ -517,16 +512,14 @@ def _cascade(jd, params, flux):
         if k:
             z = s.interpolate(systems[k - 1], z)
         elif flux == "lax_friedrichs":
-            z = s.pin(np.full(s.size, max(d.super_level for d in s.discs)))
+            z = np.full(s.size, max(d.super_level for d in s.discs))
         if status == "breakdown":
             # a stalled Lax-Friedrichs solve only carries its iterate up
             thetas = None
             continue
         n, status = 0, None
         if z is not None:
-            budget = params.max_iters - steps
-            if flux == "godunov":
-                budget = min(budget, MAX_GODUNOV_STEPS)
+            budget = min(params.max_iters - steps, MAX_LEVEL_STEPS)
             z, thetas, n, res, status = s.newton(z, tol, budget, flux)
             steps += n
         if s is jd and status in ("converged", "max_iters") \
@@ -566,8 +559,7 @@ def _sweeps(jd, tol):
     residual, flag) with flag None, "sweep_stalled" or "max_iters"
     (MAX_SWEEPS reached)."""
     level = max(d.super_level for d in jd.discs)
-    z = jd.pin(np.full(jd.size, level))
-    us, u0 = jd.split(z), float(z[-1])
+    us, u0 = jd.split(np.full(jd.size, level)), level
     sweeps = 0
     res = np.inf
     best = np.inf
@@ -575,11 +567,10 @@ def _sweeps(jd, tol):
     while sweeps < MAX_SWEEPS:
         for d, u in zip(jd.discs, us):
             d.gauss_seidel_sweep(u, tol, forward=True, start=level)
-        if jd.node_pin is None:
-            u0 = _solve_increasing(
-                lambda v: jd.node_residual(us, v), u0, 0.1 * tol)
-            for u in us:
-                u[-1] = u0
+        u0 = _solve_increasing(
+            lambda v: jd.node_residual(us, v), u0, 0.1 * tol)
+        for u in us:
+            u[-1] = u0
         for d, u in zip(jd.discs, us):
             d.gauss_seidel_sweep(u, tol, forward=False, start=level)
         sweeps += 1
@@ -661,7 +652,8 @@ def solve_junction_constructive(problem, params=None):
     exceeds it by more than 2h are re-solved with the junction value as
     Dirichlet data. The re-solves start cold: from the state-constraint
     solution Newton would move the policy switch a cell or two per step.
-    The report lists each flag of the edge solves once."""
+    The report lists each flag of the edge solves once and the levels of
+    every edge solve, in solve order."""
     if not isinstance(problem.junction_condition, StateConstraint):
         raise ValueError("solve_junction_constructive expects a "
                          "state-constraint junction condition")
@@ -682,7 +674,7 @@ def solve_junction_constructive(problem, params=None):
             kept.values[-1] = c_star
             grids.append(kept)
         else:
-            gd, rd = solve_edge(H, e, Dirichlet(c_star), params, sc_value=v)
+            gd, rd = solve_edge(H, e, Dirichlet(c_star), params)
             gd.values[-1] = c_star
             grids.append(gd)
             reports.append(rd)
@@ -696,6 +688,7 @@ def solve_junction_constructive(problem, params=None):
         method="constructive",
         flux="+".join(dict.fromkeys(r.flux for r in reports)),
         flags=tuple(dict.fromkeys(f for r in reports for f in r.flags)),
+        levels=tuple(lv for r in reports for lv in r.levels),
     )
     return sol, rep
 

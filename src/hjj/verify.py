@@ -198,8 +198,7 @@ def run_verification(trials=200, seed=0):
         errs = []
         for n in (50, 100, 200):
             spec = ed.EdgeSpec(1.0, n)
-            u, _ = ed.solve_edge(H["abs1"], spec, ed.Dirichlet(0.0),
-                                 sc_value=1.0)
+            u, _ = ed.solve_edge(H["abs1"], spec, ed.Dirichlet(0.0))
             errs.append(float(np.max(np.abs(
                 u.values - (1.0 - np.exp(spec.grid()))))))
         orders = np.log2(np.asarray(errs[:-1]) / np.asarray(errs[1:]))

@@ -360,6 +360,24 @@ class TestCli:
         assert report["convergence"]["analytic"] is False
         assert all(r["error"] <= 2e-2 for r in report["convergence"]["rows"])
 
+    def test_convergence_unattainable_far_datum(self, tmp_path):
+        # a far datum 5 above the state-constraint value 1 is not attained:
+        # the answer is the state-constraint one, which the 2n solve checks
+        # to first order (a pinned far row stalled every solve, exit 2)
+        data = minimal_problem()
+        data["edges"][0]["far_bc"] = {"kind": "dirichlet", "value": 5.0}
+        prob = tmp_path / "p.json"
+        write_problem(data, prob)
+        out = tmp_path / "out"
+        assert run_cli(["convergence", "--problem", str(prob), "--out",
+                        str(out), "--grids", "50,100,200",
+                        "--max-iters", "3000"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["flags"] == ["dirichlet_not_attained"]
+        rows = report["convergence"]["rows"]
+        assert all(r["error"] <= 1e-2 for r in rows)
+        assert all(r["observed_order"] >= 0.9 for r in rows[1:])
+
     def test_convergence_reports_failed_solves(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli(["convergence", "--problem",
@@ -455,7 +473,7 @@ class TestCli:
         if case == "godunov_step_cap":
             # a Godunov level that hits its step cap falls back: the sweeps
             # finish every level after the coarsest
-            monkeypatch.setattr(jn, "MAX_GODUNOV_STEPS", 1)
+            monkeypatch.setattr(jn, "MAX_LEVEL_STEPS", 1)
             data = dwell
             expect = (["newton_fallback"], True,
                       [[8, 1], [16, 2], [64, 2]])
@@ -524,7 +542,8 @@ class TestCli:
         out = tmp_path / "out"
         assert run_cli(["solve-junction", "--problem", str(prob),
                         "--out", str(out)]) == 0
-        direct = json.loads((out / "report.json").read_text())["direct"]
+        report = json.loads((out / "report.json").read_text())
+        direct = report["direct"]
         assert direct["method"] == "godunov_newton"
         levels = direct["levels"]
         assert [n for n, _ in levels] == [8, 16, 64]
@@ -532,6 +551,15 @@ class TestCli:
         assert [kind for kind, _, _ in ran[:len(levels)]] == \
             ["sweep"] + ["godunov"] * (len(levels) - 1)
         assert direct["iterations"] == sum(c for _, c in levels)
+        # the constructive solve lists the levels of its edge solves, the
+        # Dirichlet re-solve included, in the order they ran
+        constructive = report["constructive"]
+        assert constructive["method"] == "constructive"
+        assert constructive["levels"] == \
+            [[n, c] for _, n, c in ran[len(levels):]]
+        assert len(constructive["levels"]) == 9
+        assert constructive["iterations"] == \
+            sum(c for _, c in constructive["levels"])
 
     def test_validation_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
